@@ -7,6 +7,7 @@ and a JSON/TSV command line.  All core arithmetic is exact.
 """
 
 from .analysis import (
+    MAX_TABLE_ROWS,
     AffineMap,
     ContinuityReport,
     affine_on_cylinder,
@@ -71,12 +72,14 @@ from .series import (
 from .systems import (
     CantorSystem,
     Interval,
+    PositionTable,
     QTildeColumn,
     QTildeSystem,
     SignPattern,
     ValidationReport,
     base_interval,
     column_cumulative,
+    position_table,
     remove_index,
     rho,
     shift_system,

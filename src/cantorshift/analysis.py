@@ -10,7 +10,6 @@ two-representation points whose dual pair flips at position m.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .errors import OutOfIntervalError
 from .numbers import (
@@ -21,8 +20,15 @@ from .numbers import (
     partial_digits,
     validate_number,
 )
-from .operators import ShiftVariant, _closed_form, _require_admissible, closed_form_value
-from .systems import CantorSystem, base_interval, sign_factor
+from .operators import (
+    ShiftVariant,
+    _cantor_image,
+    _closed_form,
+    _column_image,
+    _require_admissible,
+    closed_form_value,
+)
+from .systems import CantorSystem, Interval, position_table
 
 __all__ = [
     "AffineMap",
@@ -33,7 +39,13 @@ __all__ = [
     "numeric_derivative",
     "graph_samples",
     "point_image",
+    "MAX_TABLE_ROWS",
 ]
+
+# Largest segment or graph table built: the product of the first m
+# alphabet sizes (times the samples per cylinder for a graph).  Larger
+# requests are refused up front rather than run unbounded.
+MAX_TABLE_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -78,14 +90,63 @@ def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
     return AffineMap(slope, intercept)
 
 
+def _check_table_size(system, m, per_cylinder=1):
+    """Refuse, before any work, a table of more than MAX_TABLE_ROWS rows:
+    the product of the first m alphabet sizes times `per_cylinder`."""
+    rows = per_cylinder
+    for n in range(1, m + 1):
+        rows *= system.max_digit(n) + 1
+        if rows > MAX_TABLE_ROWS:
+            raise ValueError(f"table too large: more than {MAX_TABLE_ROWS} rows at rank {m}")
+
+
+def _cylinder_rows(system, m, variant):
+    """(cylinder, affine map) per rank-m digit prefix, in lexicographic
+    digit order.  An iterative depth-first walk: a node holds the signed
+    value and weight product of its digit prefix, and each child extends
+    them by one position."""
+    table = position_table(system)
+    tail = table.interval(m)
+    last = table.slot(m)
+    s_m = table.signs[last]
+    if table.bases:
+        q_m = Fraction(table.bases[last])
+        slope = -q_m if variant == ShiftVariant.POSITION else q_m
+    rows = []
+    stack = [(1, Fraction(0), Fraction(1))]  # (next position, prefix value, prefix weight)
+    while stack:
+        n, value, weight = stack.pop()
+        if n < m:
+            i = table.slot(n)
+            s = table.signs[i]
+            for d in range(table.max_digits[i], -1, -1):
+                term, w = table.digit(i, d)
+                stack.append((n + 1, value + s * term * weight, weight * w))
+            continue
+        for d in range(table.max_digits[last] + 1):
+            term, w = table.digit(last, d)
+            leaf_value = value + s_m * term * weight
+            leaf_weight = weight * w
+            if table.bases:
+                intercept = _cantor_image(0, value, weight, q_m, d, s_m, variant)
+            else:
+                slope = 1 / w
+                intercept = _column_image(0, value, weight, term, w, s_m)
+            rows.append((Interval(leaf_value + leaf_weight * tail.lo,
+                                  leaf_value + leaf_weight * tail.hi),
+                         AffineMap(slope, intercept)))
+    return rows
+
+
 def segment_table(system, m, variant=ShiftVariant.DIGIT):
     """One (cylinder interval, affine map) entry per rank-m digit prefix,
-    sorted by interval position."""
+    sorted by interval position.  Tables over MAX_TABLE_ROWS rows are
+    refused with ValueError."""
     _require_admissible(system, variant)
-    alphabets = [range(system.max_digit(n) + 1) for n in range(1, m + 1)]
-    entries = []
-    for digits in product(*alphabets):
-        entries.append((cylinder(system, digits), affine_on_cylinder(system, digits, variant)))
+    if m < 1:
+        raise ValueError("prefix must contain at least one digit")
+    _check_table_size(system, m)
+    entries = _cylinder_rows(system, m, variant)
     entries.sort(key=lambda e: (e[0].lo, e[0].hi))
     return entries
 
@@ -135,6 +196,7 @@ def graph_samples(system, m, samples_per_cylinder, variant=ShiftVariant.DIGIT):
     rank-m cylinder, sorted by x."""
     if samples_per_cylinder < 2:
         raise ValueError("need at least 2 samples per cylinder")
+    _check_table_size(system, m, samples_per_cylinder)
     points = []
     for interval, _ in segment_table(system, m, variant):
         width = interval.width

@@ -204,6 +204,8 @@ def _loads(text):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise DocumentError("malformed JSON: nested too deeply") from exc
 
 
 def parse_system(text):

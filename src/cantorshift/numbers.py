@@ -13,7 +13,6 @@ residual value recurs at an aligned position, which yields the periodic
 tail exactly.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,14 +26,13 @@ from .errors import (
     OutOfIntervalError,
 )
 from .systems import (
-    CantorSystem,
     Interval,
     QTildeSystem,
     base_interval,
     combined_cycle_len,
     combined_prefix_len,
     periodic_from,
-    shift_system,
+    position_table,
     sign_factor,
 )
 from .series import weighted_periodic_value, weighted_value
@@ -177,52 +175,35 @@ def evaluate(num):
     return _evaluate_cached(num)
 
 
-def _tail_interval(system, n):
-    """Interval of residual values available after position n."""
-    return base_interval(shift_system(system, n))
-
-
-def _digit_step(system, n, y):
+def _digit_step(table, n, y):
     """Extract the digit at position n from residual y, returning
     (digit, next residual).  y must lie in the representable interval of
     the system shifted by n-1 positions."""
-    nxt = _tail_interval(system, n)
-    lo, hi = nxt.lo, nxt.hi
-    s = sign_factor(system.signs, n)
-    if isinstance(system, CantorSystem):
-        q = system.base_at(n)
-        if s > 0:
-            d = math.floor(q * y - lo)
+    i = table.slot(n)
+    lo_num, lo_den, hi_num, hi_den = table.tail(n)
+    s = table.signs[i]
+    if table.bases:
+        # Cantor: the digit is floor(q*y - lo) (ceil(lo - q*y) under a
+        # negative sign), computed on numerators and denominators.
+        q = table.bases[i]
+        y_num, y_den = y.numerator, y.denominator
+        d = (q * y_num * lo_den - lo_num * y_den) // (y_den * lo_den)
+        d = min(max(d if s > 0 else -d, 0), q - 1)
+        y2_num, y2_den = q * y_num - s * d * y_den, y_den
+    else:
+        for plo, phi, d, a, w in table.pieces[i]:
+            if plo <= y < phi:
+                break
         else:
-            d = math.ceil(lo - q * y)
-        d = min(max(d, 0), q - 1)
-        y2 = q * y - s * d
-        if not lo <= y2 <= hi:
-            raise OutOfIntervalError(f"value has no digit at position {n}")
-        return d, y2
-    col = system.column_at(n)
-    pieces = []
-    for d in range(col.max_digit + 1):
-        a = col.cumulative(d)
-        w = col.entries[d]
-        pieces.append((s * a + w * lo, s * a + w * hi, d, a, w))
-    pieces.sort(key=lambda item: (item[0], item[1], item[2]))
-    chosen = None
-    for plo, phi, d, a, w in pieces:
-        if plo <= y < phi:
-            chosen = (d, a, w)
-            break
-    if chosen is None:
-        top = max(pieces, key=lambda item: (item[1], -item[2]))
-        if y == top[1]:
-            chosen = (top[2], top[3], top[4])
-        else:
-            raise OutOfIntervalError(f"value has no digit at position {n}")
-    d, a, w = chosen
-    y2 = (y - s * a) / w
-    if not lo <= y2 <= hi:
+            top = table.tops[i]
+            if y != top[1]:
+                raise OutOfIntervalError(f"value has no digit at position {n}")
+            _, _, d, a, w = top
+        y2 = (y - s * a) / w
+        y2_num, y2_den = y2.numerator, y2.denominator
+    if not (lo_num * y2_den <= y2_num * lo_den and y2_num * hi_den <= hi_num * y2_den):
         raise OutOfIntervalError(f"value has no digit at position {n}")
-    return d, y2
+    return d, Fraction(y2_num, y2_den)
 
 
 def partial_digits(system, value, count):
@@ -230,10 +211,11 @@ def partial_digits(system, value, count):
     iv = base_interval(system)
     if not iv.contains(value):
         raise OutOfIntervalError(f"{value} outside representable interval [{iv.lo}, {iv.hi}]")
+    table = position_table(system)
     y = Fraction(value)
     digits = []
     for n in range(1, count + 1):
-        d, y = _digit_step(system, n, y)
+        d, y = _digit_step(table, n, y)
         digits.append(d)
     return tuple(digits)
 
@@ -251,8 +233,8 @@ def decode(system, value, depth):
     iv = base_interval(system)
     if not iv.contains(value):
         raise OutOfIntervalError(f"{value} outside representable interval [{iv.lo}, {iv.hi}]")
-    pre = combined_prefix_len(system)
-    period = combined_cycle_len(system)
+    table = position_table(system)
+    pre, period = table.prefix_len, table.cycle_len
     y = Fraction(value)
     digits = []
     seen = {}
@@ -269,7 +251,7 @@ def decode(system, value, depth):
             raise InexactDecodeError(
                 f"no exact tail found within depth {depth} for value {value}"
             )
-        d, y = _digit_step(system, k + 1, y)
+        d, y = _digit_step(table, k + 1, y)
         digits.append(d)
 
 
@@ -325,21 +307,22 @@ def cylinder(system, prefix_digits):
     """Exact interval of all numbers whose expansion starts with the given
     digits: fixed prefix value plus the scaled representable interval of
     the shifted system."""
+    table = position_table(system)
     prefix_digits = tuple(prefix_digits)
     value = Fraction(0)
     weight = Fraction(1)
     terms, weights, signs = [], [], []
-    for i, d in enumerate(prefix_digits):
-        n = i + 1
+    for n, d in enumerate(prefix_digits, 1):
         _check_digit(system, n, d)
-        terms.append(system.term_value(n, d))
-        weights.append(system.digit_weight(n, d))
-        signs.append(sign_factor(system.signs, n))
+        i = table.slot(n)
+        term, w = table.digit(i, d)
+        terms.append(term)
+        weights.append(w)
+        signs.append(table.signs[i])
+        weight *= w
     if prefix_digits:
         value = weighted_value(terms, weights, signs)
-        for w in weights:
-            weight *= w
-    tail = _tail_interval(system, len(prefix_digits))
+    tail = table.interval(len(prefix_digits))
     return Interval(value + weight * tail.lo, value + weight * tail.hi)
 
 

@@ -151,18 +151,14 @@ def _cantor_prefix_sum(num, m):
 def _closed_form(system, x, digits, m, variant):
     """Affine image of x under deletion of position m, given the first m
     digits of x.  This never touches the tail digits."""
+    s_m = sign_factor(system.signs, m)
     if isinstance(system, CantorSystem):
-        q_m = system.base_at(m)
         g = Fraction(0)
         inv = Fraction(1)
         for k in range(1, m):
             inv /= system.base_at(k)
             g += sign_factor(system.signs, k) * digits[k - 1] * inv
-        lead = Fraction(digits[m - 1], 1) * inv  # i_m / (q_1 ... q_{m-1})
-        s_m = sign_factor(system.signs, m)
-        if variant == ShiftVariant.POSITION:
-            return -q_m * x + (1 + q_m) * g + s_m * lead
-        return q_m * x + (1 - q_m) * g - s_m * lead
+        return _cantor_image(x, g, inv, system.base_at(m), digits[m - 1], s_m, variant)
     if variant == ShiftVariant.POSITION:
         raise VariantError("position-signed deletion is not defined for column systems")
     value_prefix = Fraction(0)
@@ -171,9 +167,21 @@ def _closed_form(system, x, digits, m, variant):
         d = digits[k - 1]
         value_prefix += sign_factor(system.signs, k) * system.term_value(k, d) * weight
         weight *= system.digit_weight(k, d)
-    w_m = system.digit_weight(m, digits[m - 1])
-    a_m = system.term_value(m, digits[m - 1])
-    s_m = sign_factor(system.signs, m)
+    d = digits[m - 1]
+    return _column_image(x, value_prefix, weight,
+                         system.term_value(m, d), system.digit_weight(m, d), s_m)
+
+
+def _cantor_image(x, g, inv, q_m, i_m, s_m, variant):
+    # g: signed prefix sum below m; inv = 1/(q_1 ... q_{m-1}); i_m: digit at m
+    lead = i_m * inv
+    if variant == ShiftVariant.POSITION:
+        return -q_m * x + (1 + q_m) * g + s_m * lead
+    return q_m * x + (1 - q_m) * g - s_m * lead
+
+
+def _column_image(x, value_prefix, weight, a_m, w_m, s_m):
+    # value_prefix, weight: signed value and weight product of the digits below m
     return x / w_m - s_m * a_m * weight / w_m + (1 - 1 / w_m) * value_prefix
 
 

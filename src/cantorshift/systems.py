@@ -12,7 +12,9 @@ cumulative sum of the entries below it, weight entries[d]).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
+from typing import NamedTuple
 
 from .errors import DigitRangeError
 from .series import EventuallyPeriodicSeq, weighted_periodic_value
@@ -30,6 +32,8 @@ __all__ = [
     "column_cumulative",
     "validate",
     "base_interval",
+    "PositionTable",
+    "position_table",
     "remove_index",
     "shift_system",
     "combined_prefix_len",
@@ -258,16 +262,107 @@ def validate(system):
     return ValidationReport(tuple(problems))
 
 
-def _extreme_value(system, digit_fn):
-    split = combined_prefix_len(system)
-    period = combined_cycle_len(system)
-    terms, weights, signs = [], [], []
-    for n in range(1, split + period + 1):
-        d = digit_fn(n)
-        terms.append(system.term_value(n, d))
-        weights.append(system.digit_weight(n, d))
-        signs.append(sign_factor(system.signs, n))
-    return weighted_periodic_value(terms, weights, signs, split)
+class PositionTable(NamedTuple):
+    """Per-position data of a system for positions 1..P+L, where P is the
+    combined prefix length and L the combined cycle length; position
+    n > P reads slot P + (n - P - 1) mod L.
+
+    Slot i (position i + 1) holds the max digit, the sign factor and, for
+    Cantor systems, the base q; column systems hold each digit's term
+    (cumulative entry) and weight, and the decode pieces
+    (lo, hi, d, term, weight) sorted by (lo, hi, d) with the piece owning
+    the upper end in `tops`.  `tails[n]` is the residual interval after
+    position n (n = 0..P+L) as integers (lo_num, lo_den, hi_num, hi_den).
+    """
+
+    prefix_len: int
+    cycle_len: int
+    max_digits: tuple
+    signs: tuple
+    tails: tuple
+    bases: tuple = ()
+    terms: tuple = ()
+    weights: tuple = ()
+    pieces: tuple = ()
+    tops: tuple = ()
+
+    def slot(self, n):
+        """Slot index of 1-based position n."""
+        if n <= self.prefix_len + self.cycle_len:
+            return n - 1
+        return self.prefix_len + (n - self.prefix_len - 1) % self.cycle_len
+
+    def digit(self, i, d):
+        """(term value, weight) of digit d at slot i."""
+        if self.bases:
+            q = self.bases[i]
+            return Fraction(d, q), Fraction(1, q)
+        return self.terms[i][d], self.weights[i][d]
+
+    def tail(self, n):
+        """Integer bounds of the residual interval after position n >= 0."""
+        return self.tails[self.slot(n) + 1 if n else 0]
+
+    def interval(self, n):
+        """Interval of residual values available after position n >= 0."""
+        lo_num, lo_den, hi_num, hi_den = self.tail(n)
+        return Interval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+
+    @classmethod
+    def build(cls, system):
+        prefix_len = combined_prefix_len(system)
+        cycle_len = combined_cycle_len(system)
+        positions = range(1, prefix_len + cycle_len + 1)
+        max_digits = tuple(system.max_digit(n) for n in positions)
+        signs = tuple(sign_factor(system.signs, n) for n in positions)
+        if isinstance(system, CantorSystem):
+            table = cls(prefix_len, cycle_len, max_digits, signs, (),
+                        bases=tuple(system.base_at(n) for n in positions))
+        else:
+            columns = [system.column_at(n) for n in positions]
+            table = cls(prefix_len, cycle_len, max_digits, signs, (),
+                        terms=tuple(tuple(accumulate(col.entries[:-1], initial=Fraction(0)))
+                                    for col in columns),
+                        weights=tuple(col.entries for col in columns))
+        # The most negative stream takes the max digit at negative positions
+        # and 0 elsewhere; the most positive stream is the mirror image.
+        lows = table._extreme_tails(lambda i: signs[i] < 0)
+        highs = table._extreme_tails(lambda i: signs[i] > 0)
+        tails = tuple((lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+                      for lo, hi in zip(lows, highs))
+        if table.bases:
+            return table._replace(tails=tails)
+        pieces = tuple(
+            tuple(sorted(((s * a + w * lo, s * a + w * hi, d, a, w)
+                          for d, (a, w) in enumerate(zip(terms, weights))),
+                         key=lambda piece: piece[:3]))
+            for s, terms, weights, lo, hi
+            in zip(signs, table.terms, table.weights, lows[1:], highs[1:]))
+        tops = tuple(max(p, key=lambda piece: (piece[1], -piece[2])) for p in pieces)
+        return table._replace(tails=tails, pieces=pieces, tops=tops)
+
+    def _extreme_tails(self, takes_max):
+        """Values after positions 0..P+L of the stream whose digit at slot i
+        is the max digit when takes_max(i), else 0."""
+        size = self.prefix_len + self.cycle_len
+        data = [self.digit(i, self.max_digits[i] if takes_max(i) else 0) for i in range(size)]
+        period = data[self.prefix_len:]
+        value = weighted_periodic_value([t for t, _ in period], [w for _, w in period],
+                                        self.signs[self.prefix_len:], 0)
+        values = [value]
+        for i in range(size - 1, -1, -1):
+            term, weight = data[i]
+            value = self.signs[i] * term + weight * value
+            values.append(value)
+        return values[::-1]
+
+
+# Beyond 64 systems a table is rebuilt in O(P + L); a larger cache only
+# keeps more tables alive.
+@lru_cache(maxsize=64)
+def position_table(system):
+    """The system's PositionTable (built in O(P + L), cached)."""
+    return PositionTable.build(system)
 
 
 @lru_cache(maxsize=4096)
@@ -275,9 +370,7 @@ def base_interval(system):
     """Exact infimum/supremum of the greedy extreme digit streams: the
     most negative stream takes the max digit at member positions and 0
     elsewhere; the most positive stream is the mirror image."""
-    lo = _extreme_value(system, lambda n: system.max_digit(n) if system.signs.member(n) else 0)
-    hi = _extreme_value(system, lambda n: 0 if system.signs.member(n) else system.max_digit(n))
-    return Interval(lo, hi)
+    return position_table(system).interval(0)
 
 
 def shift_system(system, m):

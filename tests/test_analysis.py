@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,7 @@ from cantorshift import (
     base_interval,
     continuity_at,
     cycle_tail,
+    cylinder,
     evaluate,
     generalized_shift,
     graph_samples,
@@ -17,7 +19,9 @@ from cantorshift import (
     point_image,
     segment_table,
 )
-from cantorshift.sampling import rand_cantor_system
+from cantorshift import analysis
+from cantorshift.sampling import rand_cantor_system, rand_qtilde_system
+from helpers import cantor
 from helpers import ALT, DEC, NEG, QT, mk
 
 POSITION = ShiftVariant.POSITION
@@ -79,6 +83,50 @@ class TestSegmentTable:
                 xs = [interval_m.lo + interval_m.width * Fraction(j, 4) for j in (1, 2, 3)]
                 ys = [point_image(system, x, m) for x in xs]
                 assert all(y == affine.apply(x) for x, y in zip(xs, ys))
+
+
+def _product_table(system, m, variant):
+    # the table built leaf by leaf from cylinder() and affine_on_cylinder()
+    alphabets = [range(system.max_digit(n) + 1) for n in range(1, m + 1)]
+    return sorted(((cylinder(system, digits), affine_on_cylinder(system, digits, variant))
+                   for digits in product(*alphabets)),
+                  key=lambda e: (e[0].lo, e[0].hi))
+
+
+class TestSegmentTableWalk:
+    def test_digit_variant_equals_leafwise_table(self):
+        rng = random.Random(47)
+        for t in range(24):
+            signs = "none" if t % 2 == 0 else "any"
+            system = (rand_cantor_system(rng, max_q=5, signs=signs) if t % 4 < 2
+                      else rand_qtilde_system(rng, max_den=10, signs=signs))
+            for m in (1, 2, 3):
+                assert segment_table(system, m) == _product_table(system, m, ShiftVariant.DIGIT)
+
+    def test_position_variant_equals_leafwise_table(self):
+        rng = random.Random(53)
+        for _ in range(8):
+            system = rand_cantor_system(rng, max_q=5, signs="odd")
+            for m in (1, 2, 3):
+                assert segment_table(system, m, POSITION) == _product_table(system, m, POSITION)
+
+    def test_oversized_tables_refused_before_the_walk(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the table walk ran")
+
+        monkeypatch.setattr(analysis, "_cylinder_rows", walk)
+        with pytest.raises(ValueError, match="rows"):
+            segment_table(cantor((), (10**12,)), 1)
+        with pytest.raises(ValueError, match="rows"):
+            segment_table(DEC, 7)
+        with pytest.raises(ValueError, match="rows"):
+            graph_samples(DEC, 1, analysis.MAX_TABLE_ROWS)
+
+    def test_largest_allowed_table(self):
+        # 2**20 rows of base 2 pass the check; only the count is computed here
+        analysis._check_table_size(cantor((), (2,)), 20)
+        with pytest.raises(ValueError):
+            analysis._check_table_size(cantor((), (2,)), 21)
 
 
 class TestContinuity:

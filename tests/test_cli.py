@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cantorshift
+
+from cantorshift import analysis
 from cantorshift.cli import run
 from cantorshift.documents import system_to_doc
-from helpers import DEC, FACT, NEG, QT
+from helpers import DEC, FACT, NEG, QT, cantor
 
 
 @pytest.fixture
@@ -174,3 +181,45 @@ class TestErrors:
         assert run(["decode", path, "1/2"]) == 1
         err = capsys.readouterr().err
         assert "column sum != 1 at $.columns.cycle[0]" in err
+
+    def test_deeply_nested_json(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000, encoding="utf-8")
+        assert run(["eval", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed JSON")
+
+    @pytest.mark.parametrize("system, argv", [
+        (cantor((), (10**12,)), ["segments", "-m", "1"]),
+        (DEC, ["segments", "-m", "7"]),
+        (DEC, ["graph", "-m", "1", "--samples", "100000000"]),
+    ])
+    def test_oversized_tables_refused_up_front(self, paths, capsys, monkeypatch, system, argv):
+        def walk(*args):
+            raise AssertionError("the table walk ran")
+
+        monkeypatch.setattr(analysis, "_cylinder_rows", walk)
+        _, write = paths
+        spath = write("s.json", system_to_doc(system))
+        assert run([argv[0], spath] + argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(analysis.MAX_TABLE_ROWS) in err[0]
+
+
+@pytest.mark.parametrize("module", ["cantorshift", "cantorshift.cli"])
+def test_python_dash_m(module, paths):
+    _, write = paths
+    spath = write("s.json", system_to_doc(NEG))
+    src = str(Path(cantorshift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-m", module, "cylinder", spath, "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == ["lo: -6/55", "hi: -1/110", "width: 1/10"]
+    done = subprocess.run([sys.executable, "-m", module], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error:")

@@ -7,15 +7,20 @@ from cantorshift import (
     EventuallyPeriodicSeq,
     Interval,
     QTildeColumn,
+    RepresentedNumber,
     SignPattern,
     base_interval,
     column_cumulative,
+    evaluate,
+    make_stream,
+    position_table,
     remove_index,
     rho,
     shift_system,
     sign_factor,
     validate,
 )
+from cantorshift.systems import combined_cycle_len, combined_prefix_len
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, qtilde
 
 
@@ -149,3 +154,59 @@ class TestShiftSystem:
 
     def test_shift_zero_is_identity(self):
         assert shift_system(ALT, 0) == ALT
+
+
+F = Fraction
+FLAVOURS = {
+    "cantor": cantor((2, 3, 4), (5, 6)),
+    "signed cantor": cantor((2, 3, 4), (5, 6), SignPattern.explicit((True,), (False, True))),
+    "column": qtilde([[F(1, 2), F(1, 2)]], [[F(1, 8), F(7, 8)], [F(1, 3), F(1, 6), F(1, 2)]]),
+    "signed column": qtilde([[F(1, 2), F(1, 2)]], [[F(1, 8), F(7, 8)], [F(1, 3), F(2, 3)]],
+                            SignPattern.explicit((), (True, False, False))),
+}
+
+
+def _extreme_value(system, low):
+    # the most negative (low) or most positive stream, evaluated as a number
+    def digit(n):
+        return system.max_digit(n) if system.signs.member(n) == low else 0
+
+    stream = make_stream(system, digit, combined_prefix_len(system), combined_cycle_len(system))
+    return evaluate(RepresentedNumber(system, stream))
+
+
+class TestPositionTable:
+    @pytest.mark.parametrize("name", sorted(FLAVOURS))
+    def test_tails_equal_extreme_streams_of_shifted_systems(self, name):
+        system = FLAVOURS[name]
+        table = position_table(system)
+        size = table.prefix_len + 2 * table.cycle_len
+        assert size > 3
+        for n in range(size + 1):
+            shifted = shift_system(system, n)
+            assert table.interval(n) == Interval(_extreme_value(shifted, True),
+                                                 _extreme_value(shifted, False))
+
+    @pytest.mark.parametrize("name", sorted(FLAVOURS))
+    def test_slots_repeat_the_cycle(self, name):
+        system = FLAVOURS[name]
+        table = position_table(system)
+        for n in range(1, table.prefix_len + 3 * table.cycle_len + 1):
+            i = table.slot(n)
+            assert i < table.prefix_len + table.cycle_len
+            assert table.max_digits[i] == system.max_digit(n)
+            assert table.signs[i] == sign_factor(system.signs, n)
+            for d in range(system.max_digit(n) + 1):
+                assert table.digit(i, d) == (system.term_value(n, d), system.digit_weight(n, d))
+
+    def test_base_interval_is_tail_at_zero(self):
+        for system in FLAVOURS.values():
+            assert base_interval(system) == position_table(system).interval(0)
+
+    def test_cached_per_system(self):
+        assert position_table(cantor((), (7,))) is position_table(cantor((), (7,)))
+
+    def test_huge_base_builds_in_constant_size(self):
+        table = position_table(cantor((), (10**12,)))
+        assert table.bases == (10**12,)
+        assert table.interval(0) == Interval(0, 1)
