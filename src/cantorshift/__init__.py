@@ -65,7 +65,6 @@ from .series import (
     EventuallyPeriodicSeq,
     Rational,
     geometric_block_sum,
-    kernel_backend,
     periodic_tail_sum,
     term_at,
 )

@@ -22,7 +22,7 @@ from .operators import (
     iterate_shift,
     shift,
 )
-from .rationals import decimal_str, parse_rational, rational_str
+from .rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
 
 __all__ = ["run", "main"]
 
@@ -71,7 +71,7 @@ def _build_parser():
 
     p = sub.add_parser("eval", help="exact value of a number document")
     p.add_argument("number", help="path to a number JSON document")
-    p.add_argument("--precision", type=int, default=12)
+    p.add_argument("--precision", type=_precision, default=12)
 
     p = sub.add_parser("decode", help="canonical digits of a rational")
     p.add_argument("system", help="path to a system JSON document")
@@ -98,14 +98,14 @@ def _build_parser():
     p.add_argument("system")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--variant", choices=("digit", "position"), default="digit")
-    p.add_argument("--precision", type=int, default=12)
+    p.add_argument("--precision", type=_precision, default=12)
 
     p = sub.add_parser("graph", help="exact graph samples as TSV")
     p.add_argument("system")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("--samples", type=int, default=2)
     p.add_argument("--variant", choices=("digit", "position"), default="digit")
-    p.add_argument("--precision", type=int, default=12)
+    p.add_argument("--precision", type=_precision, default=12)
 
     p = sub.add_parser("partner", help="dual representation, if any")
     p.add_argument("number")
@@ -124,6 +124,13 @@ def _seed(text):
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must be a decimal 64-bit unsigned integer")
+    return value
+
+
+def _precision(text):
+    value = int(text)
+    if not 0 <= value <= MAX_PRECISION:
+        raise argparse.ArgumentTypeError(f"precision must be an integer in 0..{MAX_PRECISION}")
     return value
 
 
@@ -252,6 +259,9 @@ def run(argv):
         return _COMMANDS[args.command](args)
     except (_CliError, ExpansionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

@@ -4,7 +4,7 @@ evaluation, canonical decoding, cylinders, and dual representations.
 A digit stream is a finite prefix plus a tail specification: all zeros,
 all max digits, or a repeating digit cycle whose period the system must
 share from the cycle's start position.  Evaluation is exact rational
-arithmetic through the summation kernel.
+arithmetic through `series`.
 
 Decoding extracts digits by the half-open cylinder convention (each
 cylinder contains its spatially lowest point; the representable
@@ -28,7 +28,6 @@ from .errors import (
 from .systems import (
     Interval,
     QTildeSystem,
-    base_interval,
     combined_cycle_len,
     combined_prefix_len,
     periodic_from,
@@ -142,6 +141,17 @@ def validate_number(num):
             _check_digit(system, start + j, d)
 
 
+def _position_arrays(system, digits):
+    """Per-position term values, weights and sign factors of the digits
+    at positions 1, 2, ..."""
+    terms, weights, signs = [], [], []
+    for n, d in enumerate(digits, 1):
+        terms.append(system.term_value(n, d))
+        weights.append(system.digit_weight(n, d))
+        signs.append(sign_factor(system.signs, n))
+    return terms, weights, signs
+
+
 def _term_arrays(num):
     system, stream = num.system, num.digits
     dpl = len(stream.prefix)
@@ -155,13 +165,20 @@ def _term_arrays(num):
     else:
         split = dpl
         total = dpl + len(tail.cycle)
-    terms, weights, signs = [], [], []
-    for n in range(1, total + 1):
-        d = digit_at(num, n)
-        terms.append(system.term_value(n, d))
-        weights.append(system.digit_weight(n, d))
-        signs.append(sign_factor(system.signs, n))
-    return terms, weights, signs, split
+    digits = [digit_at(num, n) for n in range(1, total + 1)]
+    return (*_position_arrays(system, digits), split)
+
+
+def _prefix_value(system, digits):
+    """(value, weight) of a finite digit prefix at positions 1..k: the
+    signed sum of s_n * term_n * w_1 ... w_{n-1} and the product
+    w_1 ... w_k.  The empty prefix gives (0, 1)."""
+    terms, weights, signs = _position_arrays(system, digits)
+    num = den = 1
+    for w in weights:
+        num *= w.numerator
+        den *= w.denominator
+    return weighted_value(terms, weights, signs), Fraction(num, den)
 
 
 @lru_cache(maxsize=8192)
@@ -206,13 +223,22 @@ def _digit_step(table, n, y):
     return d, Fraction(y2_num, y2_den)
 
 
+def _representable_table(system, y):
+    """The system's position table, once the rational y is known to lie in
+    its representable interval."""
+    table = position_table(system)
+    lo_num, lo_den, hi_num, hi_den = table.tail(0)
+    if not (lo_num * y.denominator <= y.numerator * lo_den
+            and y.numerator * hi_den <= hi_num * y.denominator):
+        iv = table.interval(0)
+        raise OutOfIntervalError(f"{y} outside representable interval [{iv.lo}, {iv.hi}]")
+    return table
+
+
 def partial_digits(system, value, count):
     """First `count` digits of the canonical expansion of `value`."""
-    iv = base_interval(system)
-    if not iv.contains(value):
-        raise OutOfIntervalError(f"{value} outside representable interval [{iv.lo}, {iv.hi}]")
-    table = position_table(system)
     y = Fraction(value)
+    table = _representable_table(system, y)
     digits = []
     for n in range(1, count + 1):
         d, y = _digit_step(table, n, y)
@@ -230,12 +256,9 @@ def decode(system, value, depth):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    iv = base_interval(system)
-    if not iv.contains(value):
-        raise OutOfIntervalError(f"{value} outside representable interval [{iv.lo}, {iv.hi}]")
-    table = position_table(system)
-    pre, period = table.prefix_len, table.cycle_len
     y = Fraction(value)
+    table = _representable_table(system, y)
+    pre, period = table.prefix_len, table.cycle_len
     digits = []
     seen = {}
     while True:
@@ -307,22 +330,11 @@ def cylinder(system, prefix_digits):
     """Exact interval of all numbers whose expansion starts with the given
     digits: fixed prefix value plus the scaled representable interval of
     the shifted system."""
-    table = position_table(system)
     prefix_digits = tuple(prefix_digits)
-    value = Fraction(0)
-    weight = Fraction(1)
-    terms, weights, signs = [], [], []
     for n, d in enumerate(prefix_digits, 1):
         _check_digit(system, n, d)
-        i = table.slot(n)
-        term, w = table.digit(i, d)
-        terms.append(term)
-        weights.append(w)
-        signs.append(table.signs[i])
-        weight *= w
-    if prefix_digits:
-        value = weighted_value(terms, weights, signs)
-    tail = table.interval(len(prefix_digits))
+    value, weight = _prefix_value(system, prefix_digits)
+    tail = position_table(system).interval(len(prefix_digits))
     return Interval(value + weight * tail.lo, value + weight * tail.hi)
 
 

@@ -27,6 +27,7 @@ from math import lcm
 
 from .errors import ExpansionError, VariantError
 from .numbers import (
+    _prefix_value,
     DigitStream,
     RepresentedNumber,
     cycle_tail,
@@ -137,38 +138,17 @@ def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
     return RepresentedNumber(system2, stream2)
 
 
-def _cantor_prefix_sum(num, m):
-    # sum over k < m of sign_k * i_k / (q_1 ... q_k), plus q_1 ... q_{m-1}
-    total = Fraction(0)
-    weight = Fraction(1)
-    for k in range(1, m):
-        q = num.system.base_at(k)
-        weight /= q
-        total += sign_factor(num.system.signs, k) * digit_at(num, k) * weight
-    return total, weight
-
-
 def _closed_form(system, x, digits, m, variant):
     """Affine image of x under deletion of position m, given the first m
     digits of x.  This never touches the tail digits."""
+    value, weight = _prefix_value(system, digits[:m - 1])
     s_m = sign_factor(system.signs, m)
+    d = digits[m - 1]
     if isinstance(system, CantorSystem):
-        g = Fraction(0)
-        inv = Fraction(1)
-        for k in range(1, m):
-            inv /= system.base_at(k)
-            g += sign_factor(system.signs, k) * digits[k - 1] * inv
-        return _cantor_image(x, g, inv, system.base_at(m), digits[m - 1], s_m, variant)
+        return _cantor_image(x, value, weight, system.base_at(m), d, s_m, variant)
     if variant == ShiftVariant.POSITION:
         raise VariantError("position-signed deletion is not defined for column systems")
-    value_prefix = Fraction(0)
-    weight = Fraction(1)
-    for k in range(1, m):
-        d = digits[k - 1]
-        value_prefix += sign_factor(system.signs, k) * system.term_value(k, d) * weight
-        weight *= system.digit_weight(k, d)
-    d = digits[m - 1]
-    return _column_image(x, value_prefix, weight,
+    return _column_image(x, value, weight,
                          system.term_value(m, d), system.digit_weight(m, d), s_m)
 
 
@@ -212,7 +192,7 @@ def prefix_sums(num, m):
     if not isinstance(num.system, CantorSystem):
         raise ExpansionError("prefix sums are defined for Cantor systems")
     x = evaluate(num)
-    g, inv = _cantor_prefix_sum(num, m)
+    g, inv = _prefix_value(num.system, [digit_at(num, k) for k in range(1, m)])
     q_m = num.system.base_at(m)
     s_m = sign_factor(num.system.signs, m)
     zeta = q_m * (x - g - s_m * digit_at(num, m) * inv / q_m)
@@ -289,7 +269,7 @@ def verify_theorem_identities(num, m=2, indices=(2, 5)):
     # (d) x - sigma_m(x) = i_m/(q_1..q_m) + iterate_shift(x, m)(1 - q_m)/(q_1..q_m)
     x = evaluate(num)
     q_m = system.base_at(m)
-    _, inv = _cantor_prefix_sum(num, m)
+    _, inv = _prefix_value(system, [digit_at(num, k) for k in range(1, m)])
     weight_m = inv / q_m
     lhs_d = x - closed_form_value(num, m)
     rhs_d = digit_at(num, m) * weight_m + evaluate(iterate_shift(num, m)) * (1 - q_m) * weight_m

@@ -8,7 +8,13 @@ from fractions import Fraction
 
 from .errors import DocumentError
 
-__all__ = ["parse_rational", "rational_str", "decimal_str"]
+__all__ = ["MAX_PRECISION", "parse_rational", "rational_str", "decimal_str"]
+
+# Most fraction digits the command line renders.  Larger requests are
+# refused up front: Python 3.11+ refuses by default to turn an integer of
+# more than 4300 digits into a string, so a longer rendering would fail
+# after earlier output was already written.
+MAX_PRECISION = 4000
 
 
 def parse_rational(text, where="value"):

@@ -7,9 +7,8 @@ geometrically contracting periodic tail, so exact closed forms exist.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
-from . import _kernel
 from .errors import DivergentSeriesError
 
 Rational = Fraction
@@ -22,13 +21,7 @@ __all__ = [
     "periodic_tail_sum",
     "weighted_value",
     "weighted_periodic_value",
-    "kernel_backend",
 ]
-
-
-def kernel_backend():
-    """Name of the active summation kernel ('compiled' or 'pure-python')."""
-    return _kernel.BACKEND
 
 
 def _normalize(prefix, cycle):
@@ -146,6 +139,42 @@ def periodic_tail_sum(term_fn, start, period):
     return geometric_block_sum(block, ratio)
 
 
+def _fold(t_num, t_den, w_num, w_den, sign, lo, hi, acc_n, acc_d):
+    # Backward Horner: acc <- s_k t_k + w_k * acc, reduced each step.
+    for k in range(hi - 1, lo - 1, -1):
+        num = sign[k] * t_num[k] * w_den[k] * acc_d + w_num[k] * acc_n * t_den[k]
+        den = t_den[k] * w_den[k] * acc_d
+        g = gcd(num, den)
+        acc_n = num // g
+        acc_d = den // g
+    return acc_n, acc_d
+
+
+def _periodic_sum(t_num, t_den, w_num, w_den, sign, split):
+    """Reduced (num, den) of the sum with positions [0, split) explicit and
+    [split, n) one full period that repeats forever, each repetition scaled
+    by the product of the period's weights."""
+    n = len(t_num)
+    if not 0 <= split <= n:
+        raise ValueError("split out of range")
+    tail_n, tail_d = 0, 1
+    if split < n:
+        block_n, block_d = _fold(t_num, t_den, w_num, w_den, sign, split, n, 0, 1)
+        if block_n != 0:
+            rn = 1
+            rd = 1
+            for k in range(split, n):
+                rn *= w_num[k]
+                rd *= w_den[k]
+            if rn < 0 or rn >= rd:
+                raise DivergentSeriesError("tail ratio outside [0, 1)")
+            num = block_n * rd
+            den = block_d * (rd - rn)
+            g = gcd(num, den)
+            tail_n, tail_d = num // g, den // g
+    return _fold(t_num, t_den, w_num, w_den, sign, 0, split, tail_n, tail_d)
+
+
 def _int_arrays(terms, weights, signs):
     t_num = [t.numerator for t in terms]
     t_den = [t.denominator for t in terms]
@@ -156,20 +185,12 @@ def _int_arrays(terms, weights, signs):
 
 def weighted_value(terms, weights, signs):
     """Finite sum of sign_k * term_k * prod_{j<k} weight_j."""
-    n, d = _kernel.weighted_sum(*_int_arrays(terms, weights, signs))
-    return Fraction(n, d)
+    return Fraction(*_fold(*_int_arrays(terms, weights, signs), 0, len(terms), 0, 1))
 
 
 def weighted_periodic_value(terms, weights, signs, split):
     """Like weighted_value, but positions beyond `split` form one full
-    period that repeats forever (scaled by the product of its weights)."""
-    try:
-        n, d = _kernel.periodic_sum(*_int_arrays(terms, weights, signs), split)
-    except ValueError as exc:
-        raise DivergentSeriesError(str(exc)) from exc
-    return Fraction(n, d)
-
-
-def combined_cycle(*lengths):
-    """lcm helper for aligning several cycle lengths."""
-    return lcm(*lengths) if lengths else 1
+    period that repeats forever (scaled by the product of its weights).
+    Raises DivergentSeriesError when that product falls outside [0, 1)
+    while the period contributes a nonzero block."""
+    return Fraction(*_periodic_sum(*_int_arrays(terms, weights, signs), split))

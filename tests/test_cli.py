@@ -8,10 +8,13 @@ import pytest
 
 import cantorshift
 
-from cantorshift import analysis
+from cantorshift import analysis, cli
 from cantorshift.cli import run
 from cantorshift.documents import system_to_doc
+from cantorshift.rationals import MAX_PRECISION
 from helpers import DEC, FACT, NEG, QT, cantor
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -131,6 +134,14 @@ class TestGeometry:
         assert lines[0].split("\t") == ["x", "y", "x_dec", "y_dec"]
         assert len(lines) == 5
 
+    @pytest.mark.parametrize("system", ["signed_cantor", "positive_column"])
+    @pytest.mark.parametrize("argv", [["segments", "-m", "3"],
+                                      ["graph", "-m", "2", "--samples", "3"]])
+    def test_tsv_matches_golden(self, capsys, system, argv):
+        assert run([argv[0], str(DATA / f"{system}.json")] + argv[1:]) == 0
+        golden = DATA / f"{argv[0]}_{system}.tsv"
+        assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
 
 class TestVerifyCommand:
     def test_report_format_and_determinism(self, capsys):
@@ -152,6 +163,7 @@ class TestVerifyCommand:
         assert run(["verify", "all", "--trials", "8", "--seed", "3"]) == 0
         out = capsys.readouterr().out
         assert "roundtrip: 8/8 pass" in out
+        assert out == (DATA / "verify_all_8_3.txt").read_text(encoding="utf-8")
 
     def test_suite_failure_is_exit_two(self, capsys, monkeypatch):
         from cantorshift import verify as verify_mod
@@ -188,6 +200,41 @@ class TestErrors:
         assert run(["eval", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: malformed JSON")
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "n.json", "--precision", "-5"],
+        ["eval", "n.json", "--precision", "100000000"],
+        ["segments", "s.json", "-m", "1", "--precision", "-1"],
+        ["graph", "s.json", "-m", "1", "--precision", str(MAX_PRECISION + 1)],
+    ])
+    def test_precision_checked_before_output(self, paths, capsys, argv):
+        tmp, write = paths
+        write("n.json", _number_doc(DEC, (1, 2, 3)))
+        write("s.json", system_to_doc(DEC))
+        assert run([str(tmp / arg) if arg.endswith(".json") else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "precision" in err[0]
+
+    def test_largest_precision_accepted(self, paths, capsys):
+        _, write = paths
+        path = write("n.json", _number_doc(DEC, (1, 2, 3)))
+        assert run(["eval", path, "--precision", str(MAX_PRECISION)]) == 0
+        assert capsys.readouterr().out.splitlines() == ["123/1000", "0.123"]
+
+    def test_memory_error_is_one_error_line(self, paths, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._COMMANDS, "cylinder", exhausted)
+        _, write = paths
+        spath = write("s.json", system_to_doc(DEC))
+        assert run(["cylinder", spath, "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
     @pytest.mark.parametrize("system, argv", [
         (cantor((), (10**12,)), ["segments", "-m", "1"]),

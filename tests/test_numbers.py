@@ -6,6 +6,7 @@ import pytest
 
 from cantorshift import (
     AlignmentError,
+    CantorSystem,
     DigitRangeError,
     InexactDecodeError,
     Interval,
@@ -24,6 +25,8 @@ from cantorshift import (
     quasi_partner,
     same_number,
 )
+from cantorshift.numbers import _prefix_value
+from cantorshift.sampling import rand_cantor_system, rand_qtilde_system
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, mk, qtilde
 
 
@@ -154,6 +157,39 @@ class TestCylinder:
             for k in range(1, n + 1):
                 expected *= system.digit_weight(k, digits[k - 1])
             assert cylinder(system, digits).width == expected
+
+
+class TestPrefixValue:
+    """_prefix_value against a plain-Fraction loop over the digits."""
+
+    @staticmethod
+    def _reference(system, digits):
+        value, weight = Fraction(0), Fraction(1)
+        for n, d in enumerate(digits, 1):
+            sign = -1 if system.signs.member(n) else 1
+            if isinstance(system, CantorSystem):
+                term, w = Fraction(d, system.base_at(n)), Fraction(1, system.base_at(n))
+            else:
+                entries = system.column_at(n).entries
+                term, w = sum(entries[:d], Fraction(0)), entries[d]
+            value += sign * term * weight
+            weight *= w
+        return value, weight
+
+    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
+    def test_signed_prefixes_match_reference(self, make):
+        rng = random.Random(17)
+        for _ in range(60):
+            system = make(rng, signs="explicit")
+            n = rng.randrange(0, 16)
+            digits = [rng.randrange(0, system.max_digit(k) + 1) for k in range(1, n + 1)]
+            assert _prefix_value(system, digits) == self._reference(system, digits)
+
+    @pytest.mark.parametrize("system", [ALT, QT])
+    def test_empty_prefix(self, system):
+        value, weight = _prefix_value(system, ())
+        assert (value, weight) == (0, 1)
+        assert isinstance(value, Fraction) and isinstance(weight, Fraction)
 
 
 class TestDuality:

@@ -1,4 +1,4 @@
-"""Independent cross-checks: the kernel-backed evaluation path against a
+"""Independent cross-checks: the series-backed evaluation path against a
 plain-Fraction reimplementation built on the public series operations,
 and decoding against brute-force cylinder search."""
 
@@ -21,7 +21,7 @@ from helpers import mk
 
 def _reference_value(num):
     """Prefix by direct Fraction accumulation, tail via periodic_tail_sum;
-    no shared code with the summation kernel."""
+    no shared code with series.weighted_periodic_value."""
     system = num.system
     split = max(len(num.digits.prefix), combined_prefix_len(system))
     period = combined_cycle_len(system)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from cantorshift import (
     periodic_tail_sum,
     term_at,
 )
+from cantorshift.series import weighted_periodic_value, weighted_value
 
 
 class TestTermAt:
@@ -126,3 +128,52 @@ class TestPeriodicTailSum:
         for K in range(1, 8):
             partial = sum(term(n) for n in range(1, 3 * K + 1))
             assert abs(exact - partial) <= bound_scale * ratio**K / (1 - ratio)
+
+
+def _random_workload(rng, n):
+    t_num = [rng.randrange(-20, 21) for _ in range(n)]
+    t_den = [rng.randrange(1, 20) for _ in range(n)]
+    w_num = [rng.randrange(1, 10) for _ in range(n)]
+    w_den = [rng.randrange(wn + 1, wn + 12) for wn in w_num]  # weights in (0, 1)
+    signs = [rng.choice((-1, 1)) for _ in range(n)]
+    terms = [Fraction(a, b) for a, b in zip(t_num, t_den)]
+    weights = [Fraction(a, b) for a, b in zip(w_num, w_den)]
+    return terms, weights, signs
+
+
+def _reference_periodic(terms, weights, signs, split):
+    total = Fraction(0)
+    lead = Fraction(1)
+    for k in range(split):
+        total += signs[k] * terms[k] * lead
+        lead *= weights[k]
+    if split < len(terms):
+        block = Fraction(0)
+        w = Fraction(1)
+        for k in range(split, len(terms)):
+            block += signs[k] * terms[k] * w
+            w *= weights[k]
+        total += lead * block / (1 - w)
+    return total
+
+
+class TestWeightedValue:
+    """weighted_value / weighted_periodic_value against a plain-Fraction
+    reference on random workloads."""
+
+    @pytest.mark.parametrize("split_kind", ["finite", "tail", "pure_tail"])
+    def test_matches_fraction_reference(self, split_kind):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            work = _random_workload(rng, n)
+            split = {"finite": n, "tail": rng.randrange(0, n), "pure_tail": 0}[split_kind]
+            expected = _reference_periodic(*work, split)
+            assert weighted_periodic_value(*work, split) == expected
+            if split == n:
+                assert weighted_value(*work) == expected
+
+    def test_divergent_tail_rejected(self):
+        # weights >= 1 with a nonzero block must not be summed
+        with pytest.raises(DivergentSeriesError):
+            weighted_periodic_value([Fraction(1)], [Fraction(3, 2)], [1], 0)
