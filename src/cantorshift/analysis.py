@@ -2,10 +2,12 @@
 interval: piecewise-affine structure, continuity classification, and
 exact derivative checks.
 
-On every rank-m cylinder the operator agrees with an affine map whose
-slope is q_m (Cantor, digit-signed), -q_m (position-signed alternating)
-or 1/w(c_m) (column systems).  Discontinuities occur exactly at the
-two-representation points whose dual pair flips at position m.
+On every rank-m cylinder the operator agrees with an affine map of
+slope 1/w_m, the reciprocal of the weight of the digit at m, negated for
+position-signed deletion.  A Cantor digit has weight 1/q_m, so the slope
+is q_m (digit-signed) or -q_m (position-signed alternating).
+Discontinuities occur exactly at the two-representation points whose dual
+pair flips at position m.
 """
 
 from dataclasses import dataclass
@@ -22,13 +24,12 @@ from .numbers import (
 )
 from .operators import (
     ShiftVariant,
-    _cantor_image,
-    _closed_form,
-    _column_image,
+    _cylinder_map,
+    _deletion_map,
     _require_admissible,
     closed_form_value,
 )
-from .systems import CantorSystem, Interval, position_table
+from .systems import Interval, position_table
 
 __all__ = [
     "AffineMap",
@@ -69,8 +70,8 @@ def point_image(system, x, m, variant=ShiftVariant.DIGIT):
     """Deletion image of the point x: digits are extracted canonically up
     to rank m, then the closed form applies."""
     _require_admissible(system, variant)
-    digits = partial_digits(system, x, m)
-    return _closed_form(system, Fraction(x), list(digits), m, variant)
+    slope, intercept = _cylinder_map(system, partial_digits(system, x, m), variant)
+    return slope * Fraction(x) + intercept
 
 
 def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
@@ -81,13 +82,7 @@ def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
     if m < 1:
         raise ValueError("prefix must contain at least one digit")
     _require_admissible(system, variant)
-    if isinstance(system, CantorSystem):
-        q_m = Fraction(system.base_at(m))
-        slope = -q_m if variant == ShiftVariant.POSITION else q_m
-    else:
-        slope = 1 / system.digit_weight(m, digits[m - 1])
-    intercept = _closed_form(system, Fraction(0), digits, m, variant)
-    return AffineMap(slope, intercept)
+    return AffineMap(*_cylinder_map(system, digits, variant))
 
 
 def _check_table_size(system, m, per_cylinder=1):
@@ -109,9 +104,6 @@ def _cylinder_rows(system, m, variant):
     tail = table.interval(m)
     last = table.slot(m)
     s_m = table.signs[last]
-    if table.bases:
-        q_m = Fraction(table.bases[last])
-        slope = -q_m if variant == ShiftVariant.POSITION else q_m
     rows = []
     stack = [(1, Fraction(0), Fraction(1))]  # (next position, prefix value, prefix weight)
     while stack:
@@ -127,14 +119,9 @@ def _cylinder_rows(system, m, variant):
             term, w = table.digit(last, d)
             leaf_value = value + s_m * term * weight
             leaf_weight = weight * w
-            if table.bases:
-                intercept = _cantor_image(0, value, weight, q_m, d, s_m, variant)
-            else:
-                slope = 1 / w
-                intercept = _column_image(0, value, weight, term, w, s_m)
             rows.append((Interval(leaf_value + leaf_weight * tail.lo,
                                   leaf_value + leaf_weight * tail.hi),
-                         AffineMap(slope, intercept)))
+                         AffineMap(*_deletion_map(value, weight, term, w, s_m, variant))))
     return rows
 
 

@@ -206,6 +206,9 @@ def _loads(text):
         raise DocumentError(f"malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise DocumentError("malformed JSON: nested too deeply") from exc
+    except ValueError as exc:
+        # int() of an over-long integer literal
+        raise DocumentError("malformed JSON: integer literal too long") from exc
 
 
 def parse_system(text):

@@ -28,18 +28,16 @@ from math import lcm
 from .errors import ExpansionError, VariantError
 from .numbers import (
     _prefix_value,
-    DigitStream,
     RepresentedNumber,
     cycle_tail,
     digit_at,
-    digits_equal,
     evaluate,
     make_stream,
     normalize_stream,
+    same_number,
 )
 from .systems import (
     CantorSystem,
-    QTildeSystem,
     SignPattern,
     combined_cycle_len,
     combined_prefix_len,
@@ -138,31 +136,24 @@ def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
     return RepresentedNumber(system2, stream2)
 
 
-def _closed_form(system, x, digits, m, variant):
-    """Affine image of x under deletion of position m, given the first m
-    digits of x.  This never touches the tail digits."""
-    value, weight = _prefix_value(system, digits[:m - 1])
-    s_m = sign_factor(system.signs, m)
-    d = digits[m - 1]
-    if isinstance(system, CantorSystem):
-        return _cantor_image(x, value, weight, system.base_at(m), d, s_m, variant)
-    if variant == ShiftVariant.POSITION:
-        raise VariantError("position-signed deletion is not defined for column systems")
-    return _column_image(x, value, weight,
-                         system.term_value(m, d), system.digit_weight(m, d), s_m)
+def _deletion_map(value, weight, a, w, s, variant):
+    """(slope, intercept) of the deletion of position m on one rank-m
+    cylinder: value and weight are the signed value and weight product of
+    the digits below m; a, w and s the term, weight and sign of the digit
+    at m.  The slope is 1/w, negated for position-signed deletion; a Cantor
+    digit d has a = d/q_m and w = 1/q_m, so its slope is q_m or -q_m."""
+    slope = (-1 if variant == ShiftVariant.POSITION else 1) / w
+    return slope, value - slope * (value + s * a * weight)
 
 
-def _cantor_image(x, g, inv, q_m, i_m, s_m, variant):
-    # g: signed prefix sum below m; inv = 1/(q_1 ... q_{m-1}); i_m: digit at m
-    lead = i_m * inv
-    if variant == ShiftVariant.POSITION:
-        return -q_m * x + (1 + q_m) * g + s_m * lead
-    return q_m * x + (1 - q_m) * g - s_m * lead
-
-
-def _column_image(x, value_prefix, weight, a_m, w_m, s_m):
-    # value_prefix, weight: signed value and weight product of the digits below m
-    return x / w_m - s_m * a_m * weight / w_m + (1 - 1 / w_m) * value_prefix
+def _cylinder_map(system, digits, variant):
+    """Deletion map of position m = len(digits) on the cylinder of the
+    given first m digits.  This never touches the tail digits."""
+    m = len(digits)
+    d = digits[-1]
+    value, weight = _prefix_value(system, digits[:-1])
+    return _deletion_map(value, weight, system.term_value(m, d), system.digit_weight(m, d),
+                         sign_factor(system.signs, m), variant)
 
 
 def closed_form_value(num, m, variant=ShiftVariant.DIGIT):
@@ -171,9 +162,9 @@ def closed_form_value(num, m, variant=ShiftVariant.DIGIT):
     if m < 1:
         raise ValueError("positions are 1-based")
     _require_admissible(num.system, variant)
-    x = evaluate(num)
     digits = [digit_at(num, k) for k in range(1, m + 1)]
-    return _closed_form(num.system, x, digits, m, variant)
+    slope, intercept = _cylinder_map(num.system, digits, variant)
+    return slope * evaluate(num) + intercept
 
 
 @dataclass(frozen=True)
@@ -236,7 +227,31 @@ class TheoremReport:
 
 
 def _same_rep(a, b):
-    return a.system == b.system and digits_equal(a, b) and evaluate(a) == evaluate(b)
+    return same_number(a, b) and evaluate(a) == evaluate(b)
+
+
+def _shift_compose_sides(num, m):
+    """(a) shift o (delete at 2)^m = iterate_shift(m + 1): both sides."""
+    probe = num
+    for _ in range(m):
+        probe = generalized_shift(probe, 2)
+    return shift(probe), iterate_shift(num, m + 1)
+
+
+def _subsequence_sides(num, indices):
+    """(b) iterate_shift(k_n - n) o compose_removals(k_1..k_n) = iterate_shift(k_n)."""
+    k_n = indices[-1]
+    return (iterate_shift(compose_removals(num, indices), k_n - len(indices)),
+            iterate_shift(num, k_n))
+
+
+def _consecutive_sides(num, run):
+    """(c) for a consecutive run k_1..k_1+n-1: k_1 - 1 shifts after its
+    removal, the printed k_1 + 1 shifts (expected to differ) and
+    iterate_shift(k_1+n-1), which the first equals."""
+    composed = compose_removals(num, run)
+    return (iterate_shift(composed, run[0] - 1), iterate_shift(composed, run[0] + 1),
+            iterate_shift(num, run[-1]))
 
 
 def verify_theorem_identities(num, m=2, indices=(2, 5)):
@@ -246,25 +261,12 @@ def verify_theorem_identities(num, m=2, indices=(2, 5)):
     if not isinstance(system, CantorSystem) or system.signs.has_members():
         raise ExpansionError("the composition identities assume a positive Cantor system")
     indices = tuple(indices)
-
-    # (a) shift o (delete at 2)^m = iterate_shift(m + 1)
-    probe = num
-    for _ in range(m):
-        probe = generalized_shift(probe, 2)
-    shift_compose = _same_rep(shift(probe), iterate_shift(num, m + 1))
-
-    # (b) iterate_shift(k_n - n) o compose_removals(k_1..k_n) = iterate_shift(k_n)
-    k_n = indices[-1]
-    lhs = iterate_shift(compose_removals(num, indices), k_n - len(indices))
-    subsequence = _same_rep(lhs, iterate_shift(num, k_n))
-
-    # (c) consecutive run k_1, k_1+1, ..., k_1+n-1
+    shift_compose = _same_rep(*_shift_compose_sides(num, m))
+    subsequence = _same_rep(*_subsequence_sides(num, indices))
     k1 = indices[0]
-    run = tuple(range(k1, k1 + len(indices)))
-    composed = compose_removals(num, run)
-    target = iterate_shift(num, run[-1])
-    consecutive_adjusted = _same_rep(iterate_shift(composed, k1 - 1), target)
-    consecutive_printed = _same_rep(iterate_shift(composed, k1 + 1), target)
+    adjusted, printed, target = _consecutive_sides(num, tuple(range(k1, k1 + len(indices))))
+    consecutive_adjusted = _same_rep(adjusted, target)
+    consecutive_printed = _same_rep(printed, target)
 
     # (d) x - sigma_m(x) = i_m/(q_1..q_m) + iterate_shift(x, m)(1 - q_m)/(q_1..q_m)
     x = evaluate(num)

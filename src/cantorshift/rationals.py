@@ -10,11 +10,13 @@ from .errors import DocumentError
 
 __all__ = ["MAX_PRECISION", "parse_rational", "rational_str", "decimal_str"]
 
-# Most fraction digits the command line renders.  Larger requests are
-# refused up front: Python 3.11+ refuses by default to turn an integer of
-# more than 4300 digits into a string, so a longer rendering would fail
-# after earlier output was already written.
+# Most fraction digits the command line renders; larger requests are
+# refused up front, before any output.
 MAX_PRECISION = 4000
+
+# str() of an int may be refused past 640 digits (by default past 4300,
+# Python 3.11+); _int_str renders pieces below 2**1993 < 10**600.
+_PIECE_BITS = 1993
 
 
 def parse_rational(text, where="value"):
@@ -42,9 +44,21 @@ def parse_rational(text, where="value"):
     raise DocumentError(f"bad rational literal {text!r} at {where}")
 
 
+def _int_str(n):
+    """Decimal digits of an integer of any size, rendered by splitting it
+    at a power of 10 until every piece is short enough for str()."""
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= _PIECE_BITS:
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half its digits (log10 2 > 0.3)
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).zfill(k)
+
+
 def rational_str(value):
     """Render a Fraction as "p/q" with an explicit positive denominator."""
-    return f"{value.numerator}/{value.denominator}"
+    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
 
 
 def decimal_str(value, precision=12, fixed=False):
@@ -62,7 +76,7 @@ def decimal_str(value, precision=12, fixed=False):
     scaled, rem = divmod(num * 10**precision, den)
     if 2 * rem >= den:
         scaled += 1
-    digits = str(scaled).rjust(precision + 1, "0")
+    digits = _int_str(scaled).rjust(precision + 1, "0")
     whole, frac = digits[: len(digits) - precision], digits[len(digits) - precision:]
     if not fixed:
         frac = frac.rstrip("0")

@@ -35,12 +35,15 @@ def _normalize(prefix, cycle):
         if n % d == 0 and cycle[:d] * (n // d) == cycle:
             cycle = cycle[:d]
             break
-    # Absorb prefix items that the cycle already produces.  Dropping the
-    # last prefix item shifts the cycle phase by one, hence the rotation.
-    while prefix and prefix[-1] == cycle[-1]:
-        prefix = prefix[:-1]
-        cycle = cycle[-1:] + cycle[:-1]
-    return prefix, cycle
+    # Absorb the prefix items that the cycle already produces: the j-th
+    # item from the end matches when it equals the cycle read backwards.
+    # Dropping k items shifts the cycle phase by k, hence the rotation.
+    n = len(cycle)
+    k = 0
+    while k < len(prefix) and prefix[-1 - k] == cycle[-1 - k % n]:
+        k += 1
+    r = n - k % n
+    return prefix[:len(prefix) - k], cycle[r:] + cycle[:r]
 
 
 @dataclass(frozen=True)

@@ -38,3 +38,14 @@ QT = qtilde((), [(Fraction(1, 4), Fraction(3, 4))])
 
 def mk(system, prefix, tail=TAIL_ZEROS):
     return RepresentedNumber(system, DigitStream(tuple(prefix), tail))
+
+
+def parse_long_int(text):
+    """int() of a decimal string of any length, read 1000 digits at a time
+    (Python refuses by default to convert more than 4300 at once)."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        piece = digits[i:i + 1000]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value

@@ -5,22 +5,28 @@ from itertools import product
 import pytest
 
 from cantorshift import (
+    EventuallyPeriodicSeq,
     OutOfIntervalError,
+    QTildeColumn,
+    QTildeSystem,
+    RepresentedNumber,
     ShiftVariant,
     affine_on_cylinder,
     base_interval,
     continuity_at,
     cycle_tail,
+    closed_form_value,
     cylinder,
     evaluate,
     generalized_shift,
     graph_samples,
     numeric_derivative,
+    partial_digits,
     point_image,
     segment_table,
 )
 from cantorshift import analysis
-from cantorshift.sampling import rand_cantor_system, rand_qtilde_system
+from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
 from helpers import cantor
 from helpers import ALT, DEC, NEG, QT, mk
 
@@ -127,6 +133,43 @@ class TestSegmentTableWalk:
         analysis._check_table_size(cantor((), (2,)), 20)
         with pytest.raises(ValueError):
             analysis._check_table_size(cantor((), (2,)), 21)
+
+
+def _column_twin(system):
+    # the Cantor base q becomes the uniform column (1/q, ..., 1/q)
+    def column(q):
+        return QTildeColumn((Fraction(1, q),) * q)
+
+    return QTildeSystem(EventuallyPeriodicSeq(tuple(map(column, system.base.prefix)),
+                                              tuple(map(column, system.base.cycle))),
+                        system.signs)
+
+
+class TestUniformColumnTwin:
+    """A Cantor system and its uniform-column twin give the same value to
+    every digit stream, so every route agrees on the two: the deletion map
+    with slope 1/w_m, and the integer Cantor decode step against the
+    column piece scan."""
+
+    def test_every_route_agrees(self):
+        rng = random.Random(61)
+        for t in range(150):
+            system = rand_cantor_system(rng, max_q=6, signs="none" if t % 3 == 0 else "any")
+            twin = _column_twin(system)
+            num = rand_number(rng, system, max_prefix=8)
+            twin_num = RepresentedNumber(twin, num.digits)
+            m = rng.randrange(1, 4)
+            assert evaluate(twin_num) == evaluate(num)
+            assert closed_form_value(twin_num, m) == closed_form_value(num, m)
+            assert (evaluate(generalized_shift(twin_num, m))
+                    == evaluate(generalized_shift(num, m)))
+            assert segment_table(twin, m) == segment_table(system, m)
+            # a cylinder endpoint (the half-open tie rule) and an interior point
+            digits = [rng.randrange(system.max_digit(n) + 1) for n in range(1, m + 1)]
+            cyl = cylinder(system, digits)
+            for x in (cyl.lo, cyl.lo + cyl.width * Fraction(rng.randrange(1, 8), 8)):
+                assert point_image(twin, x, m) == point_image(system, x, m)
+                assert partial_digits(twin, x, m + 4) == partial_digits(system, x, m + 4)
 
 
 class TestContinuity:

@@ -1,7 +1,9 @@
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ from cantorshift import analysis, cli
 from cantorshift.cli import run
 from cantorshift.documents import system_to_doc
 from cantorshift.rationals import MAX_PRECISION
-from helpers import DEC, FACT, NEG, QT, cantor
+from helpers import DEC, FACT, NEG, QT, cantor, parse_long_int
 
 DATA = Path(__file__).parent / "data"
 
@@ -57,6 +59,37 @@ class TestEval:
                                 "digits": {"prefix": [5], "tail": {"type": "zeros"}}})
         assert run(["eval", path]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "1/2"
+
+
+    def test_values_past_the_int_str_limit(self, paths, capsys):
+        # 1500 positions in bases 1000..1999: a denominator of ~4700 digits,
+        # past Python's default 4300-digit limit of str(int).
+        _, write = paths
+        rng = random.Random(5)
+        bases = [rng.randrange(1000, 2000) for _ in range(1500)]
+        signs = [rng.random() < 0.5 for _ in bases]
+        digits = [rng.randrange(b) for b in bases]
+        path = write("n.json", {
+            "system": {"kind": "cantor", "base": {"prefix": bases, "cycle": [7]},
+                       "signs": {"prefix": signs, "cycle": [False]}},
+            "digits": {"prefix": digits, "tail": {"type": "zeros"}},
+        })
+        # Plain integer reference: x = sum(s_n d_n q_{n+1}...q_N) / (q_1...q_N).
+        num, den = 0, 1
+        for q, negative, d in zip(bases, signs, digits):
+            num = num * q + (-d if negative else d)
+            den *= q
+        assert run(["eval", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        exact = captured.out.splitlines()[0]
+        assert len(exact) > 4300
+        assert Fraction(*map(parse_long_int, exact.split("/"))) == Fraction(num, den)
+
+        assert run(["gshift", path, "-m", "700"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["surgery_value"]) > 4300
+        assert out["surgery_value"] == out["closed_form_value"]
 
 
 class TestDecode:
@@ -200,6 +233,17 @@ class TestErrors:
         assert run(["eval", str(path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: malformed JSON")
+
+    def test_overlong_json_integer(self, paths, capsys):
+        tmp, _ = paths
+        path = tmp / "n.json"
+        doc = json.dumps(_number_doc(DEC, (1,))).replace("[1]", "[" + "1" * 5000 + "]")
+        path.write_text(doc, encoding="utf-8")
+        assert run(["eval", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert err == ["error: malformed JSON: integer literal too long"]
 
     @pytest.mark.parametrize("argv", [
         ["eval", "n.json", "--precision", "-5"],

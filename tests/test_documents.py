@@ -16,7 +16,7 @@ from cantorshift.documents import (
 )
 from cantorshift.rationals import decimal_str, parse_rational, rational_str
 from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
-from helpers import DEC, NEG, QT, mk
+from helpers import DEC, NEG, QT, mk, parse_long_int
 
 
 class TestParseSystem:
@@ -99,6 +99,14 @@ class TestRationalStrings:
     def test_rational_str_keeps_denominator(self):
         assert rational_str(Fraction(123, 1000)) == "123/1000"
         assert rational_str(Fraction(1)) == "1/1"
+
+    def test_rational_str_past_the_int_str_limit(self):
+        # Python refuses str() of an int over 4300 digits by default.
+        value = Fraction(-(7**6000), 3**9100)
+        num, den = rational_str(value).split("/")
+        assert len(num) == 5072 and len(den) == 4342
+        assert Fraction(parse_long_int(num), parse_long_int(den)) == value
+        assert rational_str(Fraction(10**5000 + 12)) == "1" + "0" * 4998 + "12/1"
 
     def test_decimal_str(self):
         assert decimal_str(Fraction(123, 1000), 12) == "0.123"

@@ -62,6 +62,33 @@ class TestNormalization:
         for n in range(1, 12):
             assert a.at(n) == b.at(n)
 
+    @pytest.mark.parametrize("periods", [0, 1, 7, 20000])
+    @pytest.mark.parametrize("r", [0, 1, 2])
+    def test_long_absorbable_prefix(self, periods, r):
+        # The long form repeats the cycle `periods` times more before the
+        # cycle starts; both forms normalize to the same (prefix, cycle),
+        # rotated back by the r cycle items they carry in their prefix.
+        cycle = (4, 7, 9)
+        rotated = cycle[r:] + cycle[:r]
+        long = EventuallyPeriodicSeq((3, 5) + cycle * periods + cycle[:r], rotated)
+        short = EventuallyPeriodicSeq((3, 5) + cycle[:r], rotated)
+        assert (long.prefix, long.cycle) == (short.prefix, short.cycle) == ((3, 5), cycle)
+        for n in range(1, 40):
+            assert long.at(n) == short.at(n)
+
+    def test_absorption_matches_one_item_at_a_time(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            cycle = tuple(rng.randrange(3) for _ in range(rng.randrange(1, 5)))
+            prefix = tuple(rng.randrange(3) for _ in range(rng.randrange(0, 6)))
+            prefix += (cycle * 3)[:rng.randrange(0, 3 * len(cycle) + 1)]
+            seq = EventuallyPeriodicSeq(prefix, cycle)
+            expected_prefix, expected_cycle = prefix, EventuallyPeriodicSeq((), cycle).cycle
+            while expected_prefix and expected_prefix[-1] == expected_cycle[-1]:
+                expected_prefix = expected_prefix[:-1]
+                expected_cycle = expected_cycle[-1:] + expected_cycle[:-1]
+            assert (seq.prefix, seq.cycle) == (expected_prefix, expected_cycle)
+
 
 class TestSurgery:
     def test_shifted(self):
