@@ -1,0 +1,75 @@
+"""Failure path of the verify suites: every suite's failure records,
+minimised cases and notes, with one package function made to lie.
+
+The golden file holds what each suite reports when a single function is
+patched so that some trials fail.  Only names looked up at call time inside
+`numbers` and `operators` are patched, so the golden pins the suites' own
+case generation, checks, shrinking and record layout.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from cantorshift import numbers, operators, verify
+from cantorshift.numbers import TAIL_ZEROS, DigitStream, RepresentedNumber
+
+GOLDEN = Path(__file__).parent / "data" / "verify_failures_16_5.json"
+TRIALS, SEED = 16, 5
+
+_evaluate = numbers._evaluate_cached.__wrapped__
+_deletion_map = operators._deletion_map
+_digits_equal = numbers.digits_equal
+
+
+def _evaluate_without_tail(num):
+    """A non-zero tail after an odd-length prefix is ignored."""
+    if num.digits.tail.kind != "zeros" and len(num.digits.prefix) % 2 == 1:
+        num = RepresentedNumber(num.system, DigitStream(num.digits.prefix, TAIL_ZEROS))
+    return _evaluate(num)
+
+
+def _deletion_map_off_by_weight(value, weight, a, w, s, variant):
+    """The intercept is off by w*weight when the digit term has a
+    denominator divisible by 3."""
+    slope, intercept = _deletion_map(value, weight, a, w, s, variant)
+    if a.denominator % 3 == 0:
+        intercept += w * weight
+    return slope, intercept
+
+
+def _digits_equal_unless(a, b):
+    """Streams whose prefix length is 1 mod 3 never compare equal."""
+    return _digits_equal(a, b) and len(a.digits.prefix) % 3 != 1
+
+
+PATCHES = {
+    "evaluate": (numbers, "_evaluate_cached", _evaluate_without_tail),
+    "deletion_map": (operators, "_deletion_map", _deletion_map_off_by_weight),
+    "digits_equal": (numbers, "digits_equal", _digits_equal_unless),
+}
+# The patch that makes some, but not all, trials of each suite fail.
+SUITE_PATCH = {name: "evaluate" for name in verify.SUITE_NAMES}
+SUITE_PATCH["segments"] = "deletion_map"
+SUITE_PATCH["constant_alphabet"] = "digits_equal"
+
+
+def failing_report(suite, monkeypatch):
+    module, attr, fn = PATCHES[SUITE_PATCH[suite]]
+    with monkeypatch.context() as patch:
+        patch.setattr(module, attr, fn)
+        result = verify.run_suite(verify.VerifyConfig(suite, trials=TRIALS, seed=SEED))
+    return {"passed": result.passed, "failures": result.failures, "notes": result.notes}
+
+
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_failure_records_match_golden(suite, monkeypatch):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[suite]
+    report = json.loads(json.dumps(failing_report(suite, monkeypatch)))
+    assert 0 < report["passed"] < TRIALS
+    assert report == golden
+
+
+def test_golden_covers_every_suite():
+    assert set(json.loads(GOLDEN.read_text(encoding="utf-8"))) == set(verify.SUITE_NAMES)
