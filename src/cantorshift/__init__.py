@@ -63,10 +63,8 @@ from .operators import (
 )
 from .series import (
     EventuallyPeriodicSeq,
-    Rational,
     geometric_block_sum,
     periodic_tail_sum,
-    term_at,
 )
 from .systems import (
     CantorSystem,
@@ -77,7 +75,6 @@ from .systems import (
     SignPattern,
     ValidationReport,
     base_interval,
-    column_cumulative,
     position_table,
     remove_index,
     rho,

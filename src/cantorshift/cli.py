@@ -26,6 +26,10 @@ from .rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
 
 __all__ = ["run", "main"]
 
+# Largest position gshift deletes.  The surgery and the closed form walk all
+# m positions, so time and output grow faster than linearly in m.
+MAX_GSHIFT_M = 2**16
+
 
 class _CliError(Exception):
     pass
@@ -87,7 +91,7 @@ def _build_parser():
 
     p = sub.add_parser("gshift", help="delete digit and position m")
     p.add_argument("number")
-    p.add_argument("-m", type=int, required=True)
+    p.add_argument("-m", type=_gshift_position, required=True)
     p.add_argument("--variant", choices=("digit", "position"), default="digit")
 
     p = sub.add_parser("cylinder", help="exact interval of a digit prefix")
@@ -131,6 +135,13 @@ def _precision(text):
     value = int(text)
     if not 0 <= value <= MAX_PRECISION:
         raise argparse.ArgumentTypeError(f"precision must be an integer in 0..{MAX_PRECISION}")
+    return value
+
+
+def _gshift_position(text):
+    value = int(text)
+    if not 1 <= value <= MAX_GSHIFT_M:
+        raise argparse.ArgumentTypeError(f"m must be an integer in 1..{MAX_GSHIFT_M}")
     return value
 
 

@@ -23,7 +23,7 @@ Two sign conventions exist for deletion over signed systems:
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from .errors import ExpansionError, VariantError
 from .numbers import (
@@ -254,6 +254,16 @@ def _consecutive_sides(num, run):
             iterate_shift(num, run[-1]))
 
 
+def _residual_sides(num, m):
+    """(d) x - sigma_m(x) = i_m w_m + iterate_shift(x, m)(1 - q_m) w_m with
+    w_m = 1/(q_1...q_m): both sides."""
+    system = num.system
+    q_m = system.base_at(m)
+    w_m = Fraction(1, prod(system.base_at(k) for k in range(1, m + 1)))
+    return (evaluate(num) - closed_form_value(num, m),
+            digit_at(num, m) * w_m + evaluate(iterate_shift(num, m)) * (1 - q_m) * w_m)
+
+
 def verify_theorem_identities(num, m=2, indices=(2, 5)):
     """Check the composition identities by exact value and digit
     comparison.  `num` must live over a positive Cantor system."""
@@ -268,13 +278,7 @@ def verify_theorem_identities(num, m=2, indices=(2, 5)):
     consecutive_adjusted = _same_rep(adjusted, target)
     consecutive_printed = _same_rep(printed, target)
 
-    # (d) x - sigma_m(x) = i_m/(q_1..q_m) + iterate_shift(x, m)(1 - q_m)/(q_1..q_m)
-    x = evaluate(num)
-    q_m = system.base_at(m)
-    _, inv = _prefix_value(system, [digit_at(num, k) for k in range(1, m)])
-    weight_m = inv / q_m
-    lhs_d = x - closed_form_value(num, m)
-    rhs_d = digit_at(num, m) * weight_m + evaluate(iterate_shift(num, m)) * (1 - q_m) * weight_m
+    lhs_d, rhs_d = _residual_sides(num, m)
     residual = lhs_d == rhs_d
 
     return TheoremReport(

@@ -4,6 +4,7 @@ Rationals cross every external interface as "p/q" strings; decimal
 renderings are labeled approximations and never feed back into the core.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import DocumentError
@@ -14,9 +15,12 @@ __all__ = ["MAX_PRECISION", "parse_rational", "rational_str", "decimal_str"]
 # refused up front, before any output.
 MAX_PRECISION = 4000
 
-# str() of an int may be refused past 640 digits (by default past 4300,
-# Python 3.11+); _int_str renders pieces below 2**1993 < 10**600.
+# str() and int() may refuse an int past 640 digits (by default past 4300,
+# Python 3.11+); _int_str renders pieces below 2**1993 < 10**600 and
+# _parse_digits reads pieces of at most 600 digits.
 _PIECE_BITS = 1993
+_PIECE_DIGITS = 600
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def parse_rational(text, where="value"):
@@ -27,21 +31,46 @@ def parse_rational(text, where="value"):
     if isinstance(text, int):
         return Fraction(text)
     if not isinstance(text, str):
-        raise DocumentError(f"bad rational literal {text!r} at {where}")
+        raise DocumentError(f"bad rational literal {_quote(text)} at {where}")
     parts = text.strip().split("/")
     try:
         if len(parts) == 1:
-            return Fraction(int(parts[0]))
+            return Fraction(_parse_int(parts[0]))
         if len(parts) == 2:
-            p, q = int(parts[0]), int(parts[1])
+            p, q = _parse_int(parts[0]), _parse_int(parts[1])
             if q <= 0:
-                raise DocumentError(
-                    f"bad rational literal {text!r} at {where}: denominator must be positive"
-                )
+                raise DocumentError(f"bad rational literal {_quote(text)} at {where}: "
+                                    "denominator must be positive")
             return Fraction(p, q)
     except ValueError:
         pass
-    raise DocumentError(f"bad rational literal {text!r} at {where}")
+    raise DocumentError(f"bad rational literal {_quote(text)} at {where}")
+
+
+def _quote(text):
+    """repr() of a literal, cut to 60 characters."""
+    shown = repr(text)
+    return shown if len(shown) <= 60 else shown[:60] + "..."
+
+
+def _parse_int(text):
+    """int() of a literal; a sign and decimal digits past int()'s digit
+    limit are read by splitting the digits in halves until every piece is
+    short enough for int()."""
+    try:
+        return int(text)
+    except ValueError:
+        if not _DECIMAL.fullmatch(text):
+            raise
+    value = _parse_digits(text.lstrip("+-"))
+    return -value if text.startswith("-") else value
+
+
+def _parse_digits(digits):
+    if len(digits) <= _PIECE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _parse_digits(digits[:-k]) * 10**k + _parse_digits(digits[-k:])
 
 
 def _int_str(n):

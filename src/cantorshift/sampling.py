@@ -32,7 +32,10 @@ __all__ = [
     "rand_qtilde_system",
     "rand_stream",
     "rand_number",
+    "rand_positive_cantor_number",
     "dual_pair",
+    "rand_dual_case",
+    "rand_segment_system",
 ]
 
 SIGN_CASES = ((False, False), (False, True), (True, False), (True, True))
@@ -109,6 +112,11 @@ def rand_number(rng, system, max_prefix=12, tail_kinds=("zeros", "max", "cycle")
     return RepresentedNumber(system, rand_stream(rng, system, max_prefix, tail_kinds))
 
 
+def rand_positive_cantor_number(rng, max_q, max_prefix):
+    """A number over a random positive Cantor system, system drawn first."""
+    return rand_number(rng, rand_cantor_system(rng, max_q, signs="none"), max_prefix)
+
+
 def dual_pair(rng, system, n):
     """Construct both representations of a two-representation point whose
     dual flip sits at position n, directly from the adjacent-cylinder
@@ -144,3 +152,42 @@ def dual_pair(rng, system, n):
     beta_side = RepresentedNumber(system, make_stream(system, beta_fn, pre, period))
     gamma_side = RepresentedNumber(system, make_stream(system, gamma_fn, pre, period))
     return beta_side, gamma_side
+
+
+def rand_dual_case(rng, max_q, flavor):
+    """A dual pair over a random Cantor system, flipping at n in 1..4:
+    flavour 0 has no signs, flavours 1-4 have memberships
+    SIGN_CASES[flavor - 1] at (n, n+1).  Returns (system, n, beta_side,
+    gamma_side)."""
+    n = rng.randrange(1, 5)
+    if flavor == 0:
+        system = rand_cantor_system(rng, max_q, signs="none")
+    else:
+        pattern = sign_case_pattern(rng, n, SIGN_CASES[flavor - 1])
+        system = rand_cantor_system(rng, max_q, sign_pattern=pattern)
+    return (system, n, *dual_pair(rng, system, n))
+
+
+def rand_member_sign_pattern(rng):
+    """A random explicit sign pattern with at least one member."""
+    pattern = SignPattern.none()
+    while not pattern.has_members():
+        prefix = [rng.random() < 0.5 for _ in range(rng.randrange(0, 3))]
+        cycle = [rng.random() < 0.5 for _ in range(rng.randrange(1, 3))]
+        pattern = SignPattern.explicit(prefix, cycle)
+    return pattern
+
+
+def rand_segment_system(rng, flavor):
+    """A system small enough for exhaustive segment tables: flavours 0 and
+    1 are positive and signed Cantor systems with bases 2..5, flavours 2
+    and 3 positive and signed column systems."""
+    if flavor in (0, 1):
+        prefix = tuple(rng.randrange(2, 6) for _ in range(rng.randrange(0, 3)))
+        cycle = tuple(rng.randrange(2, 6) for _ in range(rng.randrange(1, 3)))
+        signs = SignPattern.none() if flavor == 0 else rand_member_sign_pattern(rng)
+        return CantorSystem(EventuallyPeriodicSeq(prefix, cycle), signs)
+    prefix = tuple(rand_column(rng, 12) for _ in range(rng.randrange(0, 2)))
+    cycle = tuple(rand_column(rng, 12) for _ in range(rng.randrange(1, 3)))
+    signs = SignPattern.none() if flavor == 2 else rand_member_sign_pattern(rng)
+    return QTildeSystem(EventuallyPeriodicSeq(prefix, cycle), signs)

@@ -11,12 +11,8 @@ from math import gcd
 
 from .errors import DivergentSeriesError
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "EventuallyPeriodicSeq",
-    "term_at",
     "geometric_block_sum",
     "periodic_tail_sum",
     "weighted_value",
@@ -107,11 +103,6 @@ class EventuallyPeriodicSeq:
             preperiod,
             len(self.cycle),
         )
-
-
-def term_at(seq, n):
-    """Item of an eventually periodic sequence at 1-based position n."""
-    return seq.at(n)
 
 
 def geometric_block_sum(block_sum, ratio):

@@ -29,7 +29,6 @@ __all__ = [
     "ValidationReport",
     "rho",
     "sign_factor",
-    "column_cumulative",
     "validate",
     "base_interval",
     "PositionTable",
@@ -134,11 +133,6 @@ class QTildeColumn:
         if not 0 <= i <= self.max_digit:
             raise DigitRangeError(f"digit {i} outside column alphabet 0..{self.max_digit}")
         return sum(self.entries[:i], Fraction(0))
-
-
-def column_cumulative(column, i):
-    """Cumulative coefficient of digit i: sum of entries below i (0 at i=0)."""
-    return column.cumulative(i)
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from . import documents
 from .analysis import continuity_at, point_image, segment_table
+from .documents import number_to_doc, system_to_doc
 from .errors import ExpansionError
 from .numbers import (
     RepresentedNumber,
@@ -29,19 +29,22 @@ from .numbers import (
 from .operators import (
     ShiftVariant,
     _consecutive_sides,
+    _residual_sides,
     _same_rep,
     _shift_compose_sides,
     _subsequence_sides,
     closed_form_value,
     generalized_shift,
-    iterate_shift,
 )
 from .sampling import (
     SIGN_CASES,
     dual_pair,
     rand_cantor_system,
+    rand_dual_case,
     rand_number,
+    rand_positive_cantor_number,
     rand_qtilde_system,
+    rand_segment_system,
     sign_case_pattern,
 )
 from .series import EventuallyPeriodicSeq
@@ -86,18 +89,17 @@ class SuiteResult:
         return self.passed == self.total
 
 
-def _num_doc(num):
-    return documents.number_to_doc(num)
-
-
-def _closed_form_case(num, m, variant):
-    return {
-        "number": _num_doc(num),
-        "m": m,
-        "variant": variant.value,
-        "surgery": str(evaluate(generalized_shift(num, m, variant))),
-        "closed_form": str(closed_form_value(num, m, variant)),
-    }
+def _run_trials(name, cfg, trial):
+    """The one trial loop of every suite: trial(rng, t) draws case t from
+    its own RNG and returns None on a pass or the failure record."""
+    result = SuiteResult(name, 0, cfg.trials)
+    for t in range(cfg.trials):
+        failure = trial(trial_rng(cfg.seed, t), t)
+        if failure is None:
+            result.passed += 1
+        else:
+            result.failures.append({"trial": t, **failure})
+    return result
 
 
 def _closed_form_ok(num, m, variant):
@@ -129,85 +131,80 @@ def _closed_form_shrink_steps(num, m):
         yield num, m - 1
 
 
-def _run_closed_form_suite(name, cfg, case_fn):
-    result = SuiteResult(name, 0, cfg.trials)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        num, m, variant = case_fn(rng, t)
-        if _closed_form_ok(num, m, variant):
-            result.passed += 1
-        else:
-            snum, sm = _shrink_closed_form(num, m, variant)
-            result.failures.append({"trial": t, **_closed_form_case(snum, sm, variant)})
-    return result
+def _closed_form_trial(num, m, variant):
+    """None when surgery and closed form agree, else the minimized case."""
+    if _closed_form_ok(num, m, variant):
+        return None
+    num, m = _shrink_closed_form(num, m, variant)
+    return {
+        "number": number_to_doc(num),
+        "m": m,
+        "variant": variant.value,
+        "surgery": str(evaluate(generalized_shift(num, m, variant))),
+        "closed_form": str(closed_form_value(num, m, variant)),
+    }
+
+
+def _closed_form_suite(name, cfg, draw_number, variant):
+    """Closed-form suite whose trial draws a number (system first), then m."""
+    def trial(rng, t):
+        num = draw_number(rng)
+        return _closed_form_trial(num, rng.randrange(1, cfg.max_m + 1), variant)
+
+    return _run_trials(name, cfg, trial)
 
 
 def _suite_eq4(cfg):
-    def case(rng, t):
-        system = rand_cantor_system(rng, cfg.max_q, signs="none")
-        num = rand_number(rng, system, cfg.max_prefix)
-        m = rng.randrange(1, cfg.max_m + 1)
-        return num, m, ShiftVariant.DIGIT
-
-    return _run_closed_form_suite("eq4", cfg, case)
+    return _closed_form_suite(
+        "eq4", cfg, lambda rng: rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix),
+        ShiftVariant.DIGIT)
 
 
 def _suite_alternating(cfg):
-    def case(rng, t):
-        system = rand_cantor_system(rng, cfg.max_q, signs="odd")
-        num = rand_number(rng, system, cfg.max_prefix)
-        m = rng.randrange(1, cfg.max_m + 1)
-        return num, m, ShiftVariant.POSITION
-
-    return _run_closed_form_suite("alternating", cfg, case)
-
-
-def _suite_general_signed(cfg):
-    def case(rng, t):
-        m = rng.randrange(1, cfg.max_m + 1)
-        pattern = sign_case_pattern(rng, m, SIGN_CASES[t % 4])
-        system = rand_cantor_system(rng, cfg.max_q, sign_pattern=pattern)
-        num = rand_number(rng, system, cfg.max_prefix)
-        return num, m, ShiftVariant.DIGIT
-
-    return _run_closed_form_suite("general_signed", cfg, case)
+    return _closed_form_suite(
+        "alternating", cfg,
+        lambda rng: rand_number(rng, rand_cantor_system(rng, cfg.max_q, signs="odd"),
+                                cfg.max_prefix),
+        ShiftVariant.POSITION)
 
 
 def _suite_qtilde(cfg):
-    def case(rng, t):
-        system = rand_qtilde_system(rng, signs="any")
-        num = rand_number(rng, system, cfg.max_prefix)
-        m = rng.randrange(1, cfg.max_m + 1)
-        return num, m, ShiftVariant.DIGIT
+    return _closed_form_suite(
+        "qtilde", cfg,
+        lambda rng: rand_number(rng, rand_qtilde_system(rng, signs="any"), cfg.max_prefix),
+        ShiftVariant.DIGIT)
 
-    return _run_closed_form_suite("qtilde", cfg, case)
+
+def _suite_general_signed(cfg):
+    def trial(rng, t):
+        m = rng.randrange(1, cfg.max_m + 1)
+        pattern = sign_case_pattern(rng, m, SIGN_CASES[t % 4])
+        system = rand_cantor_system(rng, cfg.max_q, sign_pattern=pattern)
+        return _closed_form_trial(rand_number(rng, system, cfg.max_prefix), m,
+                                  ShiftVariant.DIGIT)
+
+    return _run_trials("general_signed", cfg, trial)
 
 
 def _suite_theorem_a(cfg):
-    result = SuiteResult("theorem_a", 0, cfg.trials)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        system = rand_cantor_system(rng, cfg.max_q, signs="none")
-        num = rand_number(rng, system, cfg.max_prefix)
+    def trial(rng, t):
+        num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
         m = t % 9  # 0..8 applications of the deletion at position 2
         lhs, rhs = _shift_compose_sides(num, m)
         if _same_rep(lhs, rhs):
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"trial": t, "number": _num_doc(num), "m": m,
-                 "lhs": str(evaluate(lhs)), "rhs": str(evaluate(rhs))}
-            )
-    return result
+            return None
+        return {"number": number_to_doc(num), "m": m,
+                "lhs": str(evaluate(lhs)), "rhs": str(evaluate(rhs))}
+
+    return _run_trials("theorem_a", cfg, trial)
 
 
 def _suite_theorem_b(cfg):
-    result = SuiteResult("theorem_b", 0, cfg.trials)
     printed_holds = 0
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        system = rand_cantor_system(rng, cfg.max_q, signs="none")
-        num = rand_number(rng, system, cfg.max_prefix)
+
+    def trial(rng, t):
+        nonlocal printed_holds
+        num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
         n = rng.randrange(1, 5)
         indices = tuple(sorted(rng.sample(range(1, 13), n)))
         ok = _same_rep(*_subsequence_sides(num, indices))
@@ -217,16 +214,13 @@ def _suite_theorem_b(cfg):
         run = tuple(range(k1, k1 + rng.randrange(1, 5)))
         adjusted, printed, target = _consecutive_sides(num, run)
         ok = ok and _same_rep(adjusted, target)
-        if _same_rep(printed, target):
-            printed_holds += 1
-
+        printed_holds += _same_rep(printed, target)
         if ok:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"trial": t, "number": _num_doc(num), "indices": list(indices),
-                 "run_start": k1, "run_len": len(run)}
-            )
+            return None
+        return {"number": number_to_doc(num), "indices": list(indices),
+                "run_start": k1, "run_len": len(run)}
+
+    result = _run_trials("theorem_b", cfg, trial)
     result.notes.append(
         "consecutive-run exponent: k1-1 verified in every trial; the k1+1 variant "
         f"held only degenerately in {printed_holds}/{cfg.trials} trials "
@@ -236,25 +230,15 @@ def _suite_theorem_b(cfg):
 
 
 def _leading_weight(system, m):
-    w = Fraction(1)
-    for k in range(1, m):
-        w /= system.base_at(k)
-    return w
+    return Fraction(1, prod(system.base_at(k) for k in range(1, m)))
 
 
 def _suite_jump(cfg):
-    result = SuiteResult("jump", 0, cfg.trials)
     signs_seen = set()
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
+
+    def trial(rng, t):
         flavor = t % 5
-        n = rng.randrange(1, 5)
-        if flavor == 0:
-            system = rand_cantor_system(rng, cfg.max_q, signs="none")
-        else:
-            pattern = sign_case_pattern(rng, n, SIGN_CASES[flavor - 1])
-            system = rand_cantor_system(rng, cfg.max_q, sign_pattern=pattern)
-        beta_side, gamma_side = dual_pair(rng, system, n)
+        system, n, beta_side, gamma_side = rand_dual_case(rng, cfg.max_q, flavor)
         report = continuity_at(system, n, beta_side)
         expected = _leading_weight(system, n)
         signs_seen.add(1 if report.jump > 0 else -1 if report.jump < 0 else 0)
@@ -266,12 +250,11 @@ def _suite_jump(cfg):
         if flavor == 0:
             ok = ok and report.jump == -expected
         if ok:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"trial": t, "number": _num_doc(beta_side), "n": n,
-                 "jump": str(report.jump), "expected_magnitude": str(expected)}
-            )
+            return None
+        return {"number": number_to_doc(beta_side), "n": n,
+                "jump": str(report.jump), "expected_magnitude": str(expected)}
+
+    result = _run_trials("jump", cfg, trial)
     observed = ", ".join(str(s) for s in sorted(signs_seen)) or "none"
     result.notes.append(
         "jump signs observed (beta-side limit minus gamma-side limit), "
@@ -281,17 +264,8 @@ def _suite_jump(cfg):
 
 
 def _suite_continuity(cfg):
-    result = SuiteResult("continuity", 0, cfg.trials)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        flavor = t % 5
-        n = rng.randrange(1, 5)
-        if flavor == 0:
-            system = rand_cantor_system(rng, cfg.max_q, signs="none")
-        else:
-            pattern = sign_case_pattern(rng, n, SIGN_CASES[flavor - 1])
-            system = rand_cantor_system(rng, cfg.max_q, sign_pattern=pattern)
-        beta_side, gamma_side = dual_pair(rng, system, n)
+    def trial(rng, t):
+        system, n, beta_side, gamma_side = rand_dual_case(rng, cfg.max_q, t % 5)
         if n > 1 and rng.random() < 0.5:
             m = rng.randrange(1, n)
         else:
@@ -300,19 +274,15 @@ def _suite_continuity(cfg):
         right = closed_form_value(beta_side, m)
         report = continuity_at(system, m, beta_side)
         if left == right and report.kind == "continuous" and report.jump == 0:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"trial": t, "number": _num_doc(beta_side), "n": n, "m": m,
-                 "left": str(left), "right": str(right)}
-            )
-    return result
+            return None
+        return {"number": number_to_doc(beta_side), "n": n, "m": m,
+                "left": str(left), "right": str(right)}
+
+    return _run_trials("continuity", cfg, trial)
 
 
 def _suite_duality(cfg):
-    result = SuiteResult("duality", 0, cfg.trials)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
+    def trial(rng, t):
         flavor = t % 5
         n = rng.randrange(1, 5)
         if flavor < 4:
@@ -322,42 +292,29 @@ def _suite_duality(cfg):
             system = rand_qtilde_system(rng, signs="none")
         beta_side, gamma_side = dual_pair(rng, system, n)
         partner = quasi_partner(beta_side)
-        ok = (
+        if (
             evaluate(beta_side) == evaluate(gamma_side)
             and partner is not None
             and same_number(partner, gamma_side)
             and is_quasi_rational(gamma_side)
-        )
-        if ok:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"trial": t, "beta_side": _num_doc(beta_side),
-                 "gamma_side": _num_doc(gamma_side), "n": n}
-            )
-    return result
+        ):
+            return None
+        return {"beta_side": number_to_doc(beta_side),
+                "gamma_side": number_to_doc(gamma_side), "n": n}
+
+    return _run_trials("duality", cfg, trial)
 
 
 def _suite_residual(cfg):
-    result = SuiteResult("residual", 0, cfg.trials)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        system = rand_cantor_system(rng, cfg.max_q, signs="none")
-        num = rand_number(rng, system, cfg.max_prefix)
+    def trial(rng, t):
+        num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
         m = rng.randrange(1, min(cfg.max_m, 10) + 1)
-        x = evaluate(num)
-        q_m = system.base_at(m)
-        w_m = _leading_weight(system, m) / q_m
-        lhs = x - closed_form_value(num, m)
-        rhs = digit_at(num, m) * w_m + evaluate(iterate_shift(num, m)) * (1 - q_m) * w_m
+        lhs, rhs = _residual_sides(num, m)
         if lhs == rhs:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"trial": t, "number": _num_doc(num), "m": m,
-                 "lhs": str(lhs), "rhs": str(rhs)}
-            )
-    return result
+            return None
+        return {"number": number_to_doc(num), "m": m, "lhs": str(lhs), "rhs": str(rhs)}
+
+    return _run_trials("residual", cfg, trial)
 
 
 def _decode_depth(system, extra):
@@ -365,9 +322,7 @@ def _decode_depth(system, extra):
 
 
 def _suite_roundtrip(cfg):
-    result = SuiteResult("roundtrip", 0, cfg.trials)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
+    def trial(rng, t):
         flavor = t % 3
         if flavor == 0:
             system = rand_cantor_system(rng, cfg.max_q, signs="none")
@@ -375,107 +330,75 @@ def _suite_roundtrip(cfg):
             system = rand_cantor_system(rng, cfg.max_q, signs="any")
         else:
             system = rand_qtilde_system(rng, signs="none")
-        ok = True
         # value -> digits -> value
         if isinstance(system, CantorSystem):
             k = rng.randrange(1, 9)
-            den = 1
-            for j in range(1, k + 1):
-                den *= system.base_at(j)
-            iv = base_interval(system)
-            v = iv.lo + Fraction(rng.randrange(0, den + 1), den)
+            den = prod(system.base_at(j) for j in range(1, k + 1))
+            v = base_interval(system).lo + Fraction(rng.randrange(0, den + 1), den)
         else:
             probe = rand_number(rng, system, max_prefix=8, tail_kinds=("zeros",))
             k = len(probe.digits.prefix)
             v = evaluate(probe)
-        rep = decode(system, v, _decode_depth(system, k))
-        ok = ok and evaluate(rep) == v
+        ok = evaluate(decode(system, v, _decode_depth(system, k))) == v
         # digits -> value -> canonical digits
         num = rand_number(rng, system, cfg.max_prefix)
         canon = canonicalize(num)
-        ok = ok and evaluate(canon) == evaluate(num)
-        ok = ok and canonicalize(canon) == canon
+        ok = ok and evaluate(canon) == evaluate(num) and canonicalize(canon) == canon
         partner = quasi_partner(num)
         if partner is not None:
             ok = ok and canonicalize(partner) == canon
         if ok:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"trial": t, "system": documents.system_to_doc(system),
-                 "value": str(v), "number": _num_doc(num)}
-            )
-    return result
+            return None
+        return {"system": system_to_doc(system), "value": str(v), "number": number_to_doc(num)}
+
+    return _run_trials("roundtrip", cfg, trial)
 
 
-def _small_segment_system(rng, flavor):
-    if flavor in (0, 1):
-        prefix = tuple(rng.randrange(2, 6) for _ in range(rng.randrange(0, 3)))
-        cycle = tuple(rng.randrange(2, 6) for _ in range(rng.randrange(1, 3)))
-        signs = SignPattern.none() if flavor == 0 else rand_sign_pattern_for_segments(rng)
-        return CantorSystem(EventuallyPeriodicSeq(prefix, cycle), signs)
-    from .sampling import rand_column
-
-    prefix = tuple(rand_column(rng, 12) for _ in range(rng.randrange(0, 2)))
-    cycle = tuple(rand_column(rng, 12) for _ in range(rng.randrange(1, 3)))
-    signs = SignPattern.none() if flavor == 2 else rand_sign_pattern_for_segments(rng)
-    from .systems import QTildeSystem
-
-    return QTildeSystem(EventuallyPeriodicSeq(prefix, cycle), signs)
-
-
-def rand_sign_pattern_for_segments(rng):
-    pattern = SignPattern.none()
-    while not pattern.has_members():
-        prefix = [rng.random() < 0.5 for _ in range(rng.randrange(0, 3))]
-        cycle = [rng.random() < 0.5 for _ in range(rng.randrange(1, 3))]
-        pattern = SignPattern.explicit(prefix, cycle)
-    return pattern
+def _segments_ok(system, m, expected_count, tiling):
+    """The rank-m segment table has expected_count rows; with `tiling`,
+    they tile the representable interval, each row's map agrees with
+    point_image at three interior points, and Cantor rows have slope q_m."""
+    table = segment_table(system, m)
+    if len(table) != expected_count:
+        return False
+    if not tiling:
+        return True
+    iv = base_interval(system)
+    if (
+        sum((interval.width for interval, _ in table), Fraction(0)) != iv.width
+        or table[0][0].lo != iv.lo
+        or table[-1][0].hi != iv.hi
+        or any(table[i][0].hi != table[i + 1][0].lo for i in range(len(table) - 1))
+    ):
+        return False
+    # a column system's slope depends on the cylinder's digit at m
+    expected_slope = Fraction(system.base_at(m)) if isinstance(system, CantorSystem) else None
+    for interval, affine in table:
+        if expected_slope is not None and affine.slope != expected_slope:
+            return False
+        xs = [interval.lo + interval.width * Fraction(j, 4) for j in (1, 2, 3)]
+        ys = [point_image(system, x, m) for x in xs]
+        if any(y != affine.apply(x) for x, y in zip(xs, ys)):
+            return False
+        if (ys[1] - ys[0]) * (xs[2] - xs[1]) != (ys[2] - ys[1]) * (xs[1] - xs[0]):
+            return False
+    return True
 
 
 def _suite_segments(cfg):
-    result = SuiteResult("segments", 0, cfg.trials)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
+    def trial(rng, t):
         flavor = t % 4  # signed column systems get the count check only
-        system = _small_segment_system(rng, flavor)
+        system = rand_segment_system(rng, flavor)
         m = rng.randrange(1, 5)
         expected_count = prod(system.max_digit(j) + 1 for j in range(1, m + 1))
         while m > 1 and expected_count > 512:
             expected_count //= system.max_digit(m) + 1
             m -= 1
-        table = segment_table(system, m)
-        ok = len(table) == expected_count
-        if flavor != 3 and ok:
-            iv = base_interval(system)
-            total = sum((interval.width for interval, _ in table), Fraction(0))
-            ok = ok and total == iv.width
-            ok = ok and table[0][0].lo == iv.lo and table[-1][0].hi == iv.hi
-            ok = ok and all(
-                table[i][0].hi == table[i + 1][0].lo for i in range(len(table) - 1)
-            )
-            if isinstance(system, CantorSystem):
-                expected_slope = Fraction(system.base_at(m))
-            else:
-                expected_slope = None  # depends on the cylinder's digit at m
-            for interval, affine in table:
-                if expected_slope is not None and affine.slope != expected_slope:
-                    ok = False
-                    break
-                xs = [interval.lo + interval.width * Fraction(j, 4) for j in (1, 2, 3)]
-                ys = [point_image(system, x, m) for x in xs]
-                if any(y != affine.apply(x) for x, y in zip(xs, ys)):
-                    ok = False
-                    break
-                if (ys[1] - ys[0]) * (xs[2] - xs[1]) != (ys[2] - ys[1]) * (xs[1] - xs[0]):
-                    ok = False
-                    break
-        if ok:
-            result.passed += 1
-        else:
-            result.failures.append(
-                {"trial": t, "system": documents.system_to_doc(system), "m": m}
-            )
+        if _segments_ok(system, m, expected_count, tiling=flavor != 3):
+            return None
+        return {"system": system_to_doc(system), "m": m}
+
+    result = _run_trials("segments", cfg, trial)
     result.notes.append(
         "sign-variable column systems are checked for segment count only; their "
         "cylinders can overlap, so exact tiling is asserted for Cantor and "
@@ -485,13 +408,12 @@ def _suite_segments(cfg):
 
 
 def _suite_constant_alphabet(cfg):
-    result = SuiteResult("constant_alphabet", 0, cfg.trials)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
+    def trial(rng, t):
         m = rng.randrange(1, cfg.max_m + 1)
         if t % 2 == 0:
             q = rng.randrange(2, cfg.max_q + 1)
-            signs = SignPattern.none() if rng.random() < 0.5 else SignPattern.explicit((), (True,))
+            signs = (SignPattern.none() if rng.random() < 0.5
+                     else SignPattern.explicit((), (True,)))
             system = CantorSystem(EventuallyPeriodicSeq((), (q,)), signs)
             num = rand_number(rng, system, cfg.max_prefix)
             out = generalized_shift(num, m)
@@ -516,12 +438,9 @@ def _suite_constant_alphabet(cfg):
             num = rand_number(rng, system, cfg.max_prefix)
             out = generalized_shift(num, m)
             ok = out.system != system
-        if ok:
-            result.passed += 1
-        else:
-            result.failures.append({"trial": t, "m": m,
-                                    "system": documents.system_to_doc(system)})
-    return result
+        return None if ok else {"m": m, "system": system_to_doc(system)}
+
+    return _run_trials("constant_alphabet", cfg, trial)
 
 
 SUITES = {

@@ -69,9 +69,11 @@ class TestEval:
         bases = [rng.randrange(1000, 2000) for _ in range(1500)]
         signs = [rng.random() < 0.5 for _ in bases]
         digits = [rng.randrange(b) for b in bases]
+        system = {"kind": "cantor", "base": {"prefix": bases, "cycle": [7]},
+                  "signs": {"prefix": signs, "cycle": [False]}}
+        spath = write("s.json", system)
         path = write("n.json", {
-            "system": {"kind": "cantor", "base": {"prefix": bases, "cycle": [7]},
-                       "signs": {"prefix": signs, "cycle": [False]}},
+            "system": system,
             "digits": {"prefix": digits, "tail": {"type": "zeros"}},
         })
         # Plain integer reference: x = sum(s_n d_n q_{n+1}...q_N) / (q_1...q_N).
@@ -86,6 +88,13 @@ class TestEval:
         assert len(exact) > 4300
         assert Fraction(*map(parse_long_int, exact.split("/"))) == Fraction(num, den)
 
+        # The printed value reads back: decode recovers the digits.
+        assert run(["decode", spath, exact, "--depth", "1600"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        while digits[-1] == 0:
+            digits.pop()
+        assert doc["digits"] == {"prefix": digits, "tail": {"type": "zeros"}}
+
         assert run(["gshift", path, "-m", "700"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert len(out["surgery_value"]) > 4300
@@ -99,6 +108,16 @@ class TestDecode:
         assert run(["decode", spath, "1/8", "--depth", "8"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["digits"] == {"prefix": [1, 2, 5], "tail": {"type": "zeros"}}
+
+    def test_bad_long_literal_is_one_short_error_line(self, paths, capsys):
+        _, write = paths
+        spath = write("s.json", system_to_doc(DEC))
+        assert run(["decode", spath, "1/" + "x" * 9998]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad rational literal '1/xxx")
+        assert len(err[0]) < 120
 
     def test_out_of_interval_is_exit_one(self, paths, capsys):
         _, write = paths
@@ -297,6 +316,21 @@ class TestErrors:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(analysis.MAX_TABLE_ROWS) in err[0]
+
+
+    @pytest.mark.parametrize("m", ["0", str(cli.MAX_GSHIFT_M + 1), "400000"])
+    def test_oversized_gshift_position_refused_up_front(self, paths, capsys, monkeypatch, m):
+        def surgery(*args):
+            raise AssertionError("the deletion ran")
+
+        monkeypatch.setattr(cli, "generalized_shift", surgery)
+        _, write = paths
+        path = write("n.json", _number_doc(FACT, (1, 2, 3)))
+        assert run(["gshift", path, "-m", m]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(cli.MAX_GSHIFT_M) in err[0]
 
 
 @pytest.mark.parametrize("module", ["cantorshift", "cantorshift.cli"])

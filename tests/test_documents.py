@@ -108,6 +108,16 @@ class TestRationalStrings:
         assert Fraction(parse_long_int(num), parse_long_int(den)) == value
         assert rational_str(Fraction(10**5000 + 12)) == "1" + "0" * 4998 + "12/1"
 
+    def test_parse_past_the_int_str_limit(self):
+        value = Fraction(-(7**6000), 3**9100)
+        assert parse_rational(rational_str(value)) == value
+        assert parse_rational(" +" + "0" * 4000 + "9" * 5000 + "/1 ") == 10**5000 - 1
+        # short literals keep int()'s forms; long ones are sign and digits only
+        assert parse_rational(" 1_000 / 3") == Fraction(1000, 3)
+        for bad in ("1_" + "0" * 5000, "1/ " + "1" * 5000, "--" + "1" * 5000, "-"):
+            with pytest.raises(DocumentError):
+                parse_rational(bad)
+
     def test_decimal_str(self):
         assert decimal_str(Fraction(123, 1000), 12) == "0.123"
         assert decimal_str(Fraction(1, 3), 6) == "0.333333"

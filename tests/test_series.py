@@ -8,7 +8,6 @@ from cantorshift import (
     EventuallyPeriodicSeq,
     geometric_block_sum,
     periodic_tail_sum,
-    term_at,
 )
 from cantorshift.series import weighted_periodic_value, weighted_value
 
@@ -16,20 +15,20 @@ from cantorshift.series import weighted_periodic_value, weighted_value
 class TestTermAt:
     def test_prefix_read(self):
         seq = EventuallyPeriodicSeq((2, 3, 4), (4,))
-        assert term_at(seq, 2) == 3
+        assert seq.at(2) == 3
 
     def test_cycle_read(self):
         seq = EventuallyPeriodicSeq((2, 3, 4), (4,))
-        assert term_at(seq, 9) == 4
+        assert seq.at(9) == 4
 
     def test_pure_cycle(self):
         seq = EventuallyPeriodicSeq((), (5, 7))
-        assert term_at(seq, 4) == 7
+        assert seq.at(4) == 7
 
     def test_positions_are_one_based(self):
         seq = EventuallyPeriodicSeq((), (1,))
         with pytest.raises(ValueError):
-            term_at(seq, 0)
+            seq.at(0)
 
     def test_empty_cycle_rejected(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,6 @@ from cantorshift import (
     RepresentedNumber,
     SignPattern,
     base_interval,
-    column_cumulative,
     evaluate,
     make_stream,
     position_table,
@@ -72,20 +71,20 @@ class TestValidate:
 class TestColumnCumulative:
     def test_zero_digit(self):
         col = QTildeColumn((Fraction(1, 4), Fraction(3, 4)))
-        assert column_cumulative(col, 0) == 0
+        assert col.cumulative(0) == 0
 
     def test_partial_sums(self):
         col = QTildeColumn((Fraction(1, 4), Fraction(3, 4)))
-        assert column_cumulative(col, 1) == Fraction(1, 4)
+        assert col.cumulative(1) == Fraction(1, 4)
         thirds = QTildeColumn((Fraction(1, 3),) * 3)
-        assert column_cumulative(thirds, 2) == Fraction(2, 3)
+        assert thirds.cumulative(2) == Fraction(2, 3)
 
     def test_out_of_alphabet(self):
         from cantorshift import DigitRangeError
 
         col = QTildeColumn((Fraction(1, 4), Fraction(3, 4)))
         with pytest.raises(DigitRangeError):
-            column_cumulative(col, 2)
+            col.cumulative(2)
 
 
 class TestBaseInterval:
