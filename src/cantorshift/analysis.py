@@ -8,6 +8,12 @@ position-signed deletion.  A Cantor digit has weight 1/q_m, so the slope
 is q_m (digit-signed) or -q_m (position-signed alternating).
 Discontinuities occur exactly at the two-representation points whose dual
 pair flips at position m.
+
+Two independent formulas give the image.  `segment_table` and
+`affine_on_cylinder` build each cylinder's affine map from its digit
+prefix (`operators._deletion_map`), and `graph_samples` applies those
+rows.  `point_image` reads the image of a single point off the residuals
+of its canonical decode, without summing its digit prefix.
 """
 
 from dataclasses import dataclass
@@ -15,11 +21,12 @@ from fractions import Fraction
 
 from .errors import OutOfIntervalError
 from .numbers import (
+    _digit_step,
+    _representable_table,
     cylinder,
     digit_at,
     dual_representation,
     evaluate,
-    partial_digits,
     validate_number,
 )
 from .operators import (
@@ -67,11 +74,24 @@ class ContinuityReport:
 
 
 def point_image(system, x, m, variant=ShiftVariant.DIGIT):
-    """Deletion image of the point x: digits are extracted canonically up
-    to rank m, then the closed form applies."""
+    """Deletion image of the point x, read off its canonical decode.
+
+    With y_k the decode residual after k digits and W the weight product
+    of the digits below m, x = V + W*y_{m-1} and the image is
+    V + sigma*W*y_m, that is x - W*(y_{m-1} - sigma*y_m), with sigma = +1
+    for DIGIT and -1 for POSITION.  The digit prefix is never re-summed."""
     _require_admissible(system, variant)
-    slope, intercept = _cylinder_map(system, partial_digits(system, x, m), variant)
-    return slope * Fraction(x) + intercept
+    if m < 1:
+        raise ValueError("positions are 1-based")
+    x = Fraction(x)
+    table = _representable_table(system, x)
+    y, weight = x, Fraction(1)
+    for n in range(1, m):
+        d, y = _digit_step(table, n, y)
+        weight *= table.digit(table.slot(n), d)[1]
+    _, y_m = _digit_step(table, m, y)
+    sigma = -1 if variant == ShiftVariant.POSITION else 1
+    return x - weight * (y - sigma * y_m)
 
 
 def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
@@ -180,15 +200,17 @@ def numeric_derivative(system, m, num, step, variant=ShiftVariant.DIGIT):
 
 def graph_samples(system, m, samples_per_cylinder, variant=ShiftVariant.DIGIT):
     """Exact (x, image) pairs: equally spaced interior samples of every
-    rank-m cylinder, sorted by x."""
+    rank-m cylinder, each mapped by its own row of `segment_table`, sorted
+    by x.  Where rows overlap (sign-variable column systems), every row's
+    samples carry that row's image, not the canonically decoded one."""
     if samples_per_cylinder < 2:
         raise ValueError("need at least 2 samples per cylinder")
     _check_table_size(system, m, samples_per_cylinder)
     points = []
-    for interval, _ in segment_table(system, m, variant):
+    for interval, affine in segment_table(system, m, variant):
         width = interval.width
         for j in range(1, samples_per_cylinder + 1):
             x = interval.lo + width * Fraction(j, samples_per_cylinder + 1)
-            points.append((x, point_image(system, x, m, variant)))
+            points.append((x, affine.apply(x)))
     points.sort(key=lambda p: p[0])
     return points

@@ -124,25 +124,29 @@ def _build_parser():
     return parser
 
 
-def _seed(text):
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be a decimal 64-bit unsigned integer")
+def _bounded_int(text, lo, hi, message):
+    """The integer `text` names, when it lies in lo..hi; anything else,
+    non-integer text included, is refused with `message`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(message) from None
+    if not lo <= value <= hi:
+        raise argparse.ArgumentTypeError(message)
     return value
+
+
+def _seed(text):
+    return _bounded_int(text, 0, 2**64 - 1, "seed must be a decimal 64-bit unsigned integer")
 
 
 def _precision(text):
-    value = int(text)
-    if not 0 <= value <= MAX_PRECISION:
-        raise argparse.ArgumentTypeError(f"precision must be an integer in 0..{MAX_PRECISION}")
-    return value
+    return _bounded_int(text, 0, MAX_PRECISION,
+                        f"precision must be an integer in 0..{MAX_PRECISION}")
 
 
 def _gshift_position(text):
-    value = int(text)
-    if not 1 <= value <= MAX_GSHIFT_M:
-        raise argparse.ArgumentTypeError(f"m must be an integer in 1..{MAX_GSHIFT_M}")
-    return value
+    return _bounded_int(text, 1, MAX_GSHIFT_M, f"m must be an integer in 1..{MAX_GSHIFT_M}")
 
 
 def _cmd_eval(args):

@@ -34,6 +34,7 @@ from .systems import (
     position_table,
     sign_factor,
 )
+from .rationals import _shown
 from .series import weighted_periodic_value, weighted_value
 
 __all__ = [
@@ -231,7 +232,8 @@ def _representable_table(system, y):
     if not (lo_num * y.denominator <= y.numerator * lo_den
             and y.numerator * hi_den <= hi_num * y.denominator):
         iv = table.interval(0)
-        raise OutOfIntervalError(f"{y} outside representable interval [{iv.lo}, {iv.hi}]")
+        raise OutOfIntervalError(f"{_shown(y)} outside representable interval "
+                                 f"[{_shown(iv.lo)}, {_shown(iv.hi)}]")
     return table
 
 
@@ -256,7 +258,7 @@ def decode(system, value, depth):
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    y = Fraction(value)
+    y = y0 = Fraction(value)
     table = _representable_table(system, y)
     pre, period = table.prefix_len, table.cycle_len
     digits = []
@@ -272,7 +274,7 @@ def decode(system, value, depth):
             seen[y] = k
         if k >= depth:
             raise InexactDecodeError(
-                f"no exact tail found within depth {depth} for value {value}"
+                f"no exact tail found within depth {depth} for value {_shown(y0)}"
             )
         d, y = _digit_step(table, k + 1, y)
         digits.append(d)

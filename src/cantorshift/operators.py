@@ -148,7 +148,8 @@ def _deletion_map(value, weight, a, w, s, variant):
 
 def _cylinder_map(system, digits, variant):
     """Deletion map of position m = len(digits) on the cylinder of the
-    given first m digits.  This never touches the tail digits."""
+    given first m digits, for `closed_form_value` and
+    `analysis.affine_on_cylinder`.  This never touches the tail digits."""
     m = len(digits)
     d = digits[-1]
     value, weight = _prefix_value(system, digits[:-1])

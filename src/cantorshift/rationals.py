@@ -49,8 +49,18 @@ def parse_rational(text, where="value"):
 
 def _quote(text):
     """repr() of a literal, cut to 60 characters."""
-    shown = repr(text)
-    return shown if len(shown) <= 60 else shown[:60] + "..."
+    return _clip(repr(text))
+
+
+def _shown(value):
+    """A rational as an error message quotes it: at most 60 characters of
+    its "p/q" form, so a value of any length can be named."""
+    return _clip(rational_str(value))
+
+
+def _clip(text):
+    """The first 60 characters of a message fragment, marked when cut."""
+    return text if len(text) <= 60 else text[:60] + "..."
 
 
 def _parse_int(text):

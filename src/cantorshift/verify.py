@@ -357,7 +357,8 @@ def _suite_roundtrip(cfg):
 def _segments_ok(system, m, expected_count, tiling):
     """The rank-m segment table has expected_count rows; with `tiling`,
     they tile the representable interval, each row's map agrees with
-    point_image at three interior points, and Cantor rows have slope q_m."""
+    point_image (the decode-residual formula) at three interior points,
+    and Cantor rows have slope q_m."""
     table = segment_table(system, m)
     if len(table) != expected_count:
         return False

@@ -25,8 +25,13 @@ from cantorshift import (
     point_image,
     segment_table,
 )
-from cantorshift import analysis
-from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
+from cantorshift import analysis, numbers, operators
+from cantorshift.sampling import (
+    rand_cantor_system,
+    rand_number,
+    rand_qtilde_system,
+    rand_segment_system,
+)
 from helpers import cantor
 from helpers import ALT, DEC, NEG, QT, mk
 
@@ -172,6 +177,58 @@ class TestUniformColumnTwin:
                 assert partial_digits(twin, x, m + 4) == partial_digits(system, x, m + 4)
 
 
+def _old_route_image(system, x, m, variant):
+    # the route point_image replaced: canonical digits, then the cylinder map
+    return affine_on_cylinder(system, partial_digits(system, x, m), variant).apply(x)
+
+
+class TestPointImage:
+    """point_image reads the image off decode's residuals; the cylinder map
+    of the canonically decoded prefix is the independent oracle."""
+
+    @pytest.mark.parametrize("flavor", [0, 1, 2, 3, "alternating"], ids=[
+        "positive-cantor", "signed-cantor", "positive-column", "signed-column",
+        "alternating-position"])
+    def test_equals_cylinder_map_of_decoded_prefix(self, flavor):
+        rng = random.Random(67)
+        for _ in range(10):
+            if flavor == "alternating":
+                system, variant = rand_cantor_system(rng, max_q=5, signs="odd"), POSITION
+            else:
+                system, variant = rand_segment_system(rng, flavor), ShiftVariant.DIGIT
+            m = rng.randrange(1, 4)
+            rows = segment_table(system, m, variant)
+            for interval, _ in rng.sample(rows, min(len(rows), 12)):
+                inner = interval.lo + interval.width * Fraction(rng.randrange(1, 16), 16)
+                # cylinder endpoints exercise the half-open tie rule
+                for x in (interval.lo, inner, interval.hi):
+                    try:
+                        expected = _old_route_image(system, x, m, variant)
+                    except OutOfIntervalError:
+                        # a sign-variable column system may leave x undecodable
+                        with pytest.raises(OutOfIntervalError):
+                            point_image(system, x, m, variant)
+                        continue
+                    assert point_image(system, x, m, variant) == expected
+
+    def test_no_prefix_resummation(self, monkeypatch):
+        expected = _old_route_image(ALT, Fraction(1, 5), 2, POSITION)
+        _refuse_prefix_routes(monkeypatch)
+        assert point_image(DEC, Fraction(123, 1000), 2) == Fraction(13, 100)
+        assert point_image(ALT, Fraction(1, 5), 2, POSITION) == expected
+
+
+def _refuse_prefix_routes(monkeypatch):
+    # every route that decodes a prefix again or re-sums it fails if reached
+    def refuse(*args):
+        raise AssertionError("a digit prefix was decoded or summed again")
+
+    for module, name in ((analysis, "_cylinder_map"), (operators, "_cylinder_map"),
+                         (operators, "_prefix_value"), (numbers, "_prefix_value"),
+                         (numbers, "partial_digits"), (analysis, "point_image")):
+        monkeypatch.setattr(module, name, refuse)
+
+
 class TestContinuity:
     def test_jump_at_matching_rank(self):
         report = continuity_at(DEC, 2, mk(DEC, (2, 5)))
@@ -239,6 +296,22 @@ class TestGraphSamples:
     def test_column_sample_count(self):
         points = graph_samples(QT, 1, 2)
         assert len(points) == 4
+
+    def test_sign_variable_columns_sample_every_row(self, monkeypatch):
+        # overlapping rows each contribute their own samples and map
+        rng = random.Random(71)
+        cases = [(rand_segment_system(rng, 3), rng.randrange(1, 4)) for _ in range(40)]
+        expected = []
+        for system, m in cases:
+            pairs = []
+            for interval, affine in segment_table(system, m):
+                for j in (1, 2, 3):
+                    x = interval.lo + interval.width * Fraction(j, 4)
+                    pairs.append((x, affine.apply(x)))
+            expected.append(sorted(pairs, key=lambda p: p[0]))
+        _refuse_prefix_routes(monkeypatch)
+        for (system, m), pairs in zip(cases, expected):
+            assert graph_samples(system, m, 3) == pairs
 
     def test_agreement_with_digit_surgery(self):
         # the point function equals deletion surgery through decode

@@ -119,6 +119,23 @@ class TestDecode:
         assert len(err) == 1 and err[0].startswith("error: bad rational literal '1/xxx")
         assert len(err[0]) < 120
 
+    @pytest.mark.parametrize("value", [
+        "1/1" + "0" * 5000,  # inexact within the depth, past the int-str limit
+        "1" + "0" * 5000,  # outside the interval, past the int-str limit
+        "7" * 300 + "/1" + "0" * 300,  # inexact within the depth
+        "1" * 300 + "/7",  # outside the interval
+    ], ids=["inexact-5001-digits", "outside-5001-digits", "inexact-300-digits",
+            "outside-300-digits"])
+    def test_long_value_is_one_short_error_line(self, paths, capsys, value):
+        _, write = paths
+        spath = write("s.json", system_to_doc(DEC))
+        assert run(["decode", spath, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 200
+        assert "digits" not in err[0]  # not the interpreter's int-str message
+
     def test_out_of_interval_is_exit_one(self, paths, capsys):
         _, write = paths
         spath = write("s.json", system_to_doc(DEC))
@@ -217,6 +234,12 @@ class TestVerifyCommand:
         assert "roundtrip: 8/8 pass" in out
         assert out == (DATA / "verify_all_8_3.txt").read_text(encoding="utf-8")
 
+    def test_readme_run_matches_golden(self, capsys):
+        # the README's `verify all --trials 200 --seed 7`
+        assert run(["verify", "all", "--trials", "200", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (DATA / "verify_all_200_7.txt").read_text(
+            encoding="utf-8")
+
     def test_suite_failure_is_exit_two(self, capsys, monkeypatch):
         from cantorshift import verify as verify_mod
 
@@ -279,6 +302,22 @@ class TestErrors:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "precision" in err[0]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "eq4", "--seed", "abc"], "seed must be a decimal 64-bit unsigned integer"),
+        (["gshift", "n.json", "-m", "abc"], f"m must be an integer in 1..{cli.MAX_GSHIFT_M}"),
+        (["eval", "n.json", "--precision", "abc"],
+         f"precision must be an integer in 0..{MAX_PRECISION}"),
+    ])
+    def test_non_integer_option_names_the_range(self, paths, capsys, argv, message):
+        tmp, write = paths
+        write("n.json", _number_doc(DEC, (1, 2, 3)))
+        assert run([str(tmp / arg) if arg.endswith(".json") else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument") and err[0].endswith(message)
+        assert "invalid" not in err[0]
 
     def test_largest_precision_accepted(self, paths, capsys):
         _, write = paths

@@ -3,8 +3,8 @@ minimised cases and notes, with one package function made to lie.
 
 The golden file holds what each suite reports when a single function is
 patched so that some trials fail.  Only names looked up at call time inside
-`numbers` and `operators` are patched, so the golden pins the suites' own
-case generation, checks, shrinking and record layout.
+`numbers`, `operators` and `analysis` are patched, so the golden pins the
+suites' own case generation, checks, shrinking and record layout.
 """
 
 import json
@@ -12,14 +12,14 @@ from pathlib import Path
 
 import pytest
 
-from cantorshift import numbers, operators, verify
+from cantorshift import analysis, numbers, verify
 from cantorshift.numbers import TAIL_ZEROS, DigitStream, RepresentedNumber
 
 GOLDEN = Path(__file__).parent / "data" / "verify_failures_16_5.json"
 TRIALS, SEED = 16, 5
 
 _evaluate = numbers._evaluate_cached.__wrapped__
-_deletion_map = operators._deletion_map
+_deletion_map = analysis._deletion_map
 _digits_equal = numbers.digits_equal
 
 
@@ -46,7 +46,7 @@ def _digits_equal_unless(a, b):
 
 PATCHES = {
     "evaluate": (numbers, "_evaluate_cached", _evaluate_without_tail),
-    "deletion_map": (operators, "_deletion_map", _deletion_map_off_by_weight),
+    "deletion_map": (analysis, "_deletion_map", _deletion_map_off_by_weight),
     "digits_equal": (numbers, "digits_equal", _digits_equal_unless),
 }
 # The patch that makes some, but not all, trials of each suite fail.
