@@ -21,7 +21,9 @@ from fractions import Fraction
 
 from .errors import OutOfIntervalError
 from .numbers import (
+    _cylinder_interval,
     _digit_step,
+    _prefix_ints,
     _representable_table,
     cylinder,
     digit_at,
@@ -36,7 +38,7 @@ from .operators import (
     _require_admissible,
     closed_form_value,
 )
-from .systems import Interval, position_table
+from .systems import position_table
 
 __all__ = [
     "AffineMap",
@@ -79,19 +81,25 @@ def point_image(system, x, m, variant=ShiftVariant.DIGIT):
     With y_k the decode residual after k digits and W the weight product
     of the digits below m, x = V + W*y_{m-1} and the image is
     V + sigma*W*y_m, that is x - W*(y_{m-1} - sigma*y_m), with sigma = +1
-    for DIGIT and -1 for POSITION.  The digit prefix is never re-summed."""
+    for DIGIT and -1 for POSITION.  The digit prefix is never re-summed,
+    and the residuals and W stay integer pairs until the one result."""
     _require_admissible(system, variant)
     if m < 1:
         raise ValueError("positions are 1-based")
     x = Fraction(x)
     table = _representable_table(system, x)
-    y, weight = x, Fraction(1)
+    y_num, y_den = x.numerator, x.denominator
+    w_num = w_den = 1
     for n in range(1, m):
-        d, y = _digit_step(table, n, y)
-        weight *= table.digit(table.slot(n), d)[1]
-    _, y_m = _digit_step(table, m, y)
+        d, y_num, y_den = _digit_step(table, n, y_num, y_den)
+        _, w, c = table.digit_ints(table.slot(n), d)
+        w_num *= w
+        w_den *= c
+    _, z_num, z_den = _digit_step(table, m, y_num, y_den)
     sigma = -1 if variant == ShiftVariant.POSITION else 1
-    return x - weight * (y - sigma * y_m)
+    diff_num, diff_den = y_num * z_den - sigma * z_num * y_den, y_den * z_den
+    return Fraction(x.numerator * w_den * diff_den - x.denominator * w_num * diff_num,
+                    x.denominator * w_den * diff_den)
 
 
 def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
@@ -102,7 +110,8 @@ def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
     if m < 1:
         raise ValueError("prefix must contain at least one digit")
     _require_admissible(system, variant)
-    return AffineMap(*_cylinder_map(system, digits, variant))
+    return AffineMap(*_cylinder_map(system, m, digits[-1], _prefix_ints(system, digits[:-1]),
+                                    variant))
 
 
 def _check_table_size(system, m, per_cylinder=1):
@@ -118,30 +127,27 @@ def _check_table_size(system, m, per_cylinder=1):
 def _cylinder_rows(system, m, variant):
     """(cylinder, affine map) per rank-m digit prefix, in lexicographic
     digit order.  An iterative depth-first walk: a node holds the signed
-    value and weight product of its digit prefix, and each child extends
-    them by one position."""
+    value v/den and weight product w/den of its digit prefix as integers,
+    and each child extends them by one position."""
     table = position_table(system)
-    tail = table.interval(m)
+    tail = table.tail(m)
     last = table.slot(m)
     s_m = table.signs[last]
     rows = []
-    stack = [(1, Fraction(0), Fraction(1))]  # (next position, prefix value, prefix weight)
+    stack = [(1, 0, 1, 1)]  # (next position, v, w, den)
     while stack:
-        n, value, weight = stack.pop()
+        n, v, w, den = stack.pop()
         if n < m:
             i = table.slot(n)
             s = table.signs[i]
             for d in range(table.max_digits[i], -1, -1):
-                term, w = table.digit(i, d)
-                stack.append((n + 1, value + s * term * weight, weight * w))
+                t, wd, c = table.digit_ints(i, d)
+                stack.append((n + 1, v * c + s * t * w, w * wd, den * c))
             continue
         for d in range(table.max_digits[last] + 1):
-            term, w = table.digit(last, d)
-            leaf_value = value + s_m * term * weight
-            leaf_weight = weight * w
-            rows.append((Interval(leaf_value + leaf_weight * tail.lo,
-                                  leaf_value + leaf_weight * tail.hi),
-                         AffineMap(*_deletion_map(value, weight, term, w, s_m, variant))))
+            t, wd, c = table.digit_ints(last, d)
+            rows.append((_cylinder_interval((v * c + s_m * t * w, w * wd, den * c), tail),
+                         AffineMap(*_deletion_map(v, w, den, t, wd, c, s_m, variant))))
     return rows
 
 

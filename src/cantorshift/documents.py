@@ -6,7 +6,6 @@ violated invariant together with its JSON path.
 """
 
 import json
-from fractions import Fraction
 
 from .errors import DocumentError
 from .numbers import (
@@ -223,11 +222,12 @@ def parse_number(text, load_file=None):
 
 def emit_tsv(header, rows, precision=12):
     """Tab-separated text: every rational column appears twice, once as
-    "p/q" and once as a fixed-precision decimal approximation."""
+    "p/q" and once as a fixed-precision decimal approximation.  Cells are
+    Fractions or ints, rendered from their numerator and denominator."""
     names = list(header) + [f"{h}_dec" for h in header]
     lines = ["\t".join(names)]
     for row in rows:
-        exact = [rational_str(Fraction(v)) for v in row]
-        approx = [decimal_str(Fraction(v), precision, fixed=True) for v in row]
+        exact = [rational_str(v) for v in row]
+        approx = [decimal_str(v, precision, fixed=True) for v in row]
         lines.append("\t".join(exact + approx))
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ tail exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm, prod
 from typing import Optional
 
 from .errors import (
@@ -35,7 +35,7 @@ from .systems import (
     sign_factor,
 )
 from .rationals import _shown
-from .series import weighted_periodic_value, weighted_value
+from .series import _fold, _periodic_sum, geometric_block_sum
 
 __all__ = [
     "Tail",
@@ -142,50 +142,96 @@ def validate_number(num):
             _check_digit(system, start + j, d)
 
 
-def _position_arrays(system, digits):
-    """Per-position term values, weights and sign factors of the digits
-    at positions 1, 2, ..."""
-    terms, weights, signs = [], [], []
-    for n, d in enumerate(digits, 1):
-        terms.append(system.term_value(n, d))
-        weights.append(system.digit_weight(n, d))
-        signs.append(sign_factor(system.signs, n))
-    return terms, weights, signs
+def _position_arrays(system, digits, first=1):
+    """Integer (term_num, weight_num, den, sign) arrays of the digits at
+    positions first, first + 1, ..., as `series` sums them."""
+    t, w, c, s = [], [], [], []
+    for n, d in enumerate(digits, first):
+        term, weight, den = system.digit_ints(n, d)
+        t.append(term)
+        w.append(weight)
+        c.append(den)
+        s.append(sign_factor(system.signs, n))
+    return t, w, c, s
+
+
+def _tail_period(num):
+    """(start, period): from position start + 1 on, the digits and the
+    system repeat with the given period."""
+    system, stream = num.system, num.digits
+    start = len(stream.prefix)
+    if stream.tail.kind != "cycle":
+        start = max(start, combined_prefix_len(system))
+    return start, _stream_period(system, stream)
 
 
 def _term_arrays(num):
-    system, stream = num.system, num.digits
-    dpl = len(stream.prefix)
-    tail = stream.tail
-    if tail.kind == "zeros":
-        split = dpl
-        total = dpl
-    elif tail.kind == "max":
-        split = max(dpl, combined_prefix_len(system))
-        total = split + combined_cycle_len(system)
+    if num.digits.tail.kind == "zeros":
+        split = total = len(num.digits.prefix)
     else:
-        split = dpl
-        total = dpl + len(tail.cycle)
+        split, period = _tail_period(num)
+        total = split + period
     digits = [digit_at(num, n) for n in range(1, total + 1)]
-    return (*_position_arrays(system, digits), split)
+    return (*_position_arrays(num.system, digits), split)
+
+
+def _array_prefix(t, w, c, s):
+    """(v, w, den) of the positions of the arrays: the signed sum of
+    s_n*term_n*w_1...w_{n-1} is v/den and the product w_1...w_k is w/den,
+    with den the product of the positions' denominators."""
+    num, den = _fold(t, w, c, s, 0, len(t), 0, 1)
+    full = prod(c)  # den omits the positions after the fold's last restart
+    return num * (full // den), prod(w), full
+
+
+def _join(a, b):
+    """(v, w, den) of prefix a followed by prefix b."""
+    v1, w1, d1 = a
+    v2, w2, d2 = b
+    return v1 * d2 + w1 * v2, w1 * w2, d1 * d2
+
+
+def _prefix_ints(system, digits):
+    """Integer (v, w, den) of a finite digit prefix at positions 1..k: its
+    signed value is v/den and its weight product w/den."""
+    return _array_prefix(*_position_arrays(system, digits))
 
 
 def _prefix_value(system, digits):
-    """(value, weight) of a finite digit prefix at positions 1..k: the
-    signed sum of s_n * term_n * w_1 ... w_{n-1} and the product
-    w_1 ... w_k.  The empty prefix gives (0, 1)."""
-    terms, weights, signs = _position_arrays(system, digits)
-    num = den = 1
-    for w in weights:
-        num *= w.numerator
-        den *= w.denominator
-    return weighted_value(terms, weights, signs), Fraction(num, den)
+    """(value, weight) of a finite digit prefix at positions 1..k as
+    Fractions: the signed sum of s_n * term_n * w_1 ... w_{n-1} and the
+    product w_1 ... w_k.  The empty prefix gives (0, 1)."""
+    v, w, den = _prefix_ints(system, digits)
+    return Fraction(v, den), Fraction(w, den)
+
+
+def _stream_prefix(num, m):
+    """Integer (v, w, den) of the digits of a valid number at positions
+    1..m.  Past the position where digits and system start to repeat, k
+    whole periods contribute a geometric block sum and a k-th power of the
+    period's weight, so the work is O(start + period + log k), not O(m)."""
+    system = num.system
+    start, period = _tail_period(num)
+    k, r = divmod(max(m - start, 0), period)
+    if k == 0:
+        return _prefix_ints(system, [digit_at(num, n) for n in range(1, m + 1)])
+    head = _prefix_ints(system, [digit_at(num, n) for n in range(1, start + 1)])
+    block = _position_arrays(system, [digit_at(num, start + j) for j in range(1, period + 1)],
+                             start + 1)
+    t, w, c, s = block
+    ratio = Fraction(prod(w), prod(c))
+    total = geometric_block_sum(Fraction(*_fold(t, w, c, s, 0, period, 0, 1)), ratio)
+    r_num, r_den = ratio.numerator ** k, ratio.denominator ** k
+    periods = (total.numerator * (r_den - r_num), total.denominator * r_num,
+               total.denominator * r_den)
+    rest = _array_prefix(*(a[:r] for a in block))
+    return _join(_join(head, periods), rest)
 
 
 @lru_cache(maxsize=8192)
 def _evaluate_cached(num):
     validate_number(num)
-    return weighted_periodic_value(*_term_arrays(num))
+    return Fraction(*_periodic_sum(*_term_arrays(num)))
 
 
 def evaluate(num):
@@ -193,10 +239,12 @@ def evaluate(num):
     return _evaluate_cached(num)
 
 
-def _digit_step(table, n, y):
-    """Extract the digit at position n from residual y, returning
-    (digit, next residual).  y must lie in the representable interval of
-    the system shifted by n-1 positions."""
+def _digit_step(table, n, y_num, y_den):
+    """Extract the digit at position n from the residual y_num/y_den,
+    returning (digit, next residual's num, den).  The residual must lie in
+    the representable interval of the system shifted by n-1 positions.  A
+    Cantor step keeps the denominator y_den, unreduced; a column step
+    returns a reduced pair."""
     i = table.slot(n)
     lo_num, lo_den, hi_num, hi_den = table.tail(n)
     s = table.signs[i]
@@ -204,24 +252,26 @@ def _digit_step(table, n, y):
         # Cantor: the digit is floor(q*y - lo) (ceil(lo - q*y) under a
         # negative sign), computed on numerators and denominators.
         q = table.bases[i]
-        y_num, y_den = y.numerator, y.denominator
         d = (q * y_num * lo_den - lo_num * y_den) // (y_den * lo_den)
         d = min(max(d if s > 0 else -d, 0), q - 1)
         y2_num, y2_den = q * y_num - s * d * y_den, y_den
     else:
-        for plo, phi, d, a, w in table.pieces[i]:
-            if plo <= y < phi:
+        # Column: the first piece (lo, hi, d, ...) with lo <= y < hi, all
+        # over the slot's denominator; y2 = (y - s*t/c) / (w/c).
+        scaled = y_num * table.piece_dens[i]
+        for lo, hi, d, t, w, c in table.pieces[i]:
+            if lo * y_den <= scaled < hi * y_den:
                 break
         else:
-            top = table.tops[i]
-            if y != top[1]:
+            _, hi, d, t, w, c = table.tops[i]
+            if scaled != hi * y_den:
                 raise OutOfIntervalError(f"value has no digit at position {n}")
-            _, _, d, a, w = top
-        y2 = (y - s * a) / w
-        y2_num, y2_den = y2.numerator, y2.denominator
+        y2_num, y2_den = c * y_num - s * t * y_den, w * y_den
+        g = gcd(y2_num, y2_den)
+        y2_num, y2_den = y2_num // g, y2_den // g
     if not (lo_num * y2_den <= y2_num * lo_den and y2_num * hi_den <= hi_num * y2_den):
         raise OutOfIntervalError(f"value has no digit at position {n}")
-    return d, Fraction(y2_num, y2_den)
+    return d, y2_num, y2_den
 
 
 def _representable_table(system, y):
@@ -241,9 +291,10 @@ def partial_digits(system, value, count):
     """First `count` digits of the canonical expansion of `value`."""
     y = Fraction(value)
     table = _representable_table(system, y)
+    y_num, y_den = y.numerator, y.denominator
     digits = []
     for n in range(1, count + 1):
-        d, y = _digit_step(table, n, y)
+        d, y_num, y_den = _digit_step(table, n, y_num, y_den)
         digits.append(d)
     return tuple(digits)
 
@@ -254,18 +305,22 @@ def decode(system, value, depth):
     Digits are extracted stepwise; the stream closes exactly when a
     residual recurs at a position aligned with the system's period
     (periodic tail) within `depth` extracted digits, else
-    InexactDecodeError is raised.
+    InexactDecodeError is raised.  Residuals are compared as integer
+    pairs: Cantor steps keep the value's denominator and column steps
+    reduce, so equal pairs are equal residuals.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    y = y0 = Fraction(value)
-    table = _representable_table(system, y)
+    y0 = Fraction(value)
+    table = _representable_table(system, y0)
     pre, period = table.prefix_len, table.cycle_len
+    y_num, y_den = y0.numerator, y0.denominator
     digits = []
     seen = {}
     while True:
         k = len(digits)
         if k >= pre and (k - pre) % period == 0:
+            y = y_num, y_den
             if y in seen:
                 cut = seen[y]
                 return RepresentedNumber(
@@ -276,7 +331,7 @@ def decode(system, value, depth):
             raise InexactDecodeError(
                 f"no exact tail found within depth {depth} for value {_shown(y0)}"
             )
-        d, y = _digit_step(table, k + 1, y)
+        d, y_num, y_den = _digit_step(table, k + 1, y_num, y_den)
         digits.append(d)
 
 
@@ -335,9 +390,17 @@ def cylinder(system, prefix_digits):
     prefix_digits = tuple(prefix_digits)
     for n, d in enumerate(prefix_digits, 1):
         _check_digit(system, n, d)
-    value, weight = _prefix_value(system, prefix_digits)
-    tail = position_table(system).interval(len(prefix_digits))
-    return Interval(value + weight * tail.lo, value + weight * tail.hi)
+    return _cylinder_interval(_prefix_ints(system, prefix_digits),
+                              position_table(system).tail(len(prefix_digits)))
+
+
+def _cylinder_interval(prefix, tail):
+    """Interval of a digit prefix's cylinder from the prefix's integer
+    (v, w, den) and the integer bounds of the residual interval after it."""
+    v, w, den = prefix
+    lo_num, lo_den, hi_num, hi_den = tail
+    return Interval(Fraction(v * lo_den + w * lo_num, den * lo_den),
+                    Fraction(v * hi_den + w * hi_num, den * hi_den))
 
 
 def _beta_digit(system, n):

@@ -28,6 +28,7 @@ from math import lcm, prod
 from .errors import ExpansionError, VariantError
 from .numbers import (
     _prefix_value,
+    _stream_prefix,
     RepresentedNumber,
     cycle_tail,
     digit_at,
@@ -136,25 +137,26 @@ def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
     return RepresentedNumber(system2, stream2)
 
 
-def _deletion_map(value, weight, a, w, s, variant):
+def _deletion_map(v, w, den, t, wd, c, s, variant):
     """(slope, intercept) of the deletion of position m on one rank-m
-    cylinder: value and weight are the signed value and weight product of
-    the digits below m; a, w and s the term, weight and sign of the digit
-    at m.  The slope is 1/w, negated for position-signed deletion; a Cantor
-    digit d has a = d/q_m and w = 1/q_m, so its slope is q_m or -q_m."""
-    slope = (-1 if variant == ShiftVariant.POSITION else 1) / w
-    return slope, value - slope * (value + s * a * weight)
+    cylinder, in integers: v/den and w/den are the signed value and weight
+    product of the digits below m; t/c, wd/c and s the term, weight and
+    sign of the digit at m.  The slope is 1/w_m = c/wd, negated for
+    position-signed deletion; a Cantor digit d has t, wd, c = d, 1, q_m, so
+    its slope is q_m or -q_m.  The intercept is
+    value - slope*(value + s*term*weight).  Each is one reduced Fraction."""
+    sigma = -1 if variant == ShiftVariant.POSITION else 1
+    return (Fraction(sigma * c, wd),
+            Fraction(v * wd - sigma * (v * c + s * t * w), wd * den))
 
 
-def _cylinder_map(system, digits, variant):
-    """Deletion map of position m = len(digits) on the cylinder of the
-    given first m digits, for `closed_form_value` and
-    `analysis.affine_on_cylinder`.  This never touches the tail digits."""
-    m = len(digits)
-    d = digits[-1]
-    value, weight = _prefix_value(system, digits[:-1])
-    return _deletion_map(value, weight, system.term_value(m, d), system.digit_weight(m, d),
-                         sign_factor(system.signs, m), variant)
+def _cylinder_map(system, m, d, prefix, variant):
+    """Deletion map of position m on the cylinder of the digits below m,
+    given as their integer (v, w, den), followed by digit d at m; for
+    `closed_form_value` and `analysis.affine_on_cylinder`.  This never
+    touches the tail digits."""
+    return _deletion_map(*prefix, *system.digit_ints(m, d), sign_factor(system.signs, m),
+                         variant)
 
 
 def closed_form_value(num, m, variant=ShiftVariant.DIGIT):
@@ -163,9 +165,10 @@ def closed_form_value(num, m, variant=ShiftVariant.DIGIT):
     if m < 1:
         raise ValueError("positions are 1-based")
     _require_admissible(num.system, variant)
-    digits = [digit_at(num, k) for k in range(1, m + 1)]
-    slope, intercept = _cylinder_map(num.system, digits, variant)
-    return slope * evaluate(num) + intercept
+    x = evaluate(num)
+    slope, intercept = _cylinder_map(num.system, m, digit_at(num, m),
+                                     _stream_prefix(num, m - 1), variant)
+    return slope * x + intercept
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,15 @@
 All values handled by the package are rationals (`fractions.Fraction`),
 and every infinite sum in scope reduces to a finite explicit part plus a
 geometrically contracting periodic tail, so exact closed forms exist.
+The one summation kernel (`_fold`, `_periodic_sum`) works on integer
+numerators over one running denominator and leaves the single reduction
+to its caller; `weighted_value` and `weighted_periodic_value` are its
+Fraction interface.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
 
 from .errors import DivergentSeriesError
 
@@ -133,48 +137,50 @@ def periodic_tail_sum(term_fn, start, period):
     return geometric_block_sum(block, ratio)
 
 
-def _fold(t_num, t_den, w_num, w_den, sign, lo, hi, acc_n, acc_d):
-    # Backward Horner: acc <- s_k t_k + w_k * acc, reduced each step.
+def _fold(t, w, c, s, lo, hi, acc_n, acc_d):
+    """Unreduced (num, den) of the backward Horner fold
+    acc <- s_k*t_k/c_k + (w_k/c_k)*acc over positions hi-1 down to lo,
+    starting from acc = acc_n/acc_d.  Position k's term t_k and weight w_k
+    are integers over its one denominator c_k > 0, so each step is integer
+    arithmetic and the caller reduces once.  While acc is 0 its denominator
+    restarts at 1, so a run of zero terms does not grow it."""
     for k in range(hi - 1, lo - 1, -1):
-        num = sign[k] * t_num[k] * w_den[k] * acc_d + w_num[k] * acc_n * t_den[k]
-        den = t_den[k] * w_den[k] * acc_d
-        g = gcd(num, den)
-        acc_n = num // g
-        acc_d = den // g
+        if acc_n:
+            acc_n = s[k] * t[k] * acc_d + w[k] * acc_n
+            acc_d *= c[k]
+        else:
+            acc_n, acc_d = s[k] * t[k], c[k]
     return acc_n, acc_d
 
 
-def _periodic_sum(t_num, t_den, w_num, w_den, sign, split):
-    """Reduced (num, den) of the sum with positions [0, split) explicit and
-    [split, n) one full period that repeats forever, each repetition scaled
-    by the product of the period's weights."""
-    n = len(t_num)
+def _periodic_sum(t, w, c, s, split):
+    """Unreduced (num, den) of the sum with positions [0, split) explicit
+    and [split, n) one full period that repeats forever, each repetition
+    scaled by the product of the period's weights.  Arrays as for _fold."""
+    n = len(t)
     if not 0 <= split <= n:
         raise ValueError("split out of range")
     tail_n, tail_d = 0, 1
     if split < n:
-        block_n, block_d = _fold(t_num, t_den, w_num, w_den, sign, split, n, 0, 1)
+        block_n, block_d = _fold(t, w, c, s, split, n, 0, 1)
         if block_n != 0:
-            rn = 1
-            rd = 1
-            for k in range(split, n):
-                rn *= w_num[k]
-                rd *= w_den[k]
+            rn, rd = prod(w[split:]), prod(c[split:])
             if rn < 0 or rn >= rd:
                 raise DivergentSeriesError("tail ratio outside [0, 1)")
-            num = block_n * rd
-            den = block_d * (rd - rn)
-            g = gcd(num, den)
-            tail_n, tail_d = num // g, den // g
-    return _fold(t_num, t_den, w_num, w_den, sign, 0, split, tail_n, tail_d)
+            tail_n, tail_d = block_n * rd, block_d * (rd - rn)
+    return _fold(t, w, c, s, 0, split, tail_n, tail_d)
 
 
 def _int_arrays(terms, weights, signs):
-    t_num = [t.numerator for t in terms]
-    t_den = [t.denominator for t in terms]
-    w_num = [w.numerator for w in weights]
-    w_den = [w.denominator for w in weights]
-    return t_num, t_den, w_num, w_den, list(signs)
+    """Integer (t, w, c, s) arrays of rational terms and weights: each
+    position's term and weight over their least common denominator."""
+    t, w, c = [], [], []
+    for term, weight in zip(terms, weights):
+        den = lcm(term.denominator, weight.denominator)
+        t.append(term.numerator * (den // term.denominator))
+        w.append(weight.numerator * (den // weight.denominator))
+        c.append(den)
+    return t, w, c, list(signs)
 
 
 def weighted_value(terms, weights, signs):

@@ -134,6 +134,10 @@ class TestEmitTsv:
         assert lines[0].split("\t") == ["lo", "hi", "lo_dec", "hi_dec"]
         assert lines[1].split("\t") == ["1/4", "1/2", "0.250", "0.500"]
 
+    def test_int_and_fraction_cells(self):
+        text = emit_tsv(("x", "y"), [(3, Fraction(-1, 3)), (Fraction(6, 4), 0)], precision=2)
+        assert text.splitlines()[1:] == ["3/1\t-1/3\t3.00\t-0.33", "3/2\t0/1\t1.50\t0.00"]
+
     def test_empty_rows_keep_header(self):
         text = emit_tsv(("x", "y"), [])
         assert text == "x\ty\tx_dec\ty_dec\n"

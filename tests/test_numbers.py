@@ -25,8 +25,9 @@ from cantorshift import (
     quasi_partner,
     same_number,
 )
-from cantorshift.numbers import _prefix_value
-from cantorshift.sampling import rand_cantor_system, rand_qtilde_system
+from cantorshift.numbers import _digit_step, _prefix_value, _stream_prefix, _tail_period
+from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
+from cantorshift.systems import position_table
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, mk, qtilde
 
 
@@ -95,6 +96,73 @@ class TestDecode:
     def test_depth_exhausted(self):
         with pytest.raises(InexactDecodeError):
             decode(DEC, Fraction(1, 7), 3)  # period 6 needs depth >= 6
+
+    @pytest.mark.parametrize("p, q", [(7, 3), (23, 5), (101, 2), (701, 11)])
+    def test_primitive_root_period(self, p, q):
+        # q generates the units mod p, so a/p has period exactly p - 1; the
+        # Cantor residuals keep the denominator p unreduced throughout, and
+        # the stream closes when the residual numerator recurs
+        system = cantor((), (q,))
+        for a in (1, p // 2, p - 1):
+            num = decode(system, Fraction(a, p), 2 * p)
+            assert num.digits.prefix == ()
+            assert len(num.digits.tail.cycle) == p - 1
+            assert evaluate(num) == Fraction(a, p)
+        with pytest.raises(InexactDecodeError):
+            decode(system, Fraction(1, p), p - 2)
+
+
+def _fraction_step(table, n, y):
+    """The digit step on Fractions: the first (lo, hi, d) ordered piece
+    s*a + w*[tail lo, tail hi] with lo <= y < hi, or the piece owning the
+    upper end; then y2 = (y - s*a)/w, which must lie in the tail."""
+    i = table.slot(n)
+    s = table.signs[i]
+    tail = table.interval(n)
+    pieces = sorted((s * a + w * tail.lo, s * a + w * tail.hi, d, a, w)
+                    for d in range(table.max_digits[i] + 1)
+                    for a, w in [table.digit(i, d)])
+    chosen = next((piece for piece in pieces if piece[0] <= y < piece[1]), None)
+    if chosen is None:
+        chosen = max(pieces, key=lambda piece: (piece[1], -piece[2]))
+        if y != chosen[1]:
+            raise OutOfIntervalError("no piece")
+    _, _, d, a, w = chosen
+    y2 = (y - s * a) / w
+    if not tail.contains(y2):
+        raise OutOfIntervalError("residual outside the tail")
+    return d, y2
+
+
+class TestDigitStep:
+    """The integer digit step against the Fraction route."""
+
+    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
+    def test_matches_fraction_route(self, make):
+        rng = random.Random(29)
+        steps = 0
+        for _ in range(80):
+            system = make(rng, signs="any")
+            table = position_table(system)
+            interval = base_interval(system)
+            y = interval.lo + interval.width * Fraction(rng.randrange(0, 241), 240)
+            y_num, y_den = y.numerator, y.denominator
+            for n in range(1, 7):
+                try:
+                    expected = _fraction_step(table, n, y)
+                except OutOfIntervalError:
+                    with pytest.raises(OutOfIntervalError):
+                        _digit_step(table, n, y_num, y_den)
+                    break
+                d, next_num, next_den = _digit_step(table, n, y_num, y_den)
+                assert (d, Fraction(next_num, next_den)) == expected
+                if table.bases:
+                    assert next_den == y_den  # Cantor steps keep x's denominator
+                else:
+                    assert Fraction(next_num, next_den).denominator == next_den
+                y, y_num, y_den = expected[1], next_num, next_den
+                steps += 1
+        assert steps > 300
 
 
 class TestCylinder:
@@ -184,6 +252,21 @@ class TestPrefixValue:
             n = rng.randrange(0, 16)
             digits = [rng.randrange(0, system.max_digit(k) + 1) for k in range(1, n + 1)]
             assert _prefix_value(system, digits) == self._reference(system, digits)
+
+    @pytest.mark.parametrize("tail_kind", ["zeros", "max", "cycle"])
+    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
+    def test_whole_periods_past_the_digit_prefix(self, make, tail_kind):
+        # m runs 0-5 whole periods (and every remainder) past the position
+        # where the digits and the system start to repeat
+        rng = random.Random(23)
+        for _ in range(12):
+            system = make(rng, signs="any")
+            num = rand_number(rng, system, max_prefix=5, tail_kinds=(tail_kind,))
+            start, period = _tail_period(num)
+            for m in range(start + 6 * period):
+                v, w, den = _stream_prefix(num, m)
+                digits = [digit_at(num, n) for n in range(1, m + 1)]
+                assert (Fraction(v, den), Fraction(w, den)) == self._reference(system, digits)
 
     @pytest.mark.parametrize("system", [ALT, QT])
     def test_empty_prefix(self, system):

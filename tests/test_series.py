@@ -9,7 +9,7 @@ from cantorshift import (
     geometric_block_sum,
     periodic_tail_sum,
 )
-from cantorshift.series import weighted_periodic_value, weighted_value
+from cantorshift.series import _periodic_sum, weighted_periodic_value, weighted_value
 
 
 class TestTermAt:
@@ -203,3 +203,39 @@ class TestWeightedValue:
         # weights >= 1 with a nonzero block must not be summed
         with pytest.raises(DivergentSeriesError):
             weighted_periodic_value([Fraction(1)], [Fraction(3, 2)], [1], 0)
+
+
+def _random_int_workload(rng, n):
+    """Integer (t, w, c, s) arrays: runs of zero terms, terms and weights
+    whose reduced denominators differ, unreduced pairs and negative signs."""
+    t, w, c, s = [], [], [], []
+    for _ in range(n):
+        den = rng.randrange(2, 13) * rng.choice((1, 1, 2, 6))  # often not in lowest terms
+        t.append(0 if rng.random() < 0.4 else rng.randrange(-den, den + 1))
+        w.append(rng.randrange(1, den))
+        c.append(den)
+        s.append(rng.choice((-1, 1)))
+    return t, w, c, s
+
+
+class TestIntegerKernel:
+    """series' integer kernel against the plain-Fraction loop."""
+
+    def test_every_split_matches_fraction_reference(self):
+        rng = random.Random(19)
+        for _ in range(300):
+            n = rng.randrange(0, 10)
+            t, w, c, s = _random_int_workload(rng, n)
+            terms = [Fraction(a, b) for a, b in zip(t, c)]
+            weights = [Fraction(a, b) for a, b in zip(w, c)]
+            for split in range(n + 1):
+                num, den = _periodic_sum(t, w, c, s, split)
+                assert den > 0
+                assert Fraction(num, den) == _reference_periodic(terms, weights, s, split)
+
+    def test_zero_runs_keep_the_denominator_small(self):
+        # the denominator restarts while the running sum is 0, so trailing
+        # zero terms leave it at the nonzero term's own
+        t, w, c, s = [1] + [0] * 50, [1] * 51, [3] * 51, [1] * 51
+        assert _periodic_sum(t, w, c, s, 51) == (1, 3)
+        assert _periodic_sum([0] * 20, [1] * 20, [5] * 20, [1] * 20, 20) == (0, 5)

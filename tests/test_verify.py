@@ -8,6 +8,7 @@ suites' own case generation, checks, shrinking and record layout.
 """
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,12 +31,12 @@ def _evaluate_without_tail(num):
     return _evaluate(num)
 
 
-def _deletion_map_off_by_weight(value, weight, a, w, s, variant):
-    """The intercept is off by w*weight when the digit term has a
-    denominator divisible by 3."""
-    slope, intercept = _deletion_map(value, weight, a, w, s, variant)
-    if a.denominator % 3 == 0:
-        intercept += w * weight
+def _deletion_map_off_by_weight(v, w, den, t, wd, c, s, variant):
+    """The intercept is off by the digit weight times the prefix weight,
+    wd/c * w/den, when the digit term t/c has a denominator divisible by 3."""
+    slope, intercept = _deletion_map(v, w, den, t, wd, c, s, variant)
+    if Fraction(t, c).denominator % 3 == 0:
+        intercept += Fraction(wd, c) * Fraction(w, den)
     return slope, intercept
 
 
