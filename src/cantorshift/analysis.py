@@ -21,6 +21,7 @@ from fractions import Fraction
 
 from .errors import OutOfIntervalError
 from .numbers import (
+    _check_digit,
     _cylinder_interval,
     _digit_step,
     _prefix_ints,
@@ -110,6 +111,8 @@ def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
     if m < 1:
         raise ValueError("prefix must contain at least one digit")
     _require_admissible(system, variant)
+    for n, d in enumerate(digits, 1):
+        _check_digit(system, n, d)
     return AffineMap(*_cylinder_map(system, m, digits[-1], _prefix_ints(system, digits[:-1]),
                                     variant))
 

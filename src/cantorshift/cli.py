@@ -29,6 +29,15 @@ __all__ = ["run", "main"]
 # Largest position gshift deletes.  The surgery and the closed form walk all
 # m positions, so time and output grow faster than linearly in m.
 MAX_GSHIFT_M = 2**16
+# Largest decode depth.  Column residual denominators can grow with every
+# digit, so a decode's time grows about quadratically with its depth.
+MAX_DECODE_DEPTH = 2**14
+# Bounds of verify's numeric options; max-q starts at 3 because some suites
+# draw two distinct bases from 2..max-q.
+MAX_TRIALS = 10**6
+MAX_Q = 2**16
+MAX_PREFIX = 2**10
+MAX_M = 2**10
 
 
 class _CliError(Exception):
@@ -80,7 +89,7 @@ def _build_parser():
     p = sub.add_parser("decode", help="canonical digits of a rational")
     p.add_argument("system", help="path to a system JSON document")
     p.add_argument("value", help='rational "p/q"')
-    p.add_argument("--depth", type=int, default=32)
+    p.add_argument("--depth", type=_int_range("depth", 1, MAX_DECODE_DEPTH), default=32)
 
     p = sub.add_parser("shift", help="drop the leading digit and position")
     p.add_argument("number")
@@ -91,7 +100,7 @@ def _build_parser():
 
     p = sub.add_parser("gshift", help="delete digit and position m")
     p.add_argument("number")
-    p.add_argument("-m", type=_gshift_position, required=True)
+    p.add_argument("-m", type=_int_range("m", 1, MAX_GSHIFT_M), required=True)
     p.add_argument("--variant", choices=("digit", "position"), default="digit")
 
     p = sub.add_parser("cylinder", help="exact interval of a digit prefix")
@@ -116,11 +125,11 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="run a seeded property suite")
     p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=_int_range("trials", 1, MAX_TRIALS), default=1000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-q", type=int, default=12)
-    p.add_argument("--max-prefix", type=int, default=12)
-    p.add_argument("--max-m", type=int, default=8)
+    p.add_argument("--max-q", type=_int_range("max-q", 3, MAX_Q), default=12)
+    p.add_argument("--max-prefix", type=_int_range("max-prefix", 0, MAX_PREFIX), default=12)
+    p.add_argument("--max-m", type=_int_range("max-m", 1, MAX_M), default=8)
     return parser
 
 
@@ -140,13 +149,14 @@ def _seed(text):
     return _bounded_int(text, 0, 2**64 - 1, "seed must be a decimal 64-bit unsigned integer")
 
 
-def _precision(text):
-    return _bounded_int(text, 0, MAX_PRECISION,
-                        f"precision must be an integer in 0..{MAX_PRECISION}")
+def _int_range(name, lo, hi):
+    """argparse type of an integer option bounded to lo..hi."""
+    def parse(text):
+        return _bounded_int(text, lo, hi, f"{name} must be an integer in {lo}..{hi}")
+    return parse
 
 
-def _gshift_position(text):
-    return _bounded_int(text, 1, MAX_GSHIFT_M, f"m must be an integer in 1..{MAX_GSHIFT_M}")
+_precision = _int_range("precision", 0, MAX_PRECISION)
 
 
 def _cmd_eval(args):

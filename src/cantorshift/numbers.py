@@ -15,7 +15,6 @@ tail exactly.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Optional
 
@@ -35,7 +34,7 @@ from .systems import (
     sign_factor,
 )
 from .rationals import _shown
-from .series import _fold, _periodic_sum, geometric_block_sum
+from .series import _fold, _periodic_sum
 
 __all__ = [
     "Tail",
@@ -197,19 +196,13 @@ def _prefix_ints(system, digits):
     return _array_prefix(*_position_arrays(system, digits))
 
 
-def _prefix_value(system, digits):
-    """(value, weight) of a finite digit prefix at positions 1..k as
-    Fractions: the signed sum of s_n * term_n * w_1 ... w_{n-1} and the
-    product w_1 ... w_k.  The empty prefix gives (0, 1)."""
-    v, w, den = _prefix_ints(system, digits)
-    return Fraction(v, den), Fraction(w, den)
-
-
 def _stream_prefix(num, m):
     """Integer (v, w, den) of the digits of a valid number at positions
     1..m.  Past the position where digits and system start to repeat, k
     whole periods contribute a geometric block sum and a k-th power of the
-    period's weight, so the work is O(start + period + log k), not O(m)."""
+    period's weight, so the work is O(start + period + log k), not O(m).
+    The sum of all periods is total = block / (1 - r) for the period's
+    weight r, and k of them sum to total * (1 - r^k)."""
     system = num.system
     start, period = _tail_period(num)
     k, r = divmod(max(m - start, 0), period)
@@ -218,25 +211,25 @@ def _stream_prefix(num, m):
     head = _prefix_ints(system, [digit_at(num, n) for n in range(1, start + 1)])
     block = _position_arrays(system, [digit_at(num, start + j) for j in range(1, period + 1)],
                              start + 1)
-    t, w, c, s = block
-    ratio = Fraction(prod(w), prod(c))
-    total = geometric_block_sum(Fraction(*_fold(t, w, c, s, 0, period, 0, 1)), ratio)
-    r_num, r_den = ratio.numerator ** k, ratio.denominator ** k
-    periods = (total.numerator * (r_den - r_num), total.denominator * r_num,
-               total.denominator * r_den)
+    total_num, total_den = _periodic_sum(*block, 0)
+    r_num, r_den = prod(block[1]), prod(block[2])
+    g = gcd(r_num, r_den)
+    r_num, r_den = (r_num // g) ** k, (r_den // g) ** k
+    periods = (total_num * (r_den - r_num), total_den * r_num, total_den * r_den)
     rest = _array_prefix(*(a[:r] for a in block))
     return _join(_join(head, periods), rest)
 
 
-@lru_cache(maxsize=8192)
-def _evaluate_cached(num):
+def _evaluate(num):
     validate_number(num)
     return Fraction(*_periodic_sum(*_term_arrays(num)))
 
 
 def evaluate(num):
-    """Exact value of the represented number."""
-    return _evaluate_cached(num)
+    """Exact value of the represented number, summed on every call:
+    nothing is cached per number."""
+    # A name looked up at call time, which tests/test_verify.py patches.
+    return _evaluate(num)
 
 
 def _digit_step(table, n, y_num, y_den):

@@ -27,7 +27,7 @@ from math import lcm, prod
 
 from .errors import ExpansionError, VariantError
 from .numbers import (
-    _prefix_value,
+    _prefix_ints,
     _stream_prefix,
     RepresentedNumber,
     cycle_tail,
@@ -187,7 +187,8 @@ def prefix_sums(num, m):
     if not isinstance(num.system, CantorSystem):
         raise ExpansionError("prefix sums are defined for Cantor systems")
     x = evaluate(num)
-    g, inv = _prefix_value(num.system, [digit_at(num, k) for k in range(1, m)])
+    v, w, den = _prefix_ints(num.system, [digit_at(num, k) for k in range(1, m)])
+    g, inv = Fraction(v, den), Fraction(w, den)
     q_m = num.system.base_at(m)
     s_m = sign_factor(num.system.signs, m)
     zeta = q_m * (x - g - s_m * digit_at(num, m) * inv / q_m)

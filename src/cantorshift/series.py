@@ -1,17 +1,18 @@
 """Exact summation of eventually periodic weighted series.
 
-All values handled by the package are rationals (`fractions.Fraction`),
-and every infinite sum in scope reduces to a finite explicit part plus a
-geometrically contracting periodic tail, so exact closed forms exist.
-The one summation kernel (`_fold`, `_periodic_sum`) works on integer
-numerators over one running denominator and leaves the single reduction
-to its caller; `weighted_value` and `weighted_periodic_value` are its
-Fraction interface.
+Every value the package handles is rational, and every infinite sum in
+scope reduces to a finite explicit part plus a geometrically contracting
+periodic tail, so exact closed forms exist.  The one summation kernel
+(`_fold`, `_periodic_sum`) takes each position's term and weight as
+integers over one denominator, works on integer numerators over one
+running denominator, and leaves the single reduction to a `Fraction` to
+its caller.  The public `geometric_block_sum` and `periodic_tail_sum`
+work on `Fraction`s and are the tests' independent reference.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import DivergentSeriesError
 
@@ -19,8 +20,6 @@ __all__ = [
     "EventuallyPeriodicSeq",
     "geometric_block_sum",
     "periodic_tail_sum",
-    "weighted_value",
-    "weighted_periodic_value",
 ]
 
 
@@ -170,27 +169,3 @@ def _periodic_sum(t, w, c, s, split):
             tail_n, tail_d = block_n * rd, block_d * (rd - rn)
     return _fold(t, w, c, s, 0, split, tail_n, tail_d)
 
-
-def _int_arrays(terms, weights, signs):
-    """Integer (t, w, c, s) arrays of rational terms and weights: each
-    position's term and weight over their least common denominator."""
-    t, w, c = [], [], []
-    for term, weight in zip(terms, weights):
-        den = lcm(term.denominator, weight.denominator)
-        t.append(term.numerator * (den // term.denominator))
-        w.append(weight.numerator * (den // weight.denominator))
-        c.append(den)
-    return t, w, c, list(signs)
-
-
-def weighted_value(terms, weights, signs):
-    """Finite sum of sign_k * term_k * prod_{j<k} weight_j."""
-    return Fraction(*_fold(*_int_arrays(terms, weights, signs), 0, len(terms), 0, 1))
-
-
-def weighted_periodic_value(terms, weights, signs, split):
-    """Like weighted_value, but positions beyond `split` form one full
-    period that repeats forever (scaled by the product of its weights).
-    Raises DivergentSeriesError when that product falls outside [0, 1)
-    while the period contributes a nonzero block."""
-    return Fraction(*_periodic_sum(*_int_arrays(terms, weights, signs), split))

@@ -11,13 +11,16 @@ cumulative sum of the entries below it, weight entries[d]).
 Exact arithmetic inside the package reads each digit as integers
 (term_num, weight_num, den) over one denominator per position: a Cantor
 digit d is (d, 1, q_n), a column digit its column's `ints` entry.
+`term_value` and `digit_weight` give the same values as `Fraction`s,
+read from the base or the column's entries, for callers outside the
+package and for the tests' reference routes.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 from .errors import DigitRangeError
@@ -124,26 +127,23 @@ class QTildeColumn:
 
     Digit i against this column contributes the cumulative sum of the
     entries strictly below i and scales the remaining tail by entries[i].
+    `ints` holds each digit's (term_num, weight_num, den): its term and
+    weight as integers over the column's one denominator, the lcm of the
+    entries' denominators.  It is computed once, at construction, and
+    takes no part in equality, hashing or repr, which read `entries`.
     """
 
     entries: tuple
+    ints: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
         if not self.entries:
             raise ValueError("column must have at least one entry")
-
-    @property
-    def ints(self):
-        """Each digit's (term_num, weight_num, den): its term and weight as
-        integers over the column's one denominator, the lcm of the entries'
-        denominators.  Computed in O(len(entries)) integer work on access
-        and not stored: a stored copy per column held in `evaluate`'s cache
-        raised the peak memory of deep column documents by a tenth."""
         den = lcm(*(e.denominator for e in self.entries))
         nums = [e.numerator * (den // e.denominator) for e in self.entries]
-        return tuple((term, weight, den)
-                     for term, weight in zip(accumulate(nums, initial=0), nums))
+        object.__setattr__(self, "ints", tuple(
+            (term, weight, den) for term, weight in zip(accumulate(nums, initial=0), nums)))
 
     @property
     def max_digit(self):
@@ -172,15 +172,19 @@ class QTildeSystem:
         return self.columns.at(n).cumulative(d)
 
     def digit_weight(self, n, d):
-        _, weight, den = self.digit_ints(n, d)
-        return Fraction(weight, den)
+        return self._column(n, d).entries[d]
 
     def digit_ints(self, n, d):
         """(term_num, weight_num, den) of digit d at position n."""
+        return self._column(n, d).ints[d]
+
+    def _column(self, n, d):
+        """The column at position n, once digit d is known to be in its
+        alphabet."""
         col = self.columns.at(n)
         if not 0 <= d <= col.max_digit:
             raise DigitRangeError(f"digit {d} outside column alphabet 0..{col.max_digit}")
-        return col.ints[d]
+        return col
 
 
 @dataclass(frozen=True)
@@ -264,16 +268,16 @@ def validate(system):
         for region, items in (("columns.prefix", system.columns.prefix),
                               ("columns.cycle", system.columns.cycle)):
             for i, col in enumerate(items):
-                for j, v in enumerate(col.entries):
-                    if not 0 < v < 1:
+                for j, (_, w, den) in enumerate(col.ints):
+                    if not 0 < w < den:
                         problems.append(Violation(f"{region}[{i}][{j}]",
-                                                  f"column entry not in (0, 1): {v}"))
-                if sum(col.entries, Fraction(0)) != 1:
+                                                  f"column entry not in (0, 1): {col.entries[j]}"))
+                term, w, den = col.ints[-1]
+                if term + w != den:
                     problems.append(Violation(f"{region}[{i}]", "column sum != 1"))
-        product = Fraction(1)
-        for col in system.columns.cycle:
-            product *= max(col.entries)
-        if product >= 1:
+        cycle = system.columns.cycle
+        if prod(max(w for _, w, _ in col.ints) for col in cycle) >= prod(
+                col.ints[0][2] for col in cycle):
             problems.append(Violation("columns.cycle",
                                       "cycle max-entry product must be < 1"))
     else:
@@ -318,11 +322,6 @@ class PositionTable(NamedTuple):
         if self.bases:
             return d, 1, self.bases[i]
         return self.columns[i][d]
-
-    def digit(self, i, d):
-        """(term value, weight) of digit d at slot i, as Fractions."""
-        term, weight, den = self.digit_ints(i, d)
-        return Fraction(term, den), Fraction(weight, den)
 
     def tail(self, n):
         """Integer bounds of the residual interval after position n >= 0."""

@@ -36,6 +36,13 @@ ALT = cantor((2, 3), (3,), SignPattern.odd())
 QT = qtilde((), [(Fraction(1, 4), Fraction(3, 4))])
 
 
+def digit_fractions(table, i, d):
+    """(term value, weight) of digit d at slot i of a position table, as
+    Fractions."""
+    term, weight, den = table.digit_ints(i, d)
+    return Fraction(term, den), Fraction(weight, den)
+
+
 def mk(system, prefix, tail=TAIL_ZEROS):
     return RepresentedNumber(system, DigitStream(tuple(prefix), tail))
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from cantorshift import (
+    DigitRangeError,
     EventuallyPeriodicSeq,
     OutOfIntervalError,
     QTildeColumn,
@@ -51,6 +52,23 @@ class TestAffineOnCylinder:
     def test_column_system(self):
         affine = affine_on_cylinder(QT, (1,))
         assert (affine.slope, affine.intercept) == (Fraction(4, 3), Fraction(-1, 3))
+
+    @pytest.mark.parametrize("system, digits", [
+        (cantor((), (3,)), (7,)),
+        (cantor((), (3,)), (-1,)),
+        (cantor((2,), (3,)), (2, 1)),   # out of range below position m
+        (cantor((2,), (3,)), (1, -2)),
+        (QT, (2,)),
+        (QT, (-1,)),
+        (QT, (-1, 0)),
+        (QT, (1, 5)),
+    ])
+    def test_digits_outside_the_alphabet_refused(self, system, digits):
+        # the same refusal as the cylinder of those digits
+        with pytest.raises(DigitRangeError):
+            cylinder(system, digits)
+        with pytest.raises(DigitRangeError):
+            affine_on_cylinder(system, digits)
 
 
 class TestSegmentTable:
@@ -224,7 +242,8 @@ def _refuse_prefix_routes(monkeypatch):
         raise AssertionError("a digit prefix was decoded or summed again")
 
     for module, name in ((analysis, "_cylinder_map"), (operators, "_cylinder_map"),
-                         (operators, "_prefix_value"), (numbers, "_prefix_value"),
+                         (analysis, "_prefix_ints"), (operators, "_prefix_ints"),
+                         (numbers, "_prefix_ints"),
                          (numbers, "partial_digits"), (analysis, "point_image")):
         monkeypatch.setattr(module, name, refuse)
 

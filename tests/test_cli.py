@@ -372,6 +372,69 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error:") and str(cli.MAX_GSHIFT_M) in err[0]
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["decode", "s.json", "1/7", "--depth", "0"], f"depth must be an integer in 1..{2**14}"),
+        (["decode", "s.json", "1/7", "--depth", str(2**14 + 1)],
+         f"depth must be an integer in 1..{2**14}"),
+        (["verify", "eq4", "--trials", "0"], f"trials must be an integer in 1..{10**6}"),
+        (["verify", "eq4", "--trials", str(10**6 + 1)], f"trials must be an integer in 1..{10**6}"),
+        (["verify", "eq4", "--max-q", "1"], f"max-q must be an integer in 3..{2**16}"),
+        (["verify", "all", "--max-q", "2"], f"max-q must be an integer in 3..{2**16}"),
+        (["verify", "eq4", "--max-q", str(2**16 + 1)], f"max-q must be an integer in 3..{2**16}"),
+        (["verify", "eq4", "--max-prefix", "-1"], f"max-prefix must be an integer in 0..{2**10}"),
+        (["verify", "eq4", "--trials", "4", "--max-prefix", "400000"],
+         f"max-prefix must be an integer in 0..{2**10}"),
+        (["verify", "eq4", "--max-m", "0"], f"max-m must be an integer in 1..{2**10}"),
+        (["verify", "eq4", "--max-m", str(2**10 + 1)], f"max-m must be an integer in 1..{2**10}"),
+    ])
+    def test_decode_and_verify_bounds_refused_up_front(self, paths, capsys, monkeypatch, argv,
+                                                       message):
+        def reached(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "decode", reached)
+        monkeypatch.setattr(cli.verify, "run_suite", reached)
+        tmp, write = paths
+        write("s.json", system_to_doc(DEC))
+        assert run([str(tmp / arg) if arg.endswith(".json") else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument") and err[0].endswith(message)
+
+    @pytest.mark.parametrize("command", ["eval", "segments"])
+    def test_long_combined_cycle_refused(self, paths, capsys, monkeypatch, command):
+        # base cycle 100 and sign cycle 101 combine to 10,100 positions per
+        # period, far more than the document's 1.1 KB suggests
+        def reached(*args):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "evaluate", reached)
+        monkeypatch.setattr(cli, "segment_table", reached)
+        system = {"kind": "cantor",
+                  "base": {"prefix": [], "cycle": [2 + i % 7 for i in range(99)] + [3]},
+                  "signs": {"prefix": [], "cycle": [i % 3 == 0 for i in range(100)] + [True]}}
+        _, write = paths
+        spath = write("s.json", system)
+        npath = write("n.json", {"system": system,
+                                 "digits": {"prefix": [1], "tail": {"type": "max"}}})
+        assert 1000 < len(json.dumps(system)) < 1200
+        argv = ["eval", npath] if command == "eval" else ["segments", spath, "-m", "1"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        where = "$.system" if command == "eval" else "$"
+        assert captured.err.splitlines() == [
+            "error: combined cycle length 10100 exceeds 4096 "
+            f"(base cycle length 100, signs cycle length 101) at {where}"]
+
+    def test_largest_verify_options_accepted(self, capsys):
+        argv = ["verify", "all", "--trials", "2", "--max-q", str(2**16),
+                "--max-prefix", str(2**10), "--max-m", str(2**10)]
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("module", ["cantorshift", "cantorshift.cli"])
 def test_python_dash_m(module, paths):
     _, write = paths

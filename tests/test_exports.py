@@ -1,0 +1,39 @@
+"""Every name a `cantorshift` module exports resolves, and every name the
+package re-exports is exported by one of its modules, so a deleted
+function cannot stay listed in an `__all__` or behind the package."""
+
+import importlib
+import pkgutil
+import types
+
+import pytest
+
+import cantorshift
+
+SUBMODULES = sorted(info.name for info in
+                    pkgutil.iter_modules(cantorshift.__path__, "cantorshift."))
+
+
+def _exports(module):
+    """The module's `__all__`, or else the public names it defines."""
+    if hasattr(module, "__all__"):
+        return set(module.__all__)
+    return {attr for attr, obj in vars(module).items()
+            if not attr.startswith("_") and getattr(obj, "__module__", None) == module.__name__}
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    assert [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)] == []
+
+
+def test_package_reexports_are_module_exports():
+    modules = [importlib.import_module(name) for name in SUBMODULES]
+    public = [attr for attr, obj in vars(cantorshift).items()
+              if not attr.startswith("_") and not isinstance(obj, types.ModuleType)]
+    assert len(public) > 50
+    for attr in public:
+        homes = [m for m in modules if attr in _exports(m)]
+        assert homes, f"cantorshift.{attr} is exported by no module"
+        assert all(getattr(m, attr) is getattr(cantorshift, attr) for m in homes), attr

@@ -25,10 +25,10 @@ from cantorshift import (
     quasi_partner,
     same_number,
 )
-from cantorshift.numbers import _digit_step, _prefix_value, _stream_prefix, _tail_period
+from cantorshift.numbers import _digit_step, _prefix_ints, _stream_prefix, _tail_period
 from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
 from cantorshift.systems import position_table
-from helpers import ALT, DEC, FACT, NEG, QT, cantor, mk, qtilde
+from helpers import ALT, DEC, FACT, NEG, QT, cantor, digit_fractions, mk, qtilde
 
 
 class TestDigitAt:
@@ -121,7 +121,7 @@ def _fraction_step(table, n, y):
     tail = table.interval(n)
     pieces = sorted((s * a + w * tail.lo, s * a + w * tail.hi, d, a, w)
                     for d in range(table.max_digits[i] + 1)
-                    for a, w in [table.digit(i, d)])
+                    for a, w in [digit_fractions(table, i, d)])
     chosen = next((piece for piece in pieces if piece[0] <= y < piece[1]), None)
     if chosen is None:
         chosen = max(pieces, key=lambda piece: (piece[1], -piece[2]))
@@ -228,7 +228,8 @@ class TestCylinder:
 
 
 class TestPrefixValue:
-    """_prefix_value against a plain-Fraction loop over the digits."""
+    """_prefix_ints and _stream_prefix against a plain-Fraction loop over
+    the digits."""
 
     @staticmethod
     def _reference(system, digits):
@@ -251,7 +252,8 @@ class TestPrefixValue:
             system = make(rng, signs="explicit")
             n = rng.randrange(0, 16)
             digits = [rng.randrange(0, system.max_digit(k) + 1) for k in range(1, n + 1)]
-            assert _prefix_value(system, digits) == self._reference(system, digits)
+            v, w, den = _prefix_ints(system, digits)
+            assert (Fraction(v, den), Fraction(w, den)) == self._reference(system, digits)
 
     @pytest.mark.parametrize("tail_kind", ["zeros", "max", "cycle"])
     @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
@@ -270,9 +272,7 @@ class TestPrefixValue:
 
     @pytest.mark.parametrize("system", [ALT, QT])
     def test_empty_prefix(self, system):
-        value, weight = _prefix_value(system, ())
-        assert (value, weight) == (0, 1)
-        assert isinstance(value, Fraction) and isinstance(weight, Fraction)
+        assert _prefix_ints(system, ()) == (0, 1, 1)
 
 
 class TestDuality:

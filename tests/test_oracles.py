@@ -21,7 +21,9 @@ from helpers import mk
 
 def _reference_value(num):
     """Prefix by direct Fraction accumulation, tail via periodic_tail_sum;
-    no shared code with series.weighted_periodic_value."""
+    the digit terms and weights come from `term_value` and `digit_weight`,
+    which read the bases and column entries, so no code is shared with the
+    integer kernel in series or with `QTildeColumn.ints`."""
     system = num.system
     split = max(len(num.digits.prefix), combined_prefix_len(system))
     period = combined_cycle_len(system)

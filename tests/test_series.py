@@ -9,7 +9,7 @@ from cantorshift import (
     geometric_block_sum,
     periodic_tail_sum,
 )
-from cantorshift.series import _periodic_sum, weighted_periodic_value, weighted_value
+from cantorshift.series import _periodic_sum
 
 
 class TestTermAt:
@@ -183,9 +183,21 @@ def _reference_periodic(terms, weights, signs, split):
     return total
 
 
+def _int_workload(terms, weights, signs):
+    """Integer (t, w, c, s) arrays of Fraction terms and weights: each
+    position's term and weight over the product of their denominators."""
+    t, w, c = [], [], []
+    for term, weight in zip(terms, weights):
+        den = term.denominator * weight.denominator
+        t.append(term.numerator * weight.denominator)
+        w.append(weight.numerator * term.denominator)
+        c.append(den)
+    return t, w, c, list(signs)
+
+
 class TestWeightedValue:
-    """weighted_value / weighted_periodic_value against a plain-Fraction
-    reference on random workloads."""
+    """The integer kernel on Fraction workloads against a plain-Fraction
+    reference."""
 
     @pytest.mark.parametrize("split_kind", ["finite", "tail", "pure_tail"])
     def test_matches_fraction_reference(self, split_kind):
@@ -195,14 +207,12 @@ class TestWeightedValue:
             work = _random_workload(rng, n)
             split = {"finite": n, "tail": rng.randrange(0, n), "pure_tail": 0}[split_kind]
             expected = _reference_periodic(*work, split)
-            assert weighted_periodic_value(*work, split) == expected
-            if split == n:
-                assert weighted_value(*work) == expected
+            assert Fraction(*_periodic_sum(*_int_workload(*work), split)) == expected
 
     def test_divergent_tail_rejected(self):
         # weights >= 1 with a nonzero block must not be summed
         with pytest.raises(DivergentSeriesError):
-            weighted_periodic_value([Fraction(1)], [Fraction(3, 2)], [1], 0)
+            _periodic_sum(*_int_workload([Fraction(1)], [Fraction(3, 2)], [1]), 0)
 
 
 def _random_int_workload(rng, n):

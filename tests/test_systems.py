@@ -7,6 +7,7 @@ from cantorshift import (
     EventuallyPeriodicSeq,
     Interval,
     QTildeColumn,
+    QTildeSystem,
     RepresentedNumber,
     SignPattern,
     base_interval,
@@ -20,7 +21,7 @@ from cantorshift import (
     validate,
 )
 from cantorshift.systems import combined_cycle_len, combined_prefix_len
-from helpers import ALT, DEC, FACT, NEG, QT, cantor, qtilde
+from helpers import ALT, DEC, FACT, NEG, QT, cantor, digit_fractions, qtilde
 
 
 class TestSignPattern:
@@ -59,13 +60,86 @@ class TestValidate:
         assert ">= 2" in report.problems[0].message
 
     def test_entry_outside_unit_interval(self):
-        # bypass the column invariant checks deliberately
-        col = QTildeColumn.__new__(QTildeColumn)
-        object.__setattr__(col, "entries", (Fraction(3, 2), Fraction(-1, 2)))
-        bad = qtilde((), [(Fraction(1, 2), Fraction(1, 2))])
-        object.__setattr__(bad.columns, "cycle", (col,))
+        # the constructor checks no ranges; validate does
+        bad = qtilde((), [(Fraction(3, 2), Fraction(-1, 2))])
         report = validate(bad)
         assert any("not in (0, 1)" in p.message for p in report.problems)
+
+
+def _fraction_column_problems(system):
+    """(path, message) of each column violation, by the plain-Fraction rule:
+    every entry in (0, 1), every column summing to 1, and the cycle's
+    max-entry product below 1."""
+    problems = []
+    for region, items in (("columns.prefix", system.columns.prefix),
+                          ("columns.cycle", system.columns.cycle)):
+        for i, col in enumerate(items):
+            for j, v in enumerate(col.entries):
+                if not 0 < v < 1:
+                    problems.append((f"{region}[{i}][{j}]", f"column entry not in (0, 1): {v}"))
+            if sum(col.entries, Fraction(0)) != 1:
+                problems.append((f"{region}[{i}]", "column sum != 1"))
+    product = Fraction(1)
+    for col in system.columns.cycle:
+        product *= max(col.entries)
+    if product >= 1:
+        problems.append(("columns.cycle", "cycle max-entry product must be < 1"))
+    return problems
+
+
+def _rand_damaged_column(rng):
+    """A random column, often with an entry moved to 0, below 0, to 1 or
+    past 1, or nudged so that the column no longer sums to 1."""
+    from cantorshift.sampling import rand_column
+
+    entries = list(rand_column(rng).entries)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        j = rng.randrange(len(entries))
+        entries[j] = rng.choice((Fraction(0), Fraction(-1, 3), Fraction(1), Fraction(7, 5),
+                                 entries[j] + Fraction(1, rng.randrange(2, 40))))
+    if rng.random() < 0.2:
+        entries = entries[:1]
+    return QTildeColumn(tuple(entries))
+
+
+class TestValidateColumns:
+    def test_random_columns_match_fraction_rule(self):
+        import random
+
+        rng = random.Random(83)
+        verdicts = set()
+        for _ in range(400):
+            system = QTildeSystem(EventuallyPeriodicSeq(
+                tuple(_rand_damaged_column(rng) for _ in range(rng.randrange(0, 3))),
+                tuple(_rand_damaged_column(rng) for _ in range(rng.randrange(1, 3)))),
+                SignPattern.none())
+            report = validate(system)
+            expected = _fraction_column_problems(system)
+            assert [(p.path, p.message) for p in report.problems] == expected
+            assert report.ok == (not expected)
+            verdicts.add(report.ok)
+        assert verdicts == {True, False}
+
+
+class TestColumnInts:
+    def test_equal_entries_make_equal_columns(self):
+        built = [QTildeColumn((Fraction(1, 4), Fraction(3, 4))),
+                 QTildeColumn([Fraction(2, 8), Fraction(6, 8)]),
+                 QTildeColumn(("1/4", Fraction(3, 4))),
+                 QTildeColumn((0.25, 0.75))]
+        for col in built:
+            assert col == built[0]
+            assert hash(col) == hash(built[0])
+            assert col.ints == ((0, 1, 4), (1, 3, 4))
+            assert repr(col) == repr(built[0])
+        assert len(set(built)) == 1
+
+    def test_ints_computed_once(self):
+        col = QTildeColumn((Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
+        assert col.ints is col.ints
+        assert vars(col)["ints"] == ((0, 1, 6), (1, 3, 6), (4, 2, 6))
+        assert not isinstance(getattr(QTildeColumn, "ints", None), property)
+        assert "ints" not in repr(col)
 
 
 class TestColumnCumulative:
@@ -196,7 +270,8 @@ class TestPositionTable:
             assert table.max_digits[i] == system.max_digit(n)
             assert table.signs[i] == sign_factor(system.signs, n)
             for d in range(system.max_digit(n) + 1):
-                assert table.digit(i, d) == (system.term_value(n, d), system.digit_weight(n, d))
+                assert digit_fractions(table, i, d) == (system.term_value(n, d),
+                                                        system.digit_weight(n, d))
 
     def test_base_interval_is_tail_at_zero(self):
         for system in FLAVOURS.values():
