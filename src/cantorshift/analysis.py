@@ -30,7 +30,6 @@ from .numbers import (
     digit_at,
     dual_representation,
     evaluate,
-    validate_number,
 )
 from .operators import (
     ShiftVariant,
@@ -174,7 +173,6 @@ def continuity_at(system, m, num, variant=ShiftVariant.DIGIT):
     (the most-negative-tail side is the limit from above)."""
     if num.system != system:
         raise ValueError("number does not live over the given system")
-    validate_number(num)
     info = dual_representation(num)
     if info is None:
         v = closed_form_value(num, m, variant)
@@ -194,7 +192,6 @@ def numeric_derivative(system, m, num, step, variant=ShiftVariant.DIGIT):
     step = Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    validate_number(num)
     digits = [digit_at(num, n) for n in range(1, m + 1)]
     cyl = cylinder(system, digits)
     x = evaluate(num)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import documents, verify
-from .analysis import graph_samples, segment_table
+from .analysis import MAX_TABLE_ROWS, graph_samples, segment_table
 from .errors import ExpansionError
 from .numbers import cylinder, decode, evaluate, quasi_partner
 from .operators import (
@@ -38,6 +38,10 @@ MAX_TRIALS = 10**6
 MAX_Q = 2**16
 MAX_PREFIX = 2**10
 MAX_M = 2**10
+# Largest segments/graph rank: every alphabet has at least two digits, so a
+# rank-m table has at least 2^m rows and a larger m always exceeds
+# MAX_TABLE_ROWS.
+MAX_TABLE_RANK = MAX_TABLE_ROWS.bit_length() - 1
 
 
 class _CliError(Exception):
@@ -77,86 +81,28 @@ def _print_json(obj):
     print(json.dumps(obj, indent=2))
 
 
-def _build_parser():
-    parser = _Parser(prog="cantorshift",
-                     description="exact arithmetic for variable-alphabet numeral systems")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _int_range(name, lo, hi=None, message=None):
+    """argparse type of an integer argument in lo..hi (lo and above when hi
+    is None); anything else, non-integer text included, is refused with
+    `message`, by default the range."""
+    if message is None:
+        message = (f"{name} must be an integer >= {lo}" if hi is None
+                   else f"{name} must be an integer in {lo}..{hi}")
 
-    p = sub.add_parser("eval", help="exact value of a number document")
-    p.add_argument("number", help="path to a number JSON document")
-    p.add_argument("--precision", type=_precision, default=12)
-
-    p = sub.add_parser("decode", help="canonical digits of a rational")
-    p.add_argument("system", help="path to a system JSON document")
-    p.add_argument("value", help='rational "p/q"')
-    p.add_argument("--depth", type=_int_range("depth", 1, MAX_DECODE_DEPTH), default=32)
-
-    p = sub.add_parser("shift", help="drop the leading digit and position")
-    p.add_argument("number")
-
-    p = sub.add_parser("itershift", help="drop the leading m digits and positions")
-    p.add_argument("number")
-    p.add_argument("-m", type=int, required=True)
-
-    p = sub.add_parser("gshift", help="delete digit and position m")
-    p.add_argument("number")
-    p.add_argument("-m", type=_int_range("m", 1, MAX_GSHIFT_M), required=True)
-    p.add_argument("--variant", choices=("digit", "position"), default="digit")
-
-    p = sub.add_parser("cylinder", help="exact interval of a digit prefix")
-    p.add_argument("system")
-    p.add_argument("digits", nargs="+", type=int)
-
-    p = sub.add_parser("segments", help="piecewise-affine table as TSV")
-    p.add_argument("system")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--variant", choices=("digit", "position"), default="digit")
-    p.add_argument("--precision", type=_precision, default=12)
-
-    p = sub.add_parser("graph", help="exact graph samples as TSV")
-    p.add_argument("system")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=2)
-    p.add_argument("--variant", choices=("digit", "position"), default="digit")
-    p.add_argument("--precision", type=_precision, default=12)
-
-    p = sub.add_parser("partner", help="dual representation, if any")
-    p.add_argument("number")
-
-    p = sub.add_parser("verify", help="run a seeded property suite")
-    p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
-    p.add_argument("--trials", type=_int_range("trials", 1, MAX_TRIALS), default=1000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-q", type=_int_range("max-q", 3, MAX_Q), default=12)
-    p.add_argument("--max-prefix", type=_int_range("max-prefix", 0, MAX_PREFIX), default=12)
-    p.add_argument("--max-m", type=_int_range("max-m", 1, MAX_M), default=8)
-    return parser
-
-
-def _bounded_int(text, lo, hi, message):
-    """The integer `text` names, when it lies in lo..hi; anything else,
-    non-integer text included, is refused with `message`."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(message) from None
-    if not lo <= value <= hi:
-        raise argparse.ArgumentTypeError(message)
-    return value
-
-
-def _seed(text):
-    return _bounded_int(text, 0, 2**64 - 1, "seed must be a decimal 64-bit unsigned integer")
-
-
-def _int_range(name, lo, hi):
-    """argparse type of an integer option bounded to lo..hi."""
     def parse(text):
-        return _bounded_int(text, lo, hi, f"{name} must be an integer in {lo}..{hi}")
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(message) from None
+        if value < lo or hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(message)
+        return value
     return parse
 
 
+_seed = _int_range("seed", 0, 2**64 - 1, "seed must be a decimal 64-bit unsigned integer")
 _precision = _int_range("precision", 0, MAX_PRECISION)
+_table_rank = _int_range("m", 1, MAX_TABLE_RANK)
 
 
 def _cmd_eval(args):
@@ -262,28 +208,80 @@ def _cmd_verify(args):
     return 0
 
 
-_COMMANDS = {
-    "eval": _cmd_eval,
-    "decode": _cmd_decode,
-    "shift": _cmd_shift,
-    "itershift": _cmd_itershift,
-    "gshift": _cmd_gshift,
-    "cylinder": _cmd_cylinder,
-    "segments": _cmd_segments,
-    "graph": _cmd_graph,
-    "partner": _cmd_partner,
-    "verify": _cmd_verify,
-}
+def _build_parser():
+    parser = _Parser(prog="cantorshift",
+                     description="exact arithmetic for variable-alphabet numeral systems")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("eval", _cmd_eval, "exact value of a number document")
+    p.add_argument("number", help="path to a number JSON document")
+    p.add_argument("--precision", type=_precision, default=12)
+
+    p = command("decode", _cmd_decode, "canonical digits of a rational")
+    p.add_argument("system", help="path to a system JSON document")
+    p.add_argument("value", help='rational "p/q"')
+    p.add_argument("--depth", type=_int_range("depth", 1, MAX_DECODE_DEPTH), default=32)
+
+    p = command("shift", _cmd_shift, "drop the leading digit and position")
+    p.add_argument("number")
+
+    p = command("itershift", _cmd_itershift, "drop the leading m digits and positions")
+    p.add_argument("number")
+    p.add_argument("-m", type=_int_range("m", 0), required=True)
+
+    p = command("gshift", _cmd_gshift, "delete digit and position m")
+    p.add_argument("number")
+    p.add_argument("-m", type=_int_range("m", 1, MAX_GSHIFT_M), required=True)
+    p.add_argument("--variant", choices=("digit", "position"), default="digit")
+
+    p = command("cylinder", _cmd_cylinder, "exact interval of a digit prefix")
+    p.add_argument("system")
+    p.add_argument("digits", nargs="+", type=_int_range("digit", 0))
+
+    p = command("segments", _cmd_segments, "piecewise-affine table as TSV")
+    p.add_argument("system")
+    p.add_argument("-m", type=_table_rank, required=True)
+    p.add_argument("--variant", choices=("digit", "position"), default="digit")
+    p.add_argument("--precision", type=_precision, default=12)
+
+    p = command("graph", _cmd_graph, "exact graph samples as TSV")
+    p.add_argument("system")
+    p.add_argument("-m", type=_table_rank, required=True)
+    p.add_argument("--samples", type=_int_range("samples", 2, MAX_TABLE_ROWS), default=2)
+    p.add_argument("--variant", choices=("digit", "position"), default="digit")
+    p.add_argument("--precision", type=_precision, default=12)
+
+    p = command("partner", _cmd_partner, "dual representation, if any")
+    p.add_argument("number")
+
+    p = command("verify", _cmd_verify, "run a seeded property suite")
+    p.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
+    p.add_argument("--trials", type=_int_range("trials", 1, MAX_TRIALS), default=1000)
+    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--max-q", type=_int_range("max-q", 3, MAX_Q), default=12)
+    p.add_argument("--max-prefix", type=_int_range("max-prefix", 0, MAX_PREFIX), default=12)
+    p.add_argument("--max-m", type=_int_range("max-m", 1, MAX_M), default=8)
+    return parser
+
+
+# The parser does not depend on the command line, so it is built once.
+_PARSER = _build_parser()
 
 
 def run(argv):
     """Execute one command line; returns the process exit code."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = _PARSER.parse_args(argv)
+        return args.handler(args)
     except (_CliError, ExpansionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A file name or an argument may hold a line break; it is written
+        # as the two characters \n so that the error stays one line.
+        print("error: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
         return 1
     except MemoryError:
         print("error: out of memory", file=sys.stderr)

@@ -7,14 +7,13 @@ violated invariant together with its JSON path.
 
 import json
 
-from .errors import DocumentError
+from .errors import DocumentError, ExpansionError
 from .numbers import (
     RepresentedNumber,
     TAIL_MAX,
     TAIL_ZEROS,
     DigitStream,
     cycle_tail,
-    validate_number,
 )
 from .rationals import decimal_str, parse_rational, rational_str
 from .series import EventuallyPeriodicSeq
@@ -204,12 +203,10 @@ def doc_to_number(obj, path="$", load_file=None):
         tail = cycle_tail(cyc)
     else:
         raise DocumentError(f"unknown tail type {tail_type!r} at {path}.digits.tail.type")
-    num = RepresentedNumber(system, DigitStream(tuple(prefix), tail))
     try:
-        validate_number(num)
-    except Exception as exc:
+        return RepresentedNumber(system, DigitStream(tuple(prefix), tail))
+    except ExpansionError as exc:
         raise DocumentError(f"{exc} at {path}.digits") from exc
-    return num
 
 
 def _loads(text):

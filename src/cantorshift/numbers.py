@@ -3,8 +3,12 @@ evaluation, canonical decoding, cylinders, and dual representations.
 
 A digit stream is a finite prefix plus a tail specification: all zeros,
 all max digits, or a repeating digit cycle whose period the system must
-share from the cycle's start position.  Evaluation is exact rational
-arithmetic through `series`.
+share from the cycle's start position.  A `RepresentedNumber` is checked
+once, when it is built (`validate_number`), so every number in the
+package is valid and no operation checks it again.  `_tail_period` is the
+one definition of the position from which a number's digits and its
+system repeat together.  Evaluation is exact rational arithmetic through
+`series`.
 
 Decoding extracts digits by the half-open cylinder convention (each
 cylinder contains its spatially lowest point; the representable
@@ -96,8 +100,15 @@ class DigitStream:
 
 @dataclass(frozen=True)
 class RepresentedNumber:
+    """A digit stream over a numeral system.  Construction raises
+    DigitRangeError or AlignmentError when the stream does not fit the
+    system, so no invalid number exists."""
+
     system: object
     digits: DigitStream
+
+    def __post_init__(self):
+        validate_number(self)
 
 
 def digit_at(num, n):
@@ -124,7 +135,8 @@ def _check_digit(system, n, d):
 
 def validate_number(num):
     """Raise DigitRangeError / AlignmentError when the stream does not fit
-    the system; valid numbers pass silently."""
+    the system; valid numbers pass silently.  Every RepresentedNumber runs
+    it once, when it is built."""
     system, stream = num.system, num.digits
     for i, d in enumerate(stream.prefix):
         _check_digit(system, i + 1, d)
@@ -156,12 +168,16 @@ def _position_arrays(system, digits, first=1):
 
 def _tail_period(num):
     """(start, period): from position start + 1 on, the digits and the
-    system repeat with the given period."""
+    system repeat together with the given period.  This is the one
+    definition of where a number becomes periodic.  A system is held in
+    normalized form (combined prefix P, combined cycle L), so a valid cycle
+    tail starts at or after P and its length is a multiple of L: the cycle
+    gives (prefix length, cycle length), and a zeros or max tail gives
+    (max(prefix length, P), L)."""
     system, stream = num.system, num.digits
-    start = len(stream.prefix)
-    if stream.tail.kind != "cycle":
-        start = max(start, combined_prefix_len(system))
-    return start, _stream_period(system, stream)
+    if stream.tail.kind == "cycle":
+        return len(stream.prefix), len(stream.tail.cycle)
+    return max(len(stream.prefix), combined_prefix_len(system)), combined_cycle_len(system)
 
 
 def _term_arrays(num):
@@ -221,7 +237,6 @@ def _stream_prefix(num, m):
 
 
 def _evaluate(num):
-    validate_number(num)
     return Fraction(*_periodic_sum(*_term_arrays(num)))
 
 
@@ -413,12 +428,6 @@ class DualInfo:
     side: str  # "beta" when the number carries the most-negative tail
 
 
-def _stream_period(system, stream):
-    if stream.tail.kind == "cycle":
-        return len(stream.tail.cycle)
-    return combined_cycle_len(system)
-
-
 def dual_representation(num) -> Optional[DualInfo]:
     """Detect the two-representation structure: a number has a dual
     exactly when its digits beyond some position n follow the extreme
@@ -432,9 +441,7 @@ def dual_representation(num) -> Optional[DualInfo]:
     system = num.system
     if isinstance(system, QTildeSystem) and system.signs.has_members():
         return None
-    validate_number(num)
-    pre = max(len(num.digits.prefix), combined_prefix_len(system))
-    window = lcm(_stream_period(system, num.digits), combined_cycle_len(system))
+    pre, window = _tail_period(num)
     for side, tail_fn, other_fn in (
         ("beta", _beta_digit, _gamma_digit),
         ("gamma", _gamma_digit, _beta_digit),
@@ -483,25 +490,17 @@ def is_quasi_rational(num):
 
 def canonicalize(num):
     """The representative decode() would produce for the number's value."""
-    validate_number(num)
     system = num.system
-    depth = (
-        len(num.digits.prefix)
-        + combined_prefix_len(system)
-        + 3 * max(_stream_period(system, num.digits), combined_cycle_len(system))
-        + 8
-    )
+    _, period = _tail_period(num)
+    depth = len(num.digits.prefix) + combined_prefix_len(system) + 3 * period + 8
     return decode(system, evaluate(num), depth)
 
 
 def digits_equal(a, b):
     """Semantic equality of two digit streams over their systems: same
     digit at every position."""
-    pa = max(len(a.digits.prefix), combined_prefix_len(a.system))
-    pb = max(len(b.digits.prefix), combined_prefix_len(b.system))
-    horizon = max(pa, pb) + lcm(
-        _stream_period(a.system, a.digits), _stream_period(b.system, b.digits)
-    )
+    (start_a, period_a), (start_b, period_b) = _tail_period(a), _tail_period(b)
+    horizon = max(start_a, start_b) + lcm(period_a, period_b)
     return all(digit_at(a, n) == digit_at(b, n) for n in range(1, horizon + 1))
 
 

@@ -23,12 +23,13 @@ Two sign conventions exist for deletion over signed systems:
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .errors import ExpansionError, VariantError
 from .numbers import (
     _prefix_ints,
     _stream_prefix,
+    _tail_period,
     RepresentedNumber,
     cycle_tail,
     digit_at,
@@ -40,8 +41,6 @@ from .numbers import (
 from .systems import (
     CantorSystem,
     SignPattern,
-    combined_cycle_len,
-    combined_prefix_len,
     remove_index,
     shift_system,
     sign_factor,
@@ -109,8 +108,9 @@ def iterate_shift(num, m):
 
 
 def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
-    """Delete digit and position m, re-aligning the tail against the new
-    system's period."""
+    """Delete digit and position m.  The image's stream is built over the
+    number's own period (`numbers._tail_period`), which the new system
+    shares past the deleted position."""
     if m < 1:
         raise ValueError("positions are 1-based")
     system = num.system
@@ -124,17 +124,10 @@ def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
     def moved(n):
         return digit_at(num, n) if n < m else digit_at(num, n + 1)
 
-    stream = num.digits
-    dpl = len(stream.prefix)
-    if stream.tail.kind == "cycle":
-        period = lcm(len(stream.tail.cycle), combined_cycle_len(system2))
-        preperiod = max(m - 1, dpl, combined_prefix_len(system2))
-        stream2 = make_stream(system2, moved, preperiod, period)
-    else:
-        bound = max(m - 1, dpl - 1, 0)
-        prefix2 = [moved(n) for n in range(1, bound + 1)]
-        stream2 = normalize_stream(system2, prefix2, stream.tail)
-    return RepresentedNumber(system2, stream2)
+    # Past max(m - 1, start) the moved digits and the remaining positions
+    # of the system repeat with the number's period, whatever its tail.
+    start, period = _tail_period(num)
+    return RepresentedNumber(system2, make_stream(system2, moved, max(m - 1, start), period))
 
 
 def _deletion_map(v, w, den, t, wd, c, s, variant):

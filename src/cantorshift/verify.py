@@ -111,12 +111,9 @@ def _shrink_closed_form(num, m, variant):
     lower m while the mismatch persists."""
     while True:
         for candidate, cm in _closed_form_shrink_steps(num, m):
-            try:
-                if not _closed_form_ok(candidate, cm, variant):
-                    num, m = candidate, cm
-                    break
-            except ExpansionError:
-                continue
+            if not _closed_form_ok(candidate, cm, variant):
+                num, m = candidate, cm
+                break
         else:
             return num, m
 
@@ -126,7 +123,10 @@ def _closed_form_shrink_steps(num, m):
     if stream.tail.kind != "zeros":
         yield RepresentedNumber(num.system, DigitStream(stream.prefix, TAIL_ZEROS)), m
     if stream.prefix:
-        yield RepresentedNumber(num.system, DigitStream(stream.prefix[:-1], stream.tail)), m
+        try:  # a cycle tail that starts one position earlier may not fit the system
+            yield RepresentedNumber(num.system, DigitStream(stream.prefix[:-1], stream.tail)), m
+        except ExpansionError:
+            pass
     if m > 1:
         yield num, m - 1
 

@@ -326,10 +326,10 @@ class TestErrors:
         assert capsys.readouterr().out.splitlines() == ["123/1000", "0.123"]
 
     def test_memory_error_is_one_error_line(self, paths, capsys, monkeypatch):
-        def exhausted(args):
+        def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setitem(cli._COMMANDS, "cylinder", exhausted)
+        monkeypatch.setattr(cli, "cylinder", exhausted)
         _, write = paths
         spath = write("s.json", system_to_doc(DEC))
         assert run(["cylinder", spath, "1"]) == 1
@@ -401,6 +401,43 @@ class TestErrors:
         assert captured.out == ""
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: argument") and err[0].endswith(message)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["itershift", "n.json", "-m", "abc"], "m must be an integer >= 0"),
+        (["itershift", "n.json", "-m", "-1"], "m must be an integer >= 0"),
+        (["segments", "s.json", "-m", "1.5"], f"m must be an integer in 1..{cli.MAX_TABLE_RANK}"),
+        (["segments", "s.json", "-m", str(cli.MAX_TABLE_RANK + 1)],
+         f"m must be an integer in 1..{cli.MAX_TABLE_RANK}"),
+        (["graph", "s.json", "-m", "x"], f"m must be an integer in 1..{cli.MAX_TABLE_RANK}"),
+        (["graph", "s.json", "-m", "0"], f"m must be an integer in 1..{cli.MAX_TABLE_RANK}"),
+        (["graph", "s.json", "-m", "1", "--samples", "two"],
+         f"samples must be an integer in 2..{analysis.MAX_TABLE_ROWS}"),
+        (["graph", "s.json", "-m", "1", "--samples", "1"],
+         f"samples must be an integer in 2..{analysis.MAX_TABLE_ROWS}"),
+        (["cylinder", "s.json", "1", "a"], "digit must be an integer >= 0"),
+        (["cylinder", "s.json", "-1"], "digit must be an integer >= 0"),
+    ])
+    def test_integer_arguments_refused_up_front(self, paths, capsys, monkeypatch, argv, message):
+        def reached(*args):
+            raise AssertionError("the command ran")
+
+        for name in ("iterate_shift", "segment_table", "graph_samples", "cylinder"):
+            monkeypatch.setattr(cli, name, reached)
+        tmp, write = paths
+        write("s.json", system_to_doc(DEC))
+        write("n.json", _number_doc(DEC, (1, 2, 3)))
+        assert run([str(tmp / arg) if arg.endswith(".json") else arg for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: argument") and err[0].endswith(message)
+        assert "invalid" not in err[0]
+
+    def test_itershift_has_no_upper_bound(self, paths, capsys):
+        _, write = paths
+        path = write("n.json", _number_doc(DEC, (1, 2, 3)))
+        assert run(["itershift", path, "-m", str(10**30)]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == "0/1"
 
     @pytest.mark.parametrize("command", ["eval", "segments"])
     def test_long_combined_cycle_refused(self, paths, capsys, monkeypatch, command):

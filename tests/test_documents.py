@@ -79,6 +79,20 @@ class TestParseNumber:
         with pytest.raises(DocumentError):
             doc_to_number(doc)
 
+    @pytest.mark.parametrize("system, digits, message", [
+        (DEC, {"prefix": [12], "tail": {"type": "zeros"}},
+         "digit 12 outside alphabet 0..9 at position 1"),
+        (DEC, {"prefix": [1], "tail": {"type": "cycle", "cycle": [4, 10]}},
+         "digit 10 outside alphabet 0..9 at position 3"),
+        (NEG, {"prefix": [], "tail": {"type": "cycle", "cycle": [9]}},
+         "digit cycle of length 1 starting at position 1 is not a period of the numeral "
+         "system there"),
+    ])
+    def test_construction_error_names_the_digits(self, system, digits, message):
+        with pytest.raises(DocumentError) as info:
+            doc_to_number({"system": system_to_doc(system), "digits": digits})
+        assert str(info.value) == f"{message} at $.digits"
+
     def test_roundtrip_random(self):
         rng = random.Random(41)
         for _ in range(30):

@@ -8,11 +8,14 @@ from cantorshift import (
     AlignmentError,
     CantorSystem,
     DigitRangeError,
+    DigitStream,
     InexactDecodeError,
     Interval,
     OutOfIntervalError,
+    RepresentedNumber,
     SignPattern,
     TAIL_MAX,
+    TAIL_ZEROS,
     base_interval,
     canonicalize,
     cycle_tail,
@@ -27,7 +30,12 @@ from cantorshift import (
 )
 from cantorshift.numbers import _digit_step, _prefix_ints, _stream_prefix, _tail_period
 from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
-from cantorshift.systems import position_table
+from cantorshift.systems import (
+    combined_cycle_len,
+    combined_prefix_len,
+    periodic_from,
+    position_table,
+)
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, digit_fractions, mk, qtilde
 
 
@@ -70,6 +78,45 @@ class TestEvaluate:
         # the sign pattern has period 2; a one-digit cycle cannot repeat it
         with pytest.raises(AlignmentError):
             evaluate(mk(NEG, (), cycle_tail((9,))))
+
+
+# (system, prefix, tail, error): an out-of-alphabet prefix digit, an
+# out-of-alphabet cycle digit and a cycle that does not share the system's
+# period from its start, over Cantor and column systems.
+INVALID_STREAMS = [
+    (DEC, (3, 10), None, DigitRangeError),
+    (DEC, (3,), cycle_tail((10,)), DigitRangeError),
+    (NEG, (), cycle_tail((9,)), AlignmentError),
+    (FACT, (1,), cycle_tail((1,)), AlignmentError),  # starts inside the base prefix
+    (QT, (2,), None, DigitRangeError),
+    (QT, (), cycle_tail((1, 2)), DigitRangeError),
+    (qtilde([(Fraction(1, 2), Fraction(1, 2))], [(Fraction(1, 4), Fraction(3, 4))]),
+     (), cycle_tail((1,)), AlignmentError),
+    (qtilde((), [(Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3))]),
+     (), cycle_tail((1, 0, 1)), AlignmentError),
+]
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("system, prefix, tail, error", INVALID_STREAMS)
+    def test_invalid_stream_refused_when_built(self, system, prefix, tail, error):
+        with pytest.raises(error):
+            RepresentedNumber(system, DigitStream(prefix, tail or TAIL_ZEROS))
+
+    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
+    def test_tail_period_is_the_joint_period(self, make):
+        # a valid tail starts at or after the system's combined prefix P and
+        # repeats with a multiple of its combined cycle length L
+        rng = random.Random(31)
+        for _ in range(60):
+            system = make(rng, signs="any")
+            num = rand_number(rng, system, max_prefix=6)
+            start, period = _tail_period(num)
+            assert start >= max(len(num.digits.prefix), combined_prefix_len(system))
+            assert period % combined_cycle_len(system) == 0
+            assert periodic_from(system, start + 1, period)
+            assert all(digit_at(num, n) == digit_at(num, n + period)
+                       for n in range(start + 1, start + 2 * period + 1))
 
 
 class TestDecode:
