@@ -8,6 +8,7 @@ suite failure (the minimized failing case as JSON on stdout).
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -20,7 +21,6 @@ from .operators import (
     closed_form_value,
     generalized_shift,
     iterate_shift,
-    shift,
 )
 from .rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
 
@@ -49,6 +49,12 @@ class _CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as an option
+        # unless it looks like a negative number; "-p/q" is one too.
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise _CliError(message)
 
@@ -118,14 +124,6 @@ def _cmd_decode(args):
     value = parse_rational(args.value, "value")
     num = decode(system, value, args.depth)
     _print_json(documents.number_to_doc(num))
-    return 0
-
-
-def _cmd_shift(args):
-    num = _load_number(args.number)
-    image = shift(num)
-    _print_json({"number": documents.number_to_doc(image),
-                 "value": rational_str(evaluate(image))})
     return 0
 
 
@@ -227,8 +225,9 @@ def _build_parser():
     p.add_argument("value", help='rational "p/q"')
     p.add_argument("--depth", type=_int_range("depth", 1, MAX_DECODE_DEPTH), default=32)
 
-    p = command("shift", _cmd_shift, "drop the leading digit and position")
+    p = command("shift", _cmd_itershift, "drop the leading digit and position")
     p.add_argument("number")
+    p.set_defaults(m=1)
 
     p = command("itershift", _cmd_itershift, "drop the leading m digits and positions")
     p.add_argument("number")

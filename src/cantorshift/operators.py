@@ -31,11 +31,9 @@ from .numbers import (
     _stream_prefix,
     _tail_period,
     RepresentedNumber,
-    cycle_tail,
     digit_at,
     evaluate,
     make_stream,
-    normalize_stream,
     same_number,
 )
 from .systems import (
@@ -83,7 +81,9 @@ def shift(num):
 
 
 def iterate_shift(num, m):
-    """Drop the first m digits and system positions.
+    """Drop the first m digits and system positions.  The image's stream is
+    built over the number's own period (`numbers._tail_period`), which the
+    shifted system shares.
 
     The value satisfies the exact decomposition
     x = (prefix digits, zero tail) + value(shifted) * prod_{j<=m} w_j.
@@ -93,18 +93,9 @@ def iterate_shift(num, m):
     if m == 0:
         return num
     system2 = shift_system(num.system, m)
-    stream = num.digits
-    dpl = len(stream.prefix)
-    if m <= dpl:
-        prefix2 = stream.prefix[m:]
-        tail2 = stream.tail
-    else:
-        prefix2 = ()
-        tail2 = stream.tail
-        if tail2.kind == "cycle":
-            r = (m - dpl) % len(tail2.cycle)
-            tail2 = cycle_tail(tail2.cycle[r:] + tail2.cycle[:r])
-    return RepresentedNumber(system2, normalize_stream(system2, prefix2, tail2))
+    start, period = _tail_period(num)
+    return RepresentedNumber(system2, make_stream(system2, lambda n: digit_at(num, n + m),
+                                                  max(start - m, 0), period))
 
 
 def generalized_shift(num, m, variant=ShiftVariant.DIGIT):

@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm, prod
+from operator import methodcaller
 from typing import NamedTuple
 
 from .errors import DigitRangeError
@@ -58,10 +59,12 @@ class SignPattern:
     membership: EventuallyPeriodicSeq
 
     def __post_init__(self):
+        # Items are held as bools, normalized again, so that two patterns
+        # with the same `member` function are equal.
         seq = self.membership
-        if not isinstance(seq, EventuallyPeriodicSeq):
-            seq = EventuallyPeriodicSeq(tuple(seq[0]), tuple(seq[1]))
-            object.__setattr__(self, "membership", seq)
+        prefix, cycle = (seq.prefix, seq.cycle) if isinstance(seq, EventuallyPeriodicSeq) else seq
+        object.__setattr__(self, "membership", EventuallyPeriodicSeq(
+            tuple(map(bool, prefix)), tuple(map(bool, cycle))))
 
     @classmethod
     def none(cls):
@@ -77,8 +80,7 @@ class SignPattern:
 
     @classmethod
     def explicit(cls, prefix, cycle):
-        return cls(EventuallyPeriodicSeq(tuple(bool(b) for b in prefix),
-                                         tuple(bool(b) for b in cycle)))
+        return cls((prefix, cycle))
 
     def member(self, n):
         return bool(self.membership.at(n))
@@ -193,8 +195,6 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
 
@@ -241,17 +241,11 @@ def combined_cycle_len(system):
 
 def periodic_from(system, start, period):
     """True when the system (alphabets, weights, signs) is `period`-periodic
-    at every position >= start."""
-    if start < 1 or period < 1:
-        return False
-    seq = _positions_seq(system)
-    end = max(combined_prefix_len(system), start - 1) + combined_cycle_len(system)
-    for n in range(start, end + 1):
-        if seq.at(n) != seq.at(n + period):
-            return False
-        if system.signs.member(n) != system.signs.member(n + period):
-            return False
-    return True
+    at every position >= start.  Its sequences are held normalized, so this
+    holds exactly when start lies past the combined prefix P and the
+    combined cycle L divides period."""
+    return (period >= 1 and start > combined_prefix_len(system)
+            and period % combined_cycle_len(system) == 0)
 
 
 def validate(system):
@@ -402,16 +396,22 @@ def base_interval(system):
     return position_table(system).interval(0)
 
 
+def _reindexed(system, op):
+    """The system with op, an `EventuallyPeriodicSeq` method call, applied
+    to its base or column sequence and to its sign membership."""
+    signs = SignPattern(op(system.signs.membership))
+    if isinstance(system, CantorSystem):
+        return CantorSystem(op(system.base), signs)
+    return QTildeSystem(op(system.columns), signs)
+
+
 def shift_system(system, m):
     """System seen by the digit tail after dropping the first m positions."""
     if m < 0:
         raise ValueError("shift must be >= 0")
     if m == 0:
         return system
-    signs = SignPattern(system.signs.membership.shifted(m))
-    if isinstance(system, CantorSystem):
-        return CantorSystem(system.base.shifted(m), signs)
-    return QTildeSystem(system.columns.shifted(m), signs)
+    return _reindexed(system, methodcaller("shifted", m))
 
 
 def remove_index(system, m):
@@ -419,7 +419,4 @@ def remove_index(system, m):
     and the sign membership."""
     if m < 1:
         raise ValueError("positions are 1-based")
-    signs = SignPattern(system.signs.membership.removed(m))
-    if isinstance(system, CantorSystem):
-        return CantorSystem(system.base.removed(m), signs)
-    return QTildeSystem(system.columns.removed(m), signs)
+    return _reindexed(system, methodcaller("removed", m))

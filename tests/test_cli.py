@@ -10,7 +10,7 @@ import pytest
 
 import cantorshift
 
-from cantorshift import analysis, cli
+from cantorshift import SignPattern, analysis, cli
 from cantorshift.cli import run
 from cantorshift.documents import system_to_doc
 from cantorshift.rationals import MAX_PRECISION
@@ -135,6 +135,22 @@ class TestDecode:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and len(err[0]) < 200
         assert "digits" not in err[0]  # not the interpreter's int-str message
+
+    def test_negative_value_needs_no_double_dash(self, paths, capsys):
+        _, write = paths
+        spath = write("s.json", system_to_doc(cantor((8,), (5, 4), SignPattern.odd())))
+        outs = []
+        for argv in ([spath, "-1/3"], [spath, "-1/3", "--depth", "40"], [spath, "--", "-1/3"]):
+            assert run(["decode", *argv]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outs.append(captured.out)
+        assert outs[0] == outs[1] == outs[2]
+        assert json.loads(outs[0])["digits"]["prefix"] == [3]
+        assert run(["decode", spath, "-x"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
 
     def test_out_of_interval_is_exit_one(self, paths, capsys):
         _, write = paths

@@ -5,6 +5,7 @@ import pytest
 
 from cantorshift import (
     ExpansionError,
+    RepresentedNumber,
     ShiftVariant,
     SignPattern,
     VariantError,
@@ -15,6 +16,7 @@ from cantorshift import (
     evaluate,
     generalized_shift,
     iterate_shift,
+    normalize_stream,
     prefix_sums,
     remove_index,
     same_number,
@@ -46,6 +48,19 @@ class TestShift:
         assert evaluate(image) == Fraction(2, 3)
 
 
+def _iterate_shift_by_slicing(num, m):
+    """Reference: slice the digit prefix and rotate a cycle tail by the
+    number of cycle digits dropped, whatever the number's period."""
+    if m == 0:
+        return num
+    system = shift_system(num.system, m)
+    prefix, tail = num.digits.prefix, num.digits.tail
+    if m > len(prefix) and tail.kind == "cycle":
+        r = (m - len(prefix)) % len(tail.cycle)
+        tail = cycle_tail(tail.cycle[r:] + tail.cycle[:r])
+    return RepresentedNumber(system, normalize_stream(system, prefix[m:], tail))
+
+
 class TestIterateShift:
     def test_decimal_tail(self):
         assert evaluate(iterate_shift(mk(DEC, (1, 2, 3, 4, 5)), 3)) == Fraction(45, 100)
@@ -65,6 +80,18 @@ class TestIterateShift:
         image = iterate_shift(num, 3)
         for n in range(1, 12):
             assert digit_at(image, n) == digit_at(num, n + 3)
+
+    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
+    def test_matches_slicing_reference(self, make):
+        # the image is the one the stream's own slicing gives: prefix digits
+        # past m, the same zeros or max tail, a cycle rotated by its phase
+        rng = random.Random(53)
+        for i in range(150):
+            system = make(rng, signs="any")
+            kind = ("zeros", "max", "cycle")[i % 3]
+            num = rand_number(rng, system, max_prefix=8, tail_kinds=(kind,))
+            for m in range(25):
+                assert iterate_shift(num, m) == _iterate_shift_by_slicing(num, m)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_decomposition_identity_all_flavors(self, seed):

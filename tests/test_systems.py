@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from cantorshift import (
     sign_factor,
     validate,
 )
-from cantorshift.systems import combined_cycle_len, combined_prefix_len
+from cantorshift.sampling import rand_cantor_system, rand_qtilde_system, rand_segment_system
+from cantorshift.systems import combined_cycle_len, combined_prefix_len, periodic_from
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, digit_fractions, qtilde
 
 
@@ -40,6 +42,47 @@ class TestSignPattern:
             member = pattern.member(n)
             assert (sign_factor(pattern, n) == -1) == member
             assert (rho(pattern, n) == 1) == member
+
+    def test_items_held_as_bools(self):
+        # 2 and True are the same membership, so the patterns are equal and
+        # the system is 1-periodic from position 1
+        pattern = SignPattern(EventuallyPeriodicSeq((2,), (True,)))
+        assert pattern == SignPattern.explicit((), (True,))
+        assert pattern.membership.prefix == () and pattern.membership.cycle == (True,)
+        assert periodic_from(cantor((), (10,), pattern), 1, 1)
+
+
+def _periodic_from_itemwise(system, start, period):
+    """Reference: compare the items at n and n + period one position at a
+    time, from start to one combined cycle past the combined prefix."""
+    if start < 1 or period < 1:
+        return False
+    seq = system.base if isinstance(system, CantorSystem) else system.columns
+    end = max(combined_prefix_len(system), start - 1) + combined_cycle_len(system)
+    return all(seq.at(n) == seq.at(n + period)
+               and system.signs.member(n) == system.signs.member(n + period)
+               for n in range(start, end + 1))
+
+
+def _explicit_signs(rng):
+    prefix = [rng.random() < 0.5 for _ in range(rng.randrange(0, 5))]
+    cycle = [rng.random() < 0.5 for _ in range(rng.randrange(1, 5))]
+    return SignPattern.explicit(prefix, cycle)
+
+
+class TestPeriodicFrom:
+    def test_matches_itemwise_reference(self):
+        rng = random.Random(61)
+        makers = (lambda: rand_cantor_system(rng, sign_pattern=_explicit_signs(rng)),
+                  lambda: rand_qtilde_system(rng, sign_pattern=_explicit_signs(rng)),
+                  lambda: rand_segment_system(rng, rng.randrange(4)))
+        for i in range(1200):
+            system = makers[i % 3]()
+            p, l = combined_prefix_len(system), combined_cycle_len(system)
+            for start in range(0, p + 3 * l + 3):
+                for period in range(0, 3 * l + 3):
+                    assert (periodic_from(system, start, period)
+                            == _periodic_from_itemwise(system, start, period))
 
 
 class TestValidate:
