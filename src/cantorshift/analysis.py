@@ -87,8 +87,16 @@ def point_image(system, x, m, variant=ShiftVariant.DIGIT):
     if m < 1:
         raise ValueError("positions are 1-based")
     x = Fraction(x)
-    table = _representable_table(system, x)
-    y_num, y_den = x.numerator, x.denominator
+    sigma = -1 if variant == ShiftVariant.POSITION else 1
+    return Fraction(*_image_ints(_representable_table(system, x), x.numerator, x.denominator,
+                                 m, sigma))
+
+
+def _image_ints(table, x_num, x_den, m, sigma):
+    """Unreduced (num, den), den > 0, of `point_image` at x_num/x_den: a
+    point of the table's representable interval over any positive
+    denominator, with sigma = +1 (DIGIT) or -1 (POSITION)."""
+    y_num, y_den = x_num, x_den
     w_num = w_den = 1
     for n in range(1, m):
         d, y_num, y_den = _digit_step(table, n, y_num, y_den)
@@ -96,10 +104,8 @@ def point_image(system, x, m, variant=ShiftVariant.DIGIT):
         w_num *= w
         w_den *= c
     _, z_num, z_den = _digit_step(table, m, y_num, y_den)
-    sigma = -1 if variant == ShiftVariant.POSITION else 1
     diff_num, diff_den = y_num * z_den - sigma * z_num * y_den, y_den * z_den
-    return Fraction(x.numerator * w_den * diff_den - x.denominator * w_num * diff_num,
-                    x.denominator * w_den * diff_den)
+    return x_num * w_den * diff_den - x_den * w_num * diff_num, x_den * w_den * diff_den
 
 
 def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):

@@ -139,7 +139,9 @@ class QTildeColumn:
     ints: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in self.entries))
+        # parsed documents pass Fractions already; only other types are wrapped
+        object.__setattr__(self, "entries", tuple(
+            e if type(e) is Fraction else Fraction(e) for e in self.entries))
         if not self.entries:
             raise ValueError("column must have at least one entry")
         den = lcm(*(e.denominator for e in self.entries))

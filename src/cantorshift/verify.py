@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .analysis import continuity_at, point_image, segment_table
+from .analysis import _image_ints, continuity_at, segment_table
 from .documents import number_to_doc, system_to_doc
 from .errors import ExpansionError
 from .numbers import (
@@ -54,6 +54,7 @@ from .systems import (
     base_interval,
     combined_cycle_len,
     combined_prefix_len,
+    position_table,
 )
 
 __all__ = ["VerifyConfig", "SuiteResult", "SUITE_NAMES", "run_suite", "format_report"]
@@ -91,10 +92,15 @@ class SuiteResult:
 
 def _run_trials(name, cfg, trial):
     """The one trial loop of every suite: trial(rng, t) draws case t from
-    its own RNG and returns None on a pass or the failure record."""
+    its own RNG and returns None on a pass or the failure record.  A trial
+    that raises a domain or arithmetic error fails, and its record names
+    the error; MemoryError propagates."""
     result = SuiteResult(name, 0, cfg.trials)
     for t in range(cfg.trials):
-        failure = trial(trial_rng(cfg.seed, t), t)
+        try:
+            failure = trial(trial_rng(cfg.seed, t), t)
+        except (ExpansionError, ValueError, ArithmeticError) as exc:
+            failure = {"error": f"{type(exc).__name__}: {exc}"}
         if failure is None:
             result.passed += 1
         else:
@@ -358,13 +364,16 @@ def _segments_ok(system, m, expected_count, tiling):
     """The rank-m segment table has expected_count rows; with `tiling`,
     they tile the representable interval, each row's map agrees with
     point_image (the decode-residual formula) at three interior points,
-    and Cantor rows have slope q_m."""
+    and Cantor rows have slope q_m.  The point checks run on integers: the
+    points (4-j)/4*a/b + j/4*c/e of a row [a/b, c/e] are over 4*b*e, and
+    their images come from the integer core of point_image."""
     table = segment_table(system, m)
     if len(table) != expected_count:
         return False
     if not tiling:
         return True
-    iv = base_interval(system)
+    positions = position_table(system)
+    iv = positions.interval(0)
     if (
         sum((interval.width for interval, _ in table), Fraction(0)) != iv.width
         or table[0][0].lo != iv.lo
@@ -372,16 +381,29 @@ def _segments_ok(system, m, expected_count, tiling):
         or any(table[i][0].hi != table[i + 1][0].lo for i in range(len(table) - 1))
     ):
         return False
+    lo_num, lo_den, hi_num, hi_den = positions.tail(0)
     # a column system's slope depends on the cylinder's digit at m
-    expected_slope = Fraction(system.base_at(m)) if isinstance(system, CantorSystem) else None
+    expected_slope = system.base_at(m) if isinstance(system, CantorSystem) else None
     for interval, affine in table:
         if expected_slope is not None and affine.slope != expected_slope:
             return False
-        xs = [interval.lo + interval.width * Fraction(j, 4) for j in (1, 2, 3)]
-        ys = [point_image(system, x, m) for x in xs]
-        if any(y != affine.apply(x) for x, y in zip(xs, ys)):
-            return False
-        if (ys[1] - ys[0]) * (xs[2] - xs[1]) != (ys[2] - ys[1]) * (xs[1] - xs[0]):
+        a, b = interval.lo.numerator, interval.lo.denominator
+        c, e = interval.hi.numerator, interval.hi.denominator
+        sn, sd = affine.slope.numerator, affine.slope.denominator
+        tn, td = affine.intercept.numerator, affine.intercept.denominator
+        den = 4 * b * e
+        images = []
+        for j in (1, 2, 3):
+            num = (4 - j) * a * e + j * c * b
+            if not (lo_num * den <= num * lo_den and num * hi_den <= hi_num * den):
+                return False
+            y_num, y_den = _image_ints(positions, num, den, m, 1)
+            # y == slope*x + intercept, over the denominator sd*den*td
+            if y_num * sd * den * td != (sn * num * td + tn * sd * den) * y_den:
+                return False
+            images.append((num, y_num, y_den))
+        (x0, p0, q0), (x1, p1, q1), (x2, p2, q2) = images
+        if (p1 * q0 - p0 * q1) * q2 * (x2 - x1) != (p2 * q1 - p1 * q2) * q0 * (x1 - x0):
             return False
     return True
 

@@ -26,7 +26,11 @@ from cantorshift import (
     point_image,
     segment_table,
 )
-from cantorshift import analysis, numbers, operators
+from cantorshift import analysis, numbers, operators, verify
+from cantorshift.analysis import AffineMap, _image_ints
+from cantorshift.operators import _deletion_map
+from cantorshift.systems import Interval, position_table
+from cantorshift.verify import _segments_ok
 from cantorshift.sampling import (
     rand_cantor_system,
     rand_number,
@@ -246,6 +250,93 @@ def _refuse_prefix_routes(monkeypatch):
                          (numbers, "_prefix_ints"),
                          (numbers, "partial_digits"), (analysis, "point_image")):
         monkeypatch.setattr(module, name, refuse)
+
+
+class TestImageInts:
+    """The integer core of point_image, and the segments suite built on it."""
+
+    @pytest.mark.parametrize("flavor", [0, 1, 2, 3, "alternating"], ids=[
+        "positive-cantor", "signed-cantor", "positive-column", "signed-column",
+        "alternating-position"])
+    def test_equals_point_image(self, flavor):
+        rng = random.Random(73)
+        for _ in range(10):
+            if flavor == "alternating":
+                system, variant = rand_cantor_system(rng, max_q=5, signs="odd"), POSITION
+            else:
+                system, variant = rand_segment_system(rng, flavor), ShiftVariant.DIGIT
+            sigma = -1 if variant == POSITION else 1
+            table = position_table(system)
+            m = rng.randrange(1, 4)
+            rows = segment_table(system, m, variant)
+            for interval, _ in rng.sample(rows, min(len(rows), 8)):
+                x = interval.lo + interval.width * Fraction(rng.randrange(1, 8), 8)
+                try:
+                    expected = point_image(system, x, m, variant)
+                except OutOfIntervalError:
+                    continue  # a sign-variable column system may leave x undecodable
+                # the point in lowest terms and unreduced, k/d as 2k/2d and 6k/6d
+                for scale in (1, 2, 6):
+                    num, den = _image_ints(table, scale * x.numerator, scale * x.denominator,
+                                           m, sigma)
+                    assert den > 0 and Fraction(num, den) == expected
+
+    def _segments_case(self, flavor=0, m=2):
+        system = rand_segment_system(random.Random(79), flavor)
+        count = len(segment_table(system, m))
+        assert _segments_ok(system, m, count, tiling=True)
+        return system, m, count
+
+    @pytest.mark.parametrize("flavor", [0, 2])
+    def test_shifted_intercept_fails(self, flavor, monkeypatch):
+        system, m, count = self._segments_case(flavor)
+
+        def shifted(*args):
+            rows = segment_table(*args)
+            interval, affine = rows[len(rows) // 2]
+            rows[len(rows) // 2] = (interval, AffineMap(affine.slope,
+                                                        affine.intercept + Fraction(1, 997)))
+            return rows
+
+        monkeypatch.setattr(verify, "segment_table", shifted)
+        assert _segments_ok(system, m, count, tiling=True) is False
+
+    @pytest.mark.parametrize("flavor", [0, 2])
+    def test_moved_lo_fails(self, flavor, monkeypatch):
+        system, m, count = self._segments_case(flavor)
+
+        def moved(*args):
+            rows = segment_table(*args)
+            interval, affine = rows[len(rows) // 2]
+            rows[len(rows) // 2] = (Interval(interval.lo + interval.width / 3, interval.hi),
+                                    affine)
+            return rows
+
+        monkeypatch.setattr(verify, "segment_table", moved)
+        assert _segments_ok(system, m, count, tiling=True) is False
+
+    @staticmethod
+    def _failing_trials(monkeypatch, deletion_map):
+        monkeypatch.setattr(analysis, "_deletion_map", deletion_map)
+        result = verify.run_suite(verify.VerifyConfig("segments", trials=16, seed=1))
+        assert all("error" not in f for f in result.failures)
+        return [f["trial"] for f in result.failures]
+
+    def test_kill_set_of_positive_digit_sign(self, monkeypatch):
+        # every digit at m read as positively signed
+        def unsigned(v, w, den, t, wd, c, s, variant):
+            return _deletion_map(v, w, den, t, wd, c, 1, variant)
+
+        assert self._failing_trials(monkeypatch, unsigned) == [1, 5, 9]
+
+    def test_kill_set_of_inverted_slope(self, monkeypatch):
+        # slope wd/c, the digit's weight, in place of its reciprocal c/wd
+        def inverted(v, w, den, t, wd, c, s, variant):
+            slope, intercept = _deletion_map(v, w, den, t, wd, c, s, variant)
+            return Fraction(wd, c) if slope > 0 else -Fraction(wd, c), intercept
+
+        assert self._failing_trials(monkeypatch, inverted) == [0, 1, 2, 4, 5, 6, 8, 9, 10,
+                                                              12, 13, 14]
 
 
 class TestContinuity:

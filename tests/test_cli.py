@@ -10,7 +10,7 @@ import pytest
 
 import cantorshift
 
-from cantorshift import SignPattern, analysis, cli
+from cantorshift import OutOfIntervalError, SignPattern, analysis, cli, verify
 from cantorshift.cli import run
 from cantorshift.documents import system_to_doc
 from cantorshift.rationals import MAX_PRECISION
@@ -269,6 +269,54 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "eq4: 4/5 FAIL" in out
         assert json.loads(out.split("\n", 1)[1])["failing_case"]["reason"] == "synthetic"
+
+    def test_trial_that_raises_is_a_suite_failure(self, capsys, monkeypatch):
+        # deletion that drops position m+1 builds numbers that do not fit
+        # their system; the trials that raise fail, named by suite and trial
+        from cantorshift import operators
+
+        remove_index = operators.remove_index
+        monkeypatch.setattr(operators, "remove_index",
+                            lambda system, m: remove_index(system, m + 1))
+        assert run(["verify", "eq4", "--trials", "16", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("eq4: 5/16 FAIL\n")
+        assert json.loads(captured.out.split("\n", 1)[1])["suite"] == "eq4"
+        failures = verify.run_suite(verify.VerifyConfig("eq4", trials=16, seed=1)).failures
+        assert {f["trial"]: f["error"] for f in failures if "error" in f} == {
+            2: "DigitRangeError: digit 5 outside alphabet 0..2 at position 6",
+            3: "AlignmentError: digit cycle of length 3 starting at position 7 is not a "
+               "period of the numeral system there",
+            5: "DigitRangeError: digit 9 outside alphabet 0..4 at position 1",
+            10: "DigitRangeError: digit 5 outside alphabet 0..3 at position 2",
+            13: "DigitRangeError: digit 4 outside alphabet 0..1 at position 8",
+            14: "DigitRangeError: digit 9 outside alphabet 0..3 at position 5",
+            15: "AlignmentError: digit cycle of length 4 starting at position 6 is not a "
+                "period of the numeral system there",
+        }
+
+    def test_undecodable_segment_point_is_a_suite_failure(self, capsys, monkeypatch):
+        def undecodable(table, n, y_num, y_den):
+            raise OutOfIntervalError(f"value has no digit at position {n}")
+
+        monkeypatch.setattr(analysis, "_digit_step", undecodable)
+        assert run(["verify", "segments", "--trials", "4", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("segments: 1/4 FAIL\n")
+        case = json.loads(captured.out[captured.out.index("{"):])
+        assert case["suite"] == "segments"
+        assert (case["failing_case"]["error"]
+                == "OutOfIntervalError: value has no digit at position 1")
+
+    def test_memory_error_in_a_trial_propagates(self, capsys, monkeypatch):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(analysis, "_digit_step", exhausted)
+        assert run(["verify", "segments", "--trials", "4", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
 
 
 class TestErrors:
