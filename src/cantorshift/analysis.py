@@ -14,15 +14,20 @@ Two independent formulas give the image.  `segment_table` and
 prefix (`operators._deletion_map`), and `graph_samples` applies those
 rows.  `point_image` reads the image of a single point off the residuals
 of its canonical decode, without summing its digit prefix.
+
+Tables are built, sorted and sampled in integers (`_segment_ints`,
+`_graph_ints`): every rank-m cylinder's ends share one denominator per
+end, so `Fraction` appears only in the public wrappers.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import itemgetter
 
 from .errors import OutOfIntervalError
 from .numbers import (
     _check_digit,
-    _cylinder_interval,
     _digit_step,
     _prefix_ints,
     _representable_table,
@@ -38,7 +43,7 @@ from .operators import (
     _require_admissible,
     closed_form_value,
 )
-from .systems import position_table
+from .systems import Interval, position_table
 
 __all__ = [
     "AffineMap",
@@ -118,8 +123,9 @@ def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
     _require_admissible(system, variant)
     for n, d in enumerate(digits, 1):
         _check_digit(system, n, d)
-    return AffineMap(*_cylinder_map(system, m, digits[-1], _prefix_ints(system, digits[:-1]),
-                                    variant))
+    sn, sd, tn, td = _cylinder_map(system, m, digits[-1], _prefix_ints(system, digits[:-1]),
+                                   variant)
+    return AffineMap(Fraction(sn, sd), Fraction(tn, td))
 
 
 def _check_table_size(system, m, per_cylinder=1):
@@ -133,43 +139,70 @@ def _check_table_size(system, m, per_cylinder=1):
 
 
 def _cylinder_rows(system, m, variant):
-    """(cylinder, affine map) per rank-m digit prefix, in lexicographic
-    digit order.  An iterative depth-first walk: a node holds the signed
-    value v/den and weight product w/den of its digit prefix as integers,
-    and each child extends them by one position."""
+    """The rank-m rows in lexicographic digit order, in integers over
+    shared denominators: (rows, d_lo, d_hi), one row
+    (lo_num, hi_num, slope_num, slope_den, intercept_num, intercept_den)
+    per digit prefix, its cylinder being [lo_num/d_lo, hi_num/d_hi].
+
+    A position has one denominator c_n for all its digits, so every rank-m
+    prefix has the denominator den_m = c_1...c_m, and every cylinder ends
+    in the same residual interval tail(m) = [lo/lo_den, hi/hi_den]; hence
+    d_lo = den_m*lo_den and d_hi = den_m*hi_den.  The map is
+    `_deletion_map`'s, unreduced.  An iterative depth-first walk: a node
+    holds the signed value v and weight product w of its digit prefix
+    over the product of its positions' denominators, and each child
+    extends them by one position."""
     table = position_table(system)
-    tail = table.tail(m)
+    lo_num, lo_den, hi_num, hi_den = table.tail(m)
+    den = prod(table.digit_ints(table.slot(n), 0)[2] for n in range(1, m))
     last = table.slot(m)
     s_m = table.signs[last]
+    digits = [table.digit_ints(last, d) for d in range(table.max_digits[last] + 1)]
     rows = []
-    stack = [(1, 0, 1, 1)]  # (next position, v, w, den)
+    stack = [(1, 0, 1)]  # (next position, v, w)
     while stack:
-        n, v, w, den = stack.pop()
+        n, v, w = stack.pop()
         if n < m:
             i = table.slot(n)
             s = table.signs[i]
             for d in range(table.max_digits[i], -1, -1):
                 t, wd, c = table.digit_ints(i, d)
-                stack.append((n + 1, v * c + s * t * w, w * wd, den * c))
+                stack.append((n + 1, v * c + s * t * w, w * wd))
             continue
-        for d in range(table.max_digits[last] + 1):
-            t, wd, c = table.digit_ints(last, d)
-            rows.append((_cylinder_interval((v * c + s_m * t * w, w * wd, den * c), tail),
-                         AffineMap(*_deletion_map(v, w, den, t, wd, c, s_m, variant))))
-    return rows
+        for t, wd, c in digits:
+            v_m, w_m = v * c + s_m * t * w, w * wd
+            lo, hi = v_m * lo_den + w_m * lo_num, v_m * hi_den + w_m * hi_num
+            if lo * hi_den > hi * lo_den:
+                raise ValueError("interval endpoints out of order: "
+                                 f"{Fraction(lo, den * c * lo_den)} > "
+                                 f"{Fraction(hi, den * c * hi_den)}")
+            rows.append((lo, hi, *_deletion_map(v, w, den, t, wd, c, s_m, variant)))
+    den_m = den * digits[0][2]
+    return rows, den_m * lo_den, den_m * hi_den
+
+
+def _segment_ints(system, m, variant=ShiftVariant.DIGIT):
+    """`_cylinder_rows` sorted by interval position: stably by
+    (lo_num, hi_num), which orders the rows as (lo, hi) does, ties
+    included, since d_lo and d_hi are shared and positive.  Tables over
+    MAX_TABLE_ROWS rows are refused with ValueError."""
+    _require_admissible(system, variant)
+    if m < 1:
+        raise ValueError("prefix must contain at least one digit")
+    _check_table_size(system, m)
+    rows, d_lo, d_hi = _cylinder_rows(system, m, variant)
+    rows.sort(key=itemgetter(0, 1))
+    return rows, d_lo, d_hi
 
 
 def segment_table(system, m, variant=ShiftVariant.DIGIT):
     """One (cylinder interval, affine map) entry per rank-m digit prefix,
     sorted by interval position.  Tables over MAX_TABLE_ROWS rows are
     refused with ValueError."""
-    _require_admissible(system, variant)
-    if m < 1:
-        raise ValueError("prefix must contain at least one digit")
-    _check_table_size(system, m)
-    entries = _cylinder_rows(system, m, variant)
-    entries.sort(key=lambda e: (e[0].lo, e[0].hi))
-    return entries
+    rows, d_lo, d_hi = _segment_ints(system, m, variant)
+    return [(Interval(Fraction(lo, d_lo), Fraction(hi, d_hi)),
+             AffineMap(Fraction(sn, sd), Fraction(tn, td)))
+            for lo, hi, sn, sd, tn, td in rows]
 
 
 def continuity_at(system, m, num, variant=ShiftVariant.DIGIT):
@@ -210,19 +243,34 @@ def numeric_derivative(system, m, num, step, variant=ShiftVariant.DIGIT):
     return (upper - lower) / (2 * step)
 
 
+def _graph_ints(system, m, samples_per_cylinder, variant=ShiftVariant.DIGIT):
+    """`graph_samples` in integers: (points, x_den), one point
+    (x_num, y_num, y_den) per sample, sorted stably by x_num.  With S
+    samples per cylinder, the j-th sample of [lo/d_lo, hi/d_hi] is
+    ((S+1-j)*lo*d_hi + j*hi*d_lo) / x_den over the shared
+    x_den = (S+1)*d_lo*d_hi, and its image slope*x + intercept is over
+    slope_den*x_den*intercept_den."""
+    if samples_per_cylinder < 2:
+        raise ValueError("need at least 2 samples per cylinder")
+    _check_table_size(system, m, samples_per_cylinder)
+    rows, d_lo, d_hi = _segment_ints(system, m, variant)
+    k = samples_per_cylinder + 1
+    x_den = k * d_lo * d_hi
+    points = []
+    for lo, hi, sn, sd, tn, td in rows:
+        start, step = k * lo * d_hi, hi * d_lo - lo * d_hi
+        y_den, y_off = sd * x_den * td, tn * sd * x_den
+        for j in range(1, k):
+            x = start + j * step
+            points.append((x, sn * x * td + y_off, y_den))
+    points.sort(key=itemgetter(0))
+    return points, x_den
+
+
 def graph_samples(system, m, samples_per_cylinder, variant=ShiftVariant.DIGIT):
     """Exact (x, image) pairs: equally spaced interior samples of every
     rank-m cylinder, each mapped by its own row of `segment_table`, sorted
     by x.  Where rows overlap (sign-variable column systems), every row's
     samples carry that row's image, not the canonically decoded one."""
-    if samples_per_cylinder < 2:
-        raise ValueError("need at least 2 samples per cylinder")
-    _check_table_size(system, m, samples_per_cylinder)
-    points = []
-    for interval, affine in segment_table(system, m, variant):
-        width = interval.width
-        for j in range(1, samples_per_cylinder + 1):
-            x = interval.lo + width * Fraction(j, samples_per_cylinder + 1)
-            points.append((x, affine.apply(x)))
-    points.sort(key=lambda p: p[0])
-    return points
+    points, x_den = _graph_ints(system, m, samples_per_cylinder, variant)
+    return [(Fraction(x, x_den), Fraction(y, y_den)) for x, y, y_den in points]

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import documents, verify
-from .analysis import MAX_TABLE_ROWS, graph_samples, segment_table
+from .analysis import MAX_TABLE_ROWS, _graph_ints, _segment_ints
 from .errors import ExpansionError
 from .numbers import cylinder, decode, evaluate, quasi_partner
 from .operators import (
@@ -158,19 +158,18 @@ def _cmd_cylinder(args):
 
 def _cmd_segments(args):
     system = _load_system(args.system)
-    rows = [
-        (interval.lo, interval.hi, affine.slope, affine.intercept)
-        for interval, affine in segment_table(system, args.m, _variant(args.variant))
-    ]
+    rows, d_lo, d_hi = _segment_ints(system, args.m, _variant(args.variant))
+    cells = [((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td)) for lo, hi, sn, sd, tn, td in rows]
     sys.stdout.write(documents.emit_tsv(("lo", "hi", "slope", "intercept"),
-                                        rows, args.precision))
+                                        cells, args.precision))
     return 0
 
 
 def _cmd_graph(args):
     system = _load_system(args.system)
-    points = graph_samples(system, args.m, args.samples, _variant(args.variant))
-    sys.stdout.write(documents.emit_tsv(("x", "y"), points, args.precision))
+    points, x_den = _graph_ints(system, args.m, args.samples, _variant(args.variant))
+    cells = [((x, x_den), (y, y_den)) for x, y, y_den in points]
+    sys.stdout.write(documents.emit_tsv(("x", "y"), cells, args.precision))
     return 0
 
 

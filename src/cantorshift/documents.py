@@ -6,6 +6,7 @@ violated invariant together with its JSON path.
 """
 
 import json
+from math import gcd
 
 from .errors import DocumentError, ExpansionError
 from .numbers import (
@@ -15,7 +16,7 @@ from .numbers import (
     DigitStream,
     cycle_tail,
 )
-from .rationals import decimal_str, parse_rational, rational_str
+from .rationals import _pair_decimal, _pair_str, parse_rational, rational_str
 from .series import EventuallyPeriodicSeq
 from .systems import (
     CantorSystem,
@@ -232,13 +233,24 @@ def parse_number(text, load_file=None):
 
 
 def emit_tsv(header, rows, precision=12):
-    """Tab-separated text: every rational column appears twice, once as
-    "p/q" and once as a fixed-precision decimal approximation.  Cells are
-    Fractions or ints, rendered from their numerator and denominator."""
+    """Tab-separated text: every column appears twice, once as "p/q" in
+    lowest terms and once as a decimal approximation padded to exactly
+    `precision` fraction digits.  Each cell is an integer pair (num, den)
+    with den > 0, not necessarily reduced: it is reduced once, with one
+    gcd, and 10**precision is computed once per table."""
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
+    scale = 10**precision
     names = list(header) + [f"{h}_dec" for h in header]
     lines = ["\t".join(names)]
     for row in rows:
-        exact = [rational_str(v) for v in row]
-        approx = [decimal_str(v, precision, fixed=True) for v in row]
+        exact = []
+        approx = []
+        for num, den in row:
+            g = gcd(num, den)
+            num //= g
+            den //= g
+            exact.append(_pair_str(num, den))
+            approx.append(_pair_decimal(num, den, precision, scale, True))
         lines.append("\t".join(exact + approx))
     return "\n".join(lines) + "\n"

@@ -122,20 +122,20 @@ def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
 
 
 def _deletion_map(v, w, den, t, wd, c, s, variant):
-    """(slope, intercept) of the deletion of position m on one rank-m
-    cylinder, in integers: v/den and w/den are the signed value and weight
+    """The deletion of position m on one rank-m cylinder, as unreduced
+    integers (slope_num, slope_den, intercept_num, intercept_den) with
+    positive denominators: v/den and w/den are the signed value and weight
     product of the digits below m; t/c, wd/c and s the term, weight and
     sign of the digit at m.  The slope is 1/w_m = c/wd, negated for
     position-signed deletion; a Cantor digit d has t, wd, c = d, 1, q_m, so
     its slope is q_m or -q_m.  The intercept is
-    value - slope*(value + s*term*weight).  Each is one reduced Fraction."""
+    value - slope*(value + s*term*weight), over wd*den."""
     sigma = -1 if variant == ShiftVariant.POSITION else 1
-    return (Fraction(sigma * c, wd),
-            Fraction(v * wd - sigma * (v * c + s * t * w), wd * den))
+    return sigma * c, wd, v * wd - sigma * (v * c + s * t * w), wd * den
 
 
 def _cylinder_map(system, m, d, prefix, variant):
-    """Deletion map of position m on the cylinder of the digits below m,
+    """`_deletion_map` of position m on the cylinder of the digits below m,
     given as their integer (v, w, den), followed by digit d at m; for
     `closed_form_value` and `analysis.affine_on_cylinder`.  This never
     touches the tail digits."""
@@ -145,14 +145,15 @@ def _cylinder_map(system, m, d, prefix, variant):
 
 def closed_form_value(num, m, variant=ShiftVariant.DIGIT):
     """Value of the deletion image computed from x and the first m digits
-    alone, without digit surgery."""
+    alone, without digit surgery: slope*x + intercept as one Fraction."""
     if m < 1:
         raise ValueError("positions are 1-based")
     _require_admissible(num.system, variant)
     x = evaluate(num)
-    slope, intercept = _cylinder_map(num.system, m, digit_at(num, m),
-                                     _stream_prefix(num, m - 1), variant)
-    return slope * x + intercept
+    sn, sd, tn, td = _cylinder_map(num.system, m, digit_at(num, m),
+                                   _stream_prefix(num, m - 1), variant)
+    xn, xd = x.numerator, x.denominator
+    return Fraction(sn * xn * td + tn * sd * xd, sd * xd * td)
 
 
 @dataclass(frozen=True)

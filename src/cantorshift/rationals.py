@@ -97,7 +97,7 @@ def _int_str(n):
 
 def rational_str(value):
     """Render a Fraction as "p/q" with an explicit positive denominator."""
-    return f"{_int_str(value.numerator)}/{_int_str(value.denominator)}"
+    return _pair_str(value.numerator, value.denominator)
 
 
 def decimal_str(value, precision=12, fixed=False):
@@ -109,10 +109,21 @@ def decimal_str(value, precision=12, fixed=False):
     """
     if precision < 0:
         raise ValueError("precision must be >= 0")
-    num, den = value.numerator, value.denominator
+    return _pair_decimal(value.numerator, value.denominator, precision, 10**precision, fixed)
+
+
+def _pair_str(num, den):
+    """"p/q" of the integer pair num/den, den > 0, as given: the caller
+    reduces it."""
+    return f"{_int_str(num)}/{_int_str(den)}"
+
+
+def _pair_decimal(num, den, precision, scale, fixed):
+    """`decimal_str` of the integer pair num/den, den > 0 and not
+    necessarily reduced, with scale = 10**precision computed by the
+    caller, so that a table computes it once."""
     neg = num < 0
-    num = abs(num)
-    scaled, rem = divmod(num * 10**precision, den)
+    scaled, rem = divmod(abs(num) * scale, den)
     if 2 * rem >= den:
         scaled += 1
     digits = _int_str(scaled).rjust(precision + 1, "0")

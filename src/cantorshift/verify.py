@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .analysis import _image_ints, continuity_at, segment_table
+from .analysis import _image_ints, _segment_ints, continuity_at
 from .documents import number_to_doc, system_to_doc
 from .errors import ExpansionError
 from .numbers import (
@@ -364,47 +364,42 @@ def _segments_ok(system, m, expected_count, tiling):
     """The rank-m segment table has expected_count rows; with `tiling`,
     they tile the representable interval, each row's map agrees with
     point_image (the decode-residual formula) at three interior points,
-    and Cantor rows have slope q_m.  The point checks run on integers: the
-    points (4-j)/4*a/b + j/4*c/e of a row [a/b, c/e] are over 4*b*e, and
-    their images come from the integer core of point_image."""
-    table = segment_table(system, m)
-    if len(table) != expected_count:
+    and Cantor rows have slope q_m.  Every check runs on integers: the
+    table's lo ends share the denominator d_lo and its hi ends d_hi, so
+    the points (4-j)/4*lo + j/4*hi of every row lie over the one
+    denominator 4*d_lo*d_hi, and their images come from the integer core
+    of point_image."""
+    rows, d_lo, d_hi = _segment_ints(system, m)
+    if len(rows) != expected_count:
         return False
     if not tiling:
         return True
     positions = position_table(system)
-    iv = positions.interval(0)
+    lo_num, lo_den, hi_num, hi_den = positions.tail(0)
+    # the widths sum to the interval's: (sum hi*d_lo - sum lo*d_hi) / (d_lo*d_hi)
+    width_num = sum(row[1] for row in rows) * d_lo - sum(row[0] for row in rows) * d_hi
     if (
-        sum((interval.width for interval, _ in table), Fraction(0)) != iv.width
-        or table[0][0].lo != iv.lo
-        or table[-1][0].hi != iv.hi
-        or any(table[i][0].hi != table[i + 1][0].lo for i in range(len(table) - 1))
+        width_num * lo_den * hi_den != (hi_num * lo_den - lo_num * hi_den) * d_lo * d_hi
+        or rows[0][0] * lo_den != lo_num * d_lo
+        or rows[-1][1] * hi_den != hi_num * d_hi
+        or any(a[1] * d_lo != b[0] * d_hi for a, b in zip(rows, rows[1:]))
     ):
         return False
-    lo_num, lo_den, hi_num, hi_den = positions.tail(0)
     # a column system's slope depends on the cylinder's digit at m
     expected_slope = system.base_at(m) if isinstance(system, CantorSystem) else None
-    for interval, affine in table:
-        if expected_slope is not None and affine.slope != expected_slope:
+    den = 4 * d_lo * d_hi
+    lo_bound, hi_bound = lo_num * den, hi_num * den
+    for a, c, sn, sd, tn, td in rows:
+        if expected_slope is not None and sn != expected_slope * sd:
             return False
-        a, b = interval.lo.numerator, interval.lo.denominator
-        c, e = interval.hi.numerator, interval.hi.denominator
-        sn, sd = affine.slope.numerator, affine.slope.denominator
-        tn, td = affine.intercept.numerator, affine.intercept.denominator
-        den = 4 * b * e
-        images = []
         for j in (1, 2, 3):
-            num = (4 - j) * a * e + j * c * b
-            if not (lo_num * den <= num * lo_den and num * hi_den <= hi_num * den):
+            num = (4 - j) * a * d_hi + j * c * d_lo
+            if not (lo_bound <= num * lo_den and num * hi_den <= hi_bound):
                 return False
             y_num, y_den = _image_ints(positions, num, den, m, 1)
             # y == slope*x + intercept, over the denominator sd*den*td
             if y_num * sd * den * td != (sn * num * td + tn * sd * den) * y_den:
                 return False
-            images.append((num, y_num, y_den))
-        (x0, p0, q0), (x1, p1, q1), (x2, p2, q2) = images
-        if (p1 * q0 - p0 * q1) * q2 * (x2 - x1) != (p2 * q1 - p1 * q2) * q0 * (x1 - x0):
-            return False
     return True
 
 

@@ -292,13 +292,13 @@ class TestImageInts:
         system, m, count = self._segments_case(flavor)
 
         def shifted(*args):
-            rows = segment_table(*args)
-            interval, affine = rows[len(rows) // 2]
-            rows[len(rows) // 2] = (interval, AffineMap(affine.slope,
-                                                        affine.intercept + Fraction(1, 997)))
-            return rows
+            rows, d_lo, d_hi = analysis._segment_ints(*args)
+            lo, hi, sn, sd, tn, td = rows[len(rows) // 2]
+            # intercept + 1/997
+            rows[len(rows) // 2] = (lo, hi, sn, sd, 997 * tn + td, 997 * td)
+            return rows, d_lo, d_hi
 
-        monkeypatch.setattr(verify, "segment_table", shifted)
+        monkeypatch.setattr(verify, "_segment_ints", shifted)
         assert _segments_ok(system, m, count, tiling=True) is False
 
     @pytest.mark.parametrize("flavor", [0, 2])
@@ -306,13 +306,16 @@ class TestImageInts:
         system, m, count = self._segments_case(flavor)
 
         def moved(*args):
-            rows = segment_table(*args)
-            interval, affine = rows[len(rows) // 2]
-            rows[len(rows) // 2] = (Interval(interval.lo + interval.width / 3, interval.hi),
-                                    affine)
-            return rows
+            rows, d_lo, d_hi = analysis._segment_ints(*args)
+            # lo + width/3 = (2*lo*d_hi + hi*d_lo) / (3*d_lo*d_hi): every lo
+            # end goes over the denominator 3*d_lo*d_hi, one of them moved
+            mid = len(rows) // 2
+            lo, hi = rows[mid][:2]
+            rows = [(row[0] * 3 * d_hi, *row[1:]) for row in rows]
+            rows[mid] = (2 * lo * d_hi + hi * d_lo, *rows[mid][1:])
+            return rows, 3 * d_lo * d_hi, d_hi
 
-        monkeypatch.setattr(verify, "segment_table", moved)
+        monkeypatch.setattr(verify, "_segment_ints", moved)
         assert _segments_ok(system, m, count, tiling=True) is False
 
     @staticmethod
@@ -332,8 +335,8 @@ class TestImageInts:
     def test_kill_set_of_inverted_slope(self, monkeypatch):
         # slope wd/c, the digit's weight, in place of its reciprocal c/wd
         def inverted(v, w, den, t, wd, c, s, variant):
-            slope, intercept = _deletion_map(v, w, den, t, wd, c, s, variant)
-            return Fraction(wd, c) if slope > 0 else -Fraction(wd, c), intercept
+            sn, sd, tn, td = _deletion_map(v, w, den, t, wd, c, s, variant)
+            return wd if sn > 0 else -wd, c, tn, td
 
         assert self._failing_trials(monkeypatch, inverted) == [0, 1, 2, 4, 5, 6, 8, 9, 10,
                                                               12, 13, 14]

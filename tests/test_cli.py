@@ -13,7 +13,8 @@ import cantorshift
 from cantorshift import OutOfIntervalError, SignPattern, analysis, cli, verify
 from cantorshift.cli import run
 from cantorshift.documents import system_to_doc
-from cantorshift.rationals import MAX_PRECISION
+from cantorshift.rationals import MAX_PRECISION, decimal_str, rational_str
+from cantorshift.sampling import rand_cantor_system, rand_segment_system
 from helpers import DEC, FACT, NEG, QT, cantor, parse_long_int
 
 DATA = Path(__file__).parent / "data"
@@ -226,6 +227,39 @@ class TestGeometry:
         assert run([argv[0], str(DATA / f"{system}.json")] + argv[1:]) == 0
         golden = DATA / f"{argv[0]}_{system}.tsv"
         assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("flavor", [0, 1, 2, 3, "alternating"], ids=[
+        "positive-cantor", "signed-cantor", "positive-column", "signed-column",
+        "alternating-position"])
+    def test_tables_equal_fraction_rendering(self, paths, capsys, flavor):
+        # the CLI renders integer pairs; the reference renders the Fractions
+        # of segment_table and graph_samples
+        def reference(header, rows, precision):
+            names = list(header) + [f"{h}_dec" for h in header]
+            return "".join(
+                "\t".join(row) + "\n" for row in [names] + [
+                    [rational_str(v) for v in row]
+                    + [decimal_str(v, precision, fixed=True) for v in row] for row in rows])
+
+        _, write = paths
+        rng = random.Random(89)
+        for _ in range(3):
+            if flavor == "alternating":
+                system, variant = rand_cantor_system(rng, max_q=5, signs="odd"), "position"
+            else:
+                system, variant = rand_segment_system(rng, flavor), "digit"
+            spath = write("s.json", system_to_doc(system))
+            m = rng.randrange(1, 4)
+            table = analysis.segment_table(system, m, cli._variant(variant))
+            segments = [(i.lo, i.hi, a.slope, a.intercept) for i, a in table]
+            points = analysis.graph_samples(system, m, 3, cli._variant(variant))
+            for precision in (0, 1, 12, 40):
+                common = ["-m", str(m), "--variant", variant, "--precision", str(precision)]
+                assert run(["segments", spath] + common) == 0
+                assert capsys.readouterr().out == reference(
+                    ("lo", "hi", "slope", "intercept"), segments, precision)
+                assert run(["graph", spath, "--samples", "3"] + common) == 0
+                assert capsys.readouterr().out == reference(("x", "y"), points, precision)
 
 
 class TestVerifyCommand:
@@ -485,7 +519,7 @@ class TestErrors:
         def reached(*args):
             raise AssertionError("the command ran")
 
-        for name in ("iterate_shift", "segment_table", "graph_samples", "cylinder"):
+        for name in ("iterate_shift", "_segment_ints", "_graph_ints", "cylinder"):
             monkeypatch.setattr(cli, name, reached)
         tmp, write = paths
         write("s.json", system_to_doc(DEC))
@@ -511,7 +545,7 @@ class TestErrors:
             raise AssertionError("the command ran")
 
         monkeypatch.setattr(cli, "evaluate", reached)
-        monkeypatch.setattr(cli, "segment_table", reached)
+        monkeypatch.setattr(cli, "_segment_ints", reached)
         system = {"kind": "cantor",
                   "base": {"prefix": [], "cycle": [2 + i % 7 for i in range(99)] + [3]},
                   "signs": {"prefix": [], "cycle": [i % 3 == 0 for i in range(100)] + [True]}}

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ from cantorshift.documents import (
     parse_system,
     system_to_doc,
 )
-from cantorshift.rationals import decimal_str, parse_rational, rational_str
+from cantorshift.rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
 from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
 from helpers import DEC, NEG, QT, mk, parse_long_int
 
@@ -143,15 +144,81 @@ class TestRationalStrings:
 
 class TestEmitTsv:
     def test_header_and_dual_columns(self):
-        text = emit_tsv(("lo", "hi"), [(Fraction(1, 4), Fraction(1, 2))], precision=3)
+        text = emit_tsv(("lo", "hi"), [((1, 4), (1, 2))], precision=3)
         lines = text.splitlines()
         assert lines[0].split("\t") == ["lo", "hi", "lo_dec", "hi_dec"]
         assert lines[1].split("\t") == ["1/4", "1/2", "0.250", "0.500"]
 
     def test_int_and_fraction_cells(self):
-        text = emit_tsv(("x", "y"), [(3, Fraction(-1, 3)), (Fraction(6, 4), 0)], precision=2)
+        text = emit_tsv(("x", "y"), [((3, 1), (-1, 3)), ((6, 4), (0, 1))], precision=2)
         assert text.splitlines()[1:] == ["3/1\t-1/3\t3.00\t-0.33", "3/2\t0/1\t1.50\t0.00"]
 
     def test_empty_rows_keep_header(self):
         text = emit_tsv(("x", "y"), [])
         assert text == "x\ty\tx_dec\ty_dec\n"
+
+
+def _long_str(n):
+    """Decimal digits of an integer n >= 0 of any size, 1000 at a time."""
+    pieces = []
+    while True:
+        n, r = divmod(n, 10**1000)
+        if not n:
+            pieces.append(str(r))
+            return "".join(reversed(pieces))
+        pieces.append(str(r).zfill(1000))
+
+
+def _reference_cells(x, precision):
+    """"p/q" and fixed decimal of the Fraction x by plain Fraction
+    arithmetic: rounding half away from zero is floor(|x|*10^p + 1/2)."""
+    sign = "-" if x < 0 else ""
+    exact = f"{sign}{_long_str(abs(x.numerator))}/{_long_str(x.denominator)}"
+    scaled = math.floor(abs(x) * 10**precision + Fraction(1, 2))
+    digits = _long_str(scaled).rjust(precision + 1, "0")
+    whole, frac = digits[:len(digits) - precision], digits[len(digits) - precision:]
+    text = f"{whole}.{frac}" if precision else whole
+    return exact, (sign + text if scaled else text)
+
+
+class TestPairRenderer:
+    """emit_tsv renders integer pairs; rational_str and decimal_str render
+    Fractions through the same routines.  Both must equal the plain-Fraction
+    reference, whatever common factor the pair carries."""
+
+    @staticmethod
+    def _check(num, den, precision):
+        x = Fraction(num, den)
+        exact, approx = _reference_cells(x, precision)
+        assert emit_tsv(("v",), [((num, den),)], precision) == f"v\tv_dec\n{exact}\t{approx}\n"
+        assert rational_str(x) == exact
+        assert decimal_str(x, precision, fixed=True) == approx
+
+    def test_unreduced_multiples_negatives_and_zero(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            n, d = rng.randrange(-60, 61), rng.randrange(1, 40)
+            for k in (1, 2, 7, 360):
+                for precision in (0, 1, 3, 12):
+                    self._check(k * n, k * d, precision)
+
+    def test_exact_halves_round_half_away_from_zero(self):
+        for precision in range(5):
+            for a in range(12):
+                for sign in (1, -1):
+                    for k in (1, 3):
+                        self._check(k * sign * (2 * a + 1), k * 2 * 10**precision, precision)
+        text = emit_tsv(("x", "y"), [((1, 8), (-3, 24)), ((-5, 2), (10, 4))], precision=2)
+        assert text.splitlines()[1:] == ["1/8\t-1/8\t0.13\t-0.13",
+                                         "-5/2\t5/2\t-2.50\t2.50"]
+        text = emit_tsv(("x", "y"), [((1, 2), (-3, 2))], precision=0)
+        assert text.splitlines()[1] == "1/2\t-3/2\t1\t-2"
+
+    @pytest.mark.parametrize("precision", [0, 16, MAX_PRECISION])
+    def test_cells_past_the_int_str_limit(self, precision):
+        big = 7**900  # 761 digits
+        den = 3**401
+        assert len(_long_str(big)) > 700
+        for num in (big, -big, big + 1, 1):
+            for k in (1, 10**50):
+                self._check(k * num, k * den, precision)

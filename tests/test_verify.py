@@ -34,10 +34,10 @@ def _evaluate_without_tail(num):
 def _deletion_map_off_by_weight(v, w, den, t, wd, c, s, variant):
     """The intercept is off by the digit weight times the prefix weight,
     wd/c * w/den, when the digit term t/c has a denominator divisible by 3."""
-    slope, intercept = _deletion_map(v, w, den, t, wd, c, s, variant)
+    sn, sd, tn, td = _deletion_map(v, w, den, t, wd, c, s, variant)
     if Fraction(t, c).denominator % 3 == 0:
-        intercept += Fraction(wd, c) * Fraction(w, den)
-    return slope, intercept
+        return sn, sd, tn * c * den + wd * w * td, td * c * den
+    return sn, sd, tn, td
 
 
 def _digits_equal_unless(a, b):
