@@ -16,7 +16,7 @@ from .numbers import (
     DigitStream,
     cycle_tail,
 )
-from .rationals import _pair_decimal, _pair_str, parse_rational, rational_str
+from .rationals import _pair_decimal, _pair_str, _parse_pair
 from .series import EventuallyPeriodicSeq
 from .systems import (
     CantorSystem,
@@ -60,6 +60,15 @@ def _signs_to_doc(signs):
     }
 
 
+def _column_to_doc(col):
+    """The column's entries as "p/q" strings in lowest terms."""
+    strs = []
+    for _, weight, den in col.ints:
+        g = gcd(weight, den)
+        strs.append(_pair_str(weight // g, den // g))
+    return strs
+
+
 def system_to_doc(system):
     if isinstance(system, CantorSystem):
         return {
@@ -70,8 +79,8 @@ def system_to_doc(system):
     return {
         "kind": "qtilde",
         "columns": {
-            "prefix": [[rational_str(e) for e in col.entries] for col in system.columns.prefix],
-            "cycle": [[rational_str(e) for e in col.entries] for col in system.columns.cycle],
+            "prefix": [_column_to_doc(col) for col in system.columns.prefix],
+            "cycle": [_column_to_doc(col) for col in system.columns.cycle],
         },
         "signs": _signs_to_doc(system.signs),
     }
@@ -125,7 +134,15 @@ def _parse_column(obj, path):
     items = _expect_list(obj, path)
     if not items:
         raise DocumentError(f"column must be nonempty at {path}")
-    return QTildeColumn(tuple(parse_rational(v, f"{path}[{i}]") for i, v in enumerate(items)))
+    try:
+        pairs = [_parse_pair(v, path) for v in items]
+    except DocumentError:
+        # Parse again with each entry's path, built only now, to name the
+        # first bad entry.
+        for i, v in enumerate(items):
+            _parse_pair(v, f"{path}[{i}]")
+        raise
+    return QTildeColumn._from_pairs(pairs)
 
 
 def doc_to_system(obj, path="$"):

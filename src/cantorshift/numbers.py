@@ -35,7 +35,6 @@ from .systems import (
     combined_prefix_len,
     periodic_from,
     position_table,
-    sign_factor,
 )
 from .rationals import _shown
 from .series import _fold, _periodic_sum
@@ -133,13 +132,27 @@ def _check_digit(system, n, d):
         )
 
 
+def _max_digits(system, first, count):
+    """Max digits at positions first, ..., first + count - 1."""
+    if isinstance(system, QTildeSystem):
+        return [len(col.ints) - 1 for col in system.columns.items(first, count)]
+    return [q - 1 for q in system.base.items(first, count)]
+
+
+def _check_digits(system, first, digits):
+    """`_check_digit` of the digits at positions first, first + 1, ...:
+    the first digit out of its alphabet raises with its position."""
+    for n, (d, top) in enumerate(zip(digits, _max_digits(system, first, len(digits))), first):
+        if not (isinstance(d, int) and 0 <= d <= top):
+            _check_digit(system, n, d)
+
+
 def validate_number(num):
     """Raise DigitRangeError / AlignmentError when the stream does not fit
     the system; valid numbers pass silently.  Every RepresentedNumber runs
     it once, when it is built."""
     system, stream = num.system, num.digits
-    for i, d in enumerate(stream.prefix):
-        _check_digit(system, i + 1, d)
+    _check_digits(system, 1, stream.prefix)
     tail = stream.tail
     if tail.kind == "cycle":
         start = len(stream.prefix) + 1
@@ -149,20 +162,22 @@ def validate_number(num):
                 f"digit cycle of length {p} starting at position {start} "
                 "is not a period of the numeral system there"
             )
-        for j, d in enumerate(tail.cycle):
-            _check_digit(system, start + j, d)
+        _check_digits(system, start, tail.cycle)
 
 
 def _position_arrays(system, digits, first=1):
     """Integer (term_num, weight_num, den, sign) arrays of the digits at
-    positions first, first + 1, ..., as `series` sums them."""
-    t, w, c, s = [], [], [], []
-    for n, d in enumerate(digits, first):
-        term, weight, den = system.digit_ints(n, d)
-        t.append(term)
-        w.append(weight)
-        c.append(den)
-        s.append(sign_factor(system.signs, n))
+    positions first, first + 1, ..., as `series` sums them.  The system's
+    bases or columns and signs are read as slices.  The digits must lie in
+    their alphabets, and are not checked: numbers are checked when built,
+    and `cylinder` and `affine_on_cylinder` check their prefixes first."""
+    size = len(digits)
+    s = [-1 if member else 1 for member in system.signs.membership.items(first, size)]
+    if isinstance(system, QTildeSystem):
+        ints = [col.ints[d] for col, d in zip(system.columns.items(first, size), digits)]
+        t, w, c = zip(*ints) if ints else ((), (), ())
+    else:
+        t, w, c = digits, [1] * size, system.base.items(first, size)
     return t, w, c, s
 
 

@@ -28,20 +28,29 @@ def parse_rational(text, where="value"):
 
     The denominator must be positive; anything else is a DocumentError.
     """
-    if isinstance(text, int):
-        return Fraction(text)
+    return Fraction(*_parse_pair(text, where))
+
+
+def _parse_pair(text, where):
+    """The integer pair (p, q), q > 0, of a "p/q" literal as written, not
+    reduced: "2/8" gives (2, 8).  A bare integer string or a JSON integer
+    n gives (n, 1); surrounding whitespace is ignored.  A JSON boolean, or
+    anything else that is not such a literal, is a DocumentError naming
+    `where`."""
+    if type(text) is int:
+        return text, 1
     if not isinstance(text, str):
         raise DocumentError(f"bad rational literal {_quote(text)} at {where}")
     parts = text.strip().split("/")
     try:
         if len(parts) == 1:
-            return Fraction(_parse_int(parts[0]))
+            return _parse_int(parts[0]), 1
         if len(parts) == 2:
             p, q = _parse_int(parts[0]), _parse_int(parts[1])
             if q <= 0:
                 raise DocumentError(f"bad rational literal {_quote(text)} at {where}: "
                                     "denominator must be positive")
-            return Fraction(p, q)
+            return p, q
     except ValueError:
         pass
     raise DocumentError(f"bad rational literal {_quote(text)} at {where}")

@@ -5,8 +5,6 @@ Every generator takes an explicit random.Random so that a (seed, trial)
 pair determines the case exactly.
 """
 
-from fractions import Fraction
-
 from .numbers import (
     RepresentedNumber,
     TAIL_MAX,
@@ -78,7 +76,7 @@ def rand_column(rng, max_den=16):
     den = rng.randrange(max(k, 4), max_den + 1)
     cuts = sorted(rng.sample(range(1, den), k - 1))
     bounds = [0] + cuts + [den]
-    return QTildeColumn(tuple(Fraction(b - a, den) for a, b in zip(bounds, bounds[1:])))
+    return QTildeColumn._from_pairs([(b - a, den) for a, b in zip(bounds, bounds[1:])])
 
 
 def rand_qtilde_system(rng, max_den=16, signs="any", sign_pattern=None):

@@ -78,13 +78,22 @@ class EventuallyPeriodicSeq:
             return self.prefix[n - 1]
         return self.cycle[(n - len(self.prefix) - 1) % len(self.cycle)]
 
-    @classmethod
-    def from_fn(cls, fn, preperiod, period):
-        """Materialize a sequence from a position function that is
-        periodic with `period` for positions beyond `preperiod`."""
-        prefix = tuple(fn(i) for i in range(1, preperiod + 1))
-        cycle = tuple(fn(preperiod + j) for j in range(1, period + 1))
-        return cls(prefix, cycle)
+    def items(self, first, count):
+        """The items at positions first, ..., first + count - 1, as a list:
+        a slice of the prefix, then the cycle read from its phase at the
+        first position past the prefix."""
+        if first < 1:
+            raise ValueError("positions are 1-based")
+        if count < 0:
+            raise ValueError("count must be >= 0")
+        prefix, cycle = self.prefix, self.cycle
+        out = list(prefix[first - 1:first - 1 + count])
+        rest = count - len(out)
+        if rest:
+            phase = (first + len(out) - len(prefix) - 1) % len(cycle)
+            repeats = -(-(phase + rest) // len(cycle))
+            out += (cycle * repeats)[phase:phase + rest]
+        return out
 
     def shifted(self, m):
         """Sequence whose position n holds this sequence's position n+m."""
@@ -92,19 +101,18 @@ class EventuallyPeriodicSeq:
             raise ValueError("shift must be >= 0")
         if m == 0:
             return self
-        return EventuallyPeriodicSeq.from_fn(
-            lambda n: self.at(n + m), max(len(self.prefix) - m, 0), len(self.cycle)
-        )
+        preperiod = max(len(self.prefix) - m, 0)
+        return EventuallyPeriodicSeq(self.items(m + 1, preperiod),
+                                     self.items(m + 1 + preperiod, len(self.cycle)))
 
     def removed(self, m):
         """Sequence with position m deleted (later positions move down)."""
         if m < 1:
             raise ValueError("positions are 1-based")
         preperiod = max(m - 1, len(self.prefix))
-        return EventuallyPeriodicSeq.from_fn(
-            lambda n: self.at(n) if n < m else self.at(n + 1),
-            preperiod,
-            len(self.cycle),
+        return EventuallyPeriodicSeq(
+            self.items(1, m - 1) + self.items(m + 1, preperiod - m + 1),
+            self.items(preperiod + 2, len(self.cycle)),
         )
 
 

@@ -10,16 +10,19 @@ cumulative sum of the entries below it, weight entries[d]).
 
 Exact arithmetic inside the package reads each digit as integers
 (term_num, weight_num, den) over one denominator per position: a Cantor
-digit d is (d, 1, q_n), a column digit its column's `ints` entry.
-`term_value` and `digit_weight` give the same values as `Fraction`s,
-read from the base or the column's entries, for callers outside the
-package and for the tests' reference routes.
+digit d is (d, 1, q_n), a column digit its column's `ints` entry.  A
+column is held as those integers alone, from the document parser up; its
+`entries` are a `Fraction` view derived from them.  `term_value` and
+`digit_weight` give the same values as `Fraction`s, read from the base or
+the column's integers, for callers outside the package and for the tests'
+reference routes.  Per-position data of a whole range of positions is
+read in slices, through `EventuallyPeriodicSeq.items`.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import gcd, lcm, prod
 from operator import methodcaller
 from typing import NamedTuple
@@ -129,34 +132,65 @@ class QTildeColumn:
 
     Digit i against this column contributes the cumulative sum of the
     entries strictly below i and scales the remaining tail by entries[i].
-    `ints` holds each digit's (term_num, weight_num, den): its term and
-    weight as integers over the column's one denominator, the lcm of the
-    entries' denominators.  It is computed once, at construction, and
-    takes no part in equality, hashing or repr, which read `entries`.
+    The column is held as its integers: `ints` holds each digit's
+    (term_num, weight_num, den), its term and weight over the column's
+    least common denominator.  `ints` is computed once, at construction,
+    and equality and hashing read it, so (1/4, 3/4) and "2/8", "6/8" make
+    equal columns.  `entries` is a view derived from `ints` as reduced
+    `Fraction`s, for callers outside the package and for repr.
+
+    `QTildeColumn(entries)` takes anything `Fraction()` accepts (Fractions,
+    "p/q" strings, floats); the document parser builds a column from its
+    literals' integer pairs with `_from_pairs`.  Both go through the one
+    builder `_set_ints`.
     """
 
-    entries: tuple
-    ints: tuple = field(init=False, compare=False, repr=False)
+    ints: tuple
 
-    def __post_init__(self):
-        # parsed documents pass Fractions already; only other types are wrapped
-        object.__setattr__(self, "entries", tuple(
-            e if type(e) is Fraction else Fraction(e) for e in self.entries))
-        if not self.entries:
+    def __init__(self, entries):
+        fractions = [e if isinstance(e, Fraction) else Fraction(e) for e in entries]
+        self._set_ints([(f.numerator, f.denominator) for f in fractions])
+
+    @classmethod
+    def _from_pairs(cls, pairs):
+        """The column whose entries are p/q for the integer pairs (p, q),
+        q > 0, not necessarily reduced."""
+        column = object.__new__(cls)
+        column._set_ints(pairs)
+        return column
+
+    def _set_ints(self, pairs):
+        if not pairs:
             raise ValueError("column must have at least one entry")
-        den = lcm(*(e.denominator for e in self.entries))
-        nums = [e.numerator * (den // e.denominator) for e in self.entries]
+        # The lcm of the given denominators over the gcd it shares with
+        # every numerator is the entries' least common denominator.
+        _, dens = zip(*pairs)
+        den = lcm(*dens)
+        nums = [p * (den // q) for p, q in pairs]
+        g = gcd(den, *nums)
+        if g > 1:
+            den //= g
+            nums = [num // g for num in nums]
         object.__setattr__(self, "ints", tuple(
-            (term, weight, den) for term, weight in zip(accumulate(nums, initial=0), nums)))
+            zip(accumulate(nums, initial=0), nums, repeat(den))))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(entries={self.entries!r})"
+
+    @property
+    def entries(self):
+        """The entries as reduced Fractions."""
+        return tuple(Fraction(weight, den) for _, weight, den in self.ints)
 
     @property
     def max_digit(self):
-        return len(self.entries) - 1
+        return len(self.ints) - 1
 
     def cumulative(self, i):
         if not 0 <= i <= self.max_digit:
             raise DigitRangeError(f"digit {i} outside column alphabet 0..{self.max_digit}")
-        return sum(self.entries[:i], Fraction(0))
+        term, _, den = self.ints[i]
+        return Fraction(term, den)
 
 
 @dataclass(frozen=True)
@@ -176,7 +210,8 @@ class QTildeSystem:
         return self.columns.at(n).cumulative(d)
 
     def digit_weight(self, n, d):
-        return self._column(n, d).entries[d]
+        _, weight, den = self._column(n, d).ints[d]
+        return Fraction(weight, den)
 
     def digit_ints(self, n, d):
         """(term_num, weight_num, den) of digit d at position n."""
@@ -266,8 +301,9 @@ def validate(system):
             for i, col in enumerate(items):
                 for j, (_, w, den) in enumerate(col.ints):
                     if not 0 < w < den:
-                        problems.append(Violation(f"{region}[{i}][{j}]",
-                                                  f"column entry not in (0, 1): {col.entries[j]}"))
+                        problems.append(Violation(
+                            f"{region}[{i}][{j}]",
+                            f"column entry not in (0, 1): {Fraction(w, den)}"))
                 term, w, den = col.ints[-1]
                 if term + w != den:
                     problems.append(Violation(f"{region}[{i}]", "column sum != 1"))
@@ -332,15 +368,16 @@ class PositionTable(NamedTuple):
     def build(cls, system):
         prefix_len = combined_prefix_len(system)
         cycle_len = combined_cycle_len(system)
-        positions = range(1, prefix_len + cycle_len + 1)
-        max_digits = tuple(system.max_digit(n) for n in positions)
-        signs = tuple(sign_factor(system.signs, n) for n in positions)
+        size = prefix_len + cycle_len
+        signs = tuple(-1 if member else 1 for member in system.signs.membership.items(1, size))
         if isinstance(system, CantorSystem):
-            table = cls(prefix_len, cycle_len, max_digits, signs, (),
-                        bases=tuple(system.base_at(n) for n in positions))
+            bases = tuple(system.base.items(1, size))
+            table = cls(prefix_len, cycle_len, tuple(q - 1 for q in bases), signs, (),
+                        bases=bases)
         else:
-            table = cls(prefix_len, cycle_len, max_digits, signs, (),
-                        columns=tuple(system.column_at(n).ints for n in positions))
+            columns = tuple(col.ints for col in system.columns.items(1, size))
+            table = cls(prefix_len, cycle_len, tuple(len(ints) - 1 for ints in columns), signs,
+                        (), columns=columns)
         # The most negative stream takes the max digit at negative positions
         # and 0 elsewhere; the most positive stream is the mirror image.
         lows = table._extreme_tails(lambda i: signs[i] < 0)

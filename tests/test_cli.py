@@ -367,6 +367,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "column sum != 1 at $.columns.cycle[0]" in err
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_boolean_column_entry_is_a_bad_literal(self, paths, capsys, flag):
+        # JSON true is an int to Python; as a rational it would read as 1.
+        _, write = paths
+        path = write("bad.json", {"kind": "qtilde",
+                                  "columns": {"prefix": [], "cycle": [[flag, "0/2"]]},
+                                  "signs": "none"})
+        assert run(["segments", path, "-m", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad rational literal {flag} at $.columns.cycle[0][0]\n"
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000, encoding="utf-8")

@@ -1,11 +1,23 @@
+import contextlib
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from cantorshift import DocumentError
+from cantorshift import (
+    DocumentError,
+    EventuallyPeriodicSeq,
+    QTildeColumn,
+    QTildeSystem,
+    SignPattern,
+    documents,
+    evaluate,
+    rationals,
+    systems,
+)
 from cantorshift.documents import (
     doc_to_number,
     doc_to_system,
@@ -140,6 +152,145 @@ class TestRationalStrings:
         assert decimal_str(Fraction(2, 3), 3) == "0.667"
         assert decimal_str(Fraction(1, 4), 6, fixed=True) == "0.250000"
         assert decimal_str(Fraction(0), 4) == "0"
+
+
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Lift int()/str()'s digit limit, where Python has one, for a with
+    block: repr() of a Fraction past 4300 digits needs it."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _literal(rng, p, q):
+    """A literal for the rational p/q, q > 0, written as the parser must
+    read it: an unreduced multiple, a JSON int, a bare or "+" integer
+    string, or padded with whitespace."""
+    k = rng.choice((1, 2, 3, 7, 10**12))
+    if q == 1 and rng.random() < 0.5:
+        return p if rng.random() < 0.5 else (f"+{p}" if p >= 0 else str(p))
+    num = f"+{k * p}" if p >= 0 and rng.random() < 0.2 else str(k * p)
+    text = f"{num}/{k * q}"
+    if rng.random() < 0.3:
+        text = " " * rng.randrange(1, 3) + text + "\t" * rng.randrange(0, 2)
+    return text
+
+
+def _random_entries(rng):
+    """(p, q) pairs of a random column: either weights in (0, 1) summing
+    to 1, or arbitrary rationals and integers, which the parser must read
+    as well before validation refuses them."""
+    if rng.random() < 0.7:
+        den = rng.randrange(4, 30)
+        cuts = sorted(rng.sample(range(1, den), rng.randrange(1, 4)))
+        bounds = [0] + cuts + [den]
+        return [(b - a, den) for a, b in zip(bounds, bounds[1:])]
+    return [(rng.randrange(-9, 10), rng.choice((1, 1, 2, 5, 12)))
+            for _ in range(rng.randrange(1, 5))]
+
+
+def _deep_column_doc(rng, positions):
+    """A number document over `positions` random prefix columns with a
+    periodic tail, as `perfbench` draws its deep column prefix."""
+    columns = []
+    for _ in range(positions):
+        den = rng.randrange(4, 17)
+        cuts = sorted(rng.sample(range(1, den), rng.randrange(1, 3)))
+        bounds = [0] + cuts + [den]
+        columns.append([f"{b - a}/{den}" for a, b in zip(bounds, bounds[1:])])
+    system = {"kind": "qtilde",
+              "columns": {"prefix": columns, "cycle": [["1/6", "1/3", "1/2"]]},
+              "signs": "none"}
+    digits = [rng.randrange(len(c)) for c in columns]
+    return {"system": system,
+            "digits": {"prefix": digits, "tail": {"type": "cycle", "cycle": [2]}}}
+
+
+class TestColumnParser:
+    """Column literals are parsed straight to integer pairs.  The column
+    must be the one the Fraction route builds from `parse_rational`."""
+
+    @staticmethod
+    def _check(items):
+        parsed = documents._parse_column(items, "$")
+        reference = QTildeColumn(tuple(parse_rational(v) for v in items))
+        assert parsed.ints == reference.ints
+        assert parsed == reference and hash(parsed) == hash(reference)
+        assert parsed.entries == reference.entries
+        assert all(type(e) is Fraction for e in parsed.entries)
+        with _no_int_str_limit():
+            assert repr(parsed) == repr(reference)
+        return parsed
+
+    def test_random_literals_match_the_fraction_route(self):
+        rng = random.Random(131)
+        for _ in range(400):
+            pairs = _random_entries(rng)
+            self._check([_literal(rng, p, q) for p, q in pairs])
+
+    def test_numerator_past_the_int_str_limit(self):
+        big = 10**5000
+        for k in (1, 3):
+            col = self._check([f"{_long_str(k * (big - 1))}/{_long_str(k * big)}",
+                               f" +{k}/{_long_str(k * big)} "])
+            assert col.ints == ((0, big - 1, big), (big - 1, 1, big))
+
+    def test_documents_render_reduced_strings(self):
+        rng = random.Random(137)
+        for _ in range(200):
+            prefix = [_random_entries(rng) for _ in range(rng.randrange(0, 3))]
+            cycle = [_random_entries(rng) for _ in range(rng.randrange(1, 3))]
+            doc = {"kind": "qtilde",
+                   "columns": {"prefix": [[_literal(rng, p, q) for p, q in c] for c in prefix],
+                               "cycle": [[_literal(rng, p, q) for p, q in c] for c in cycle]},
+                   "signs": "none"}
+            try:
+                system = doc_to_system(doc)
+            except DocumentError:
+                continue  # entries outside (0, 1), or a cycle that does not contract
+            reference = QTildeSystem(EventuallyPeriodicSeq(
+                tuple(QTildeColumn(tuple(Fraction(p, q) for p, q in c)) for c in prefix),
+                tuple(QTildeColumn(tuple(Fraction(p, q) for p, q in c)) for c in cycle)),
+                SignPattern.none())
+            assert system == reference
+            assert system_to_doc(system)["columns"] == {
+                region: [[rational_str(e) for e in col.entries] for col in cols]
+                for region, cols in (("prefix", reference.columns.prefix),
+                                     ("cycle", reference.columns.cycle))}
+
+    def test_parse_and_evaluate_build_no_fraction(self, monkeypatch):
+        made = []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        # documents imports no Fraction; the stub also catches one added there
+        for module in (rationals, systems, documents):
+            monkeypatch.setattr(module, "Fraction", CountingFraction, raising=False)
+        doc = _deep_column_doc(random.Random(139), 400)
+        num = parse_number(json.dumps(doc))
+        value = evaluate(num)
+        assert made == []
+        expected = Fraction(0)
+        weight = Fraction(1)
+        for col, d in zip(doc["system"]["columns"]["prefix"], doc["digits"]["prefix"]):
+            entries = [Fraction(e) for e in col]
+            expected += weight * sum(entries[:d], Fraction(0))
+            weight *= entries[d]
+        # the tail digit 2 of (1/6, 1/3, 1/2) repeats: (1/2) / (1 - 1/2)
+        assert value == expected + weight
+        # the stub is in place: the Fraction route counts
+        parse_rational("1/3")
+        assert made == [(1, 3)]
 
 
 class TestEmitTsv:

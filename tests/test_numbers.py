@@ -28,13 +28,25 @@ from cantorshift import (
     quasi_partner,
     same_number,
 )
-from cantorshift.numbers import _digit_step, _prefix_ints, _stream_prefix, _tail_period
-from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
+from cantorshift.numbers import (
+    _digit_step,
+    _position_arrays,
+    _prefix_ints,
+    _stream_prefix,
+    _tail_period,
+)
+from cantorshift.sampling import (
+    rand_cantor_system,
+    rand_number,
+    rand_qtilde_system,
+    rand_segment_system,
+)
 from cantorshift.systems import (
     combined_cycle_len,
     combined_prefix_len,
     periodic_from,
     position_table,
+    sign_factor,
 )
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, digit_fractions, mk, qtilde
 
@@ -117,6 +129,38 @@ class TestConstruction:
             assert periodic_from(system, start + 1, period)
             assert all(digit_at(num, n) == digit_at(num, n + period)
                        for n in range(start + 1, start + 2 * period + 1))
+
+
+class TestPositionSlices:
+    """Per-position data is read in slices; it must equal the per-position
+    `digit_ints` and `sign_factor` route."""
+
+    @pytest.mark.parametrize("flavor", range(4))
+    def test_position_arrays_match_digit_ints(self, flavor):
+        rng = random.Random(41 + flavor)
+        for _ in range(40):
+            system = rand_segment_system(rng, flavor)
+            first = rng.randrange(1, 12)
+            digits = [rng.randrange(system.max_digit(n) + 1)
+                      for n in range(first, first + rng.randrange(0, 15))]
+            t, w, c, s = _position_arrays(system, digits, first)
+            expected = [(*system.digit_ints(n, d), sign_factor(system.signs, n))
+                        for n, d in enumerate(digits, first)]
+            assert list(zip(t, w, c, s)) == expected
+
+    @pytest.mark.parametrize("system, prefix, tail, message", [
+        (FACT, (1, 2, 4, 0), None, "digit 4 outside alphabet 0..3 at position 3"),
+        (FACT, (1, -1, 9), None, "digit -1 outside alphabet 0..2 at position 2"),
+        (FACT, (1, 1, 1, 3), cycle_tail((3, 4, 3)),
+         "digit 4 outside alphabet 0..3 at position 6"),
+        (FACT, (1, 2.0), None, "digit 2.0 outside alphabet 0..2 at position 2"),
+        (QT, (1, 0, 2, 1), None, "digit 2 outside alphabet 0..1 at position 3"),
+        (QT, (1,), cycle_tail((0, 1, 5)), "digit 5 outside alphabet 0..1 at position 4"),
+    ])
+    def test_first_bad_digit_is_named(self, system, prefix, tail, message):
+        with pytest.raises(DigitRangeError) as info:
+            RepresentedNumber(system, DigitStream(prefix, tail or TAIL_ZEROS))
+        assert str(info.value) == message
 
 
 class TestDecode:

@@ -89,6 +89,37 @@ class TestNormalization:
             assert (seq.prefix, seq.cycle) == (expected_prefix, expected_cycle)
 
 
+class TestItems:
+    """`items` is the bulk reader: it must equal reading each position."""
+
+    @staticmethod
+    def _check(seq, first, count):
+        assert seq.items(first, count) == [seq.at(n) for n in range(first, first + count)]
+
+    def test_slices_match_positionwise_reads(self):
+        seq = EventuallyPeriodicSeq((2, 3, 4, 5), (7, 8, 9))
+        for first, count in [(1, 0), (9, 0), (2, 2), (1, 4),  # inside the prefix
+                             (3, 5), (4, 2), (1, 11),         # across the seam
+                             (5, 1), (6, 3), (40, 7),         # past the prefix
+                             (2, 100), (1000, 31)]:           # many cycles
+            self._check(seq, first, count)
+
+    def test_random_sequences(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            seq = EventuallyPeriodicSeq(
+                tuple(rng.randrange(5) for _ in range(rng.randrange(0, 6))),
+                tuple(rng.randrange(5) for _ in range(rng.randrange(1, 6))))
+            self._check(seq, rng.randrange(1, 20), rng.randrange(0, 30))
+
+    def test_bad_arguments(self):
+        seq = EventuallyPeriodicSeq((1,), (2,))
+        with pytest.raises(ValueError):
+            seq.items(0, 3)
+        with pytest.raises(ValueError):
+            seq.items(1, -1)
+
+
 class TestSurgery:
     def test_shifted(self):
         seq = EventuallyPeriodicSeq((2, 3, 4), (7, 8))
@@ -101,6 +132,18 @@ class TestSurgery:
         for m in range(1, 8):
             removed = seq.removed(m)
             for n in range(1, seq.prefix_len + 3 * seq.cycle_len + 1):
+                assert removed.at(n) == seq.at(n if n < m else n + 1)
+
+    def test_random_surgery_matches_positionwise_reads(self):
+        rng = random.Random(73)
+        for _ in range(100):
+            seq = EventuallyPeriodicSeq(
+                tuple(rng.randrange(4) for _ in range(rng.randrange(0, 5))),
+                tuple(rng.randrange(4) for _ in range(rng.randrange(1, 4))))
+            m = rng.randrange(1, 9)
+            shifted, removed = seq.shifted(m), seq.removed(m)
+            for n in range(1, 30):
+                assert shifted.at(n) == seq.at(n + m)
                 assert removed.at(n) == seq.at(n if n < m else n + 1)
 
     def test_removed_constant_sequence_unchanged(self):

@@ -177,13 +177,12 @@ class TestColumnInts:
             assert repr(col) == repr(built[0])
         assert len(set(built)) == 1
 
-    def test_fraction_entries_kept_as_given(self):
+    def test_entries_are_exact_fractions(self):
         class Ratio(Fraction):
             pass
 
-        quarter = Fraction(1, 4)
-        col = QTildeColumn((quarter, Ratio(1, 4), "1/2"))
-        assert col.entries[0] is quarter
+        col = QTildeColumn((Fraction(1, 4), Ratio(1, 4), "1/2"))
+        assert col.entries == (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
         assert [type(e) for e in col.entries] == [Fraction, Fraction, Fraction]
 
     def test_ints_computed_once(self):
