@@ -60,27 +60,35 @@ def _signs_to_doc(signs):
     }
 
 
-def _column_to_doc(col):
-    """The column's entries as "p/q" strings in lowest terms."""
-    strs = []
-    for _, weight, den in col.ints:
-        g = gcd(weight, den)
-        strs.append(_pair_str(weight // g, den // g))
-    return strs
+def _column_to_doc(col, rendered):
+    """The column's entries as "p/q" strings in lowest terms, in a new
+    list.  `rendered` maps each column already rendered to its strings,
+    so that equal columns are rendered once."""
+    strs = rendered.get(col)
+    if strs is None:
+        strs = rendered[col] = []
+        for _, weight, den in col.ints:
+            g = gcd(weight, den)
+            strs.append(_pair_str(weight // g, den // g))
+    return list(strs)
 
 
 def system_to_doc(system):
+    """The JSON document of a system.  A column system's columns are
+    written as "p/q" strings in lowest terms; each distinct column is
+    rendered once per call, and every position gets its own list."""
     if isinstance(system, CantorSystem):
         return {
             "kind": "cantor",
             "base": {"prefix": list(system.base.prefix), "cycle": list(system.base.cycle)},
             "signs": _signs_to_doc(system.signs),
         }
+    rendered = {}
     return {
         "kind": "qtilde",
         "columns": {
-            "prefix": [_column_to_doc(col) for col in system.columns.prefix],
-            "cycle": [_column_to_doc(col) for col in system.columns.cycle],
+            "prefix": [_column_to_doc(col, rendered) for col in system.columns.prefix],
+            "cycle": [_column_to_doc(col, rendered) for col in system.columns.cycle],
         },
         "signs": _signs_to_doc(system.signs),
     }
@@ -130,19 +138,42 @@ def _parse_signs(obj, path):
     return SignPattern.explicit(prefix, cycle)
 
 
-def _parse_column(obj, path):
+def _parse_column(obj, path, literals=None, columns=None):
+    """The column of the JSON array `obj` at `path`.  `literals` maps each
+    "p/q" string already parsed in this document to its integer pair, and
+    `columns` each pair tuple already built to its column, so that a
+    document parses each distinct literal and builds each distinct column
+    once.  Only string literals are remembered: a JSON number or boolean
+    is parsed at every occurrence, so `true` is refused even where `1` was
+    accepted."""
     items = _expect_list(obj, path)
     if not items:
         raise DocumentError(f"column must be nonempty at {path}")
+    if literals is None:
+        literals = {}
+    if columns is None:
+        columns = {}
+    pairs = []
     try:
-        pairs = [_parse_pair(v, path) for v in items]
+        for v in items:
+            if type(v) is str:
+                pair = literals.get(v)
+                if pair is None:
+                    pair = literals[v] = _parse_pair(v, path)
+            else:
+                pair = _parse_pair(v, path)
+            pairs.append(pair)
     except DocumentError:
         # Parse again with each entry's path, built only now, to name the
         # first bad entry.
         for i, v in enumerate(items):
             _parse_pair(v, f"{path}[{i}]")
         raise
-    return QTildeColumn._from_pairs(pairs)
+    pairs = tuple(pairs)
+    column = columns.get(pairs)
+    if column is None:
+        column = columns[pairs] = QTildeColumn._from_pairs(pairs)
+    return column
 
 
 def doc_to_system(obj, path="$"):
@@ -161,10 +192,14 @@ def doc_to_system(obj, path="$"):
         cycle = _expect_list(_get(cols, "cycle", f"{path}.columns"), f"{path}.columns.cycle")
         if not cycle:
             raise DocumentError(f"columns cycle must be nonempty at {path}.columns.cycle")
+        literals = {}
+        columns = {}
         system = QTildeSystem(
             EventuallyPeriodicSeq(
-                tuple(_parse_column(c, f"{path}.columns.prefix[{i}]") for i, c in enumerate(prefix)),
-                tuple(_parse_column(c, f"{path}.columns.cycle[{i}]") for i, c in enumerate(cycle)),
+                tuple(_parse_column(c, f"{path}.columns.prefix[{i}]", literals, columns)
+                      for i, c in enumerate(prefix)),
+                tuple(_parse_column(c, f"{path}.columns.cycle[{i}]", literals, columns)
+                      for i, c in enumerate(cycle)),
             ),
             signs,
         )
@@ -253,21 +288,30 @@ def emit_tsv(header, rows, precision=12):
     """Tab-separated text: every column appears twice, once as "p/q" in
     lowest terms and once as a decimal approximation padded to exactly
     `precision` fraction digits.  Each cell is an integer pair (num, den)
-    with den > 0, not necessarily reduced: it is reduced once, with one
-    gcd, and 10**precision is computed once per table."""
+    tuple with den > 0, not necessarily reduced.  Each distinct cell is
+    reduced and rendered once per table, and its two strings are reused
+    in later rows: a tiling table repeats every inner endpoint, and a
+    slope column holds one value per digit.  10**precision is computed
+    once per table."""
     if precision < 0:
         raise ValueError("precision must be >= 0")
     scale = 10**precision
     names = list(header) + [f"{h}_dec" for h in header]
     lines = ["\t".join(names)]
+    rendered = {}  # cell -> ("p/q", fixed decimal)
     for row in rows:
         exact = []
         approx = []
-        for num, den in row:
-            g = gcd(num, den)
-            num //= g
-            den //= g
-            exact.append(_pair_str(num, den))
-            approx.append(_pair_decimal(num, den, precision, scale, True))
+        for cell in row:
+            strs = rendered.get(cell)
+            if strs is None:
+                num, den = cell
+                g = gcd(num, den)
+                num //= g
+                den //= g
+                strs = rendered[cell] = (_pair_str(num, den),
+                                         _pair_decimal(num, den, precision, scale, True))
+            exact.append(strs[0])
+            approx.append(strs[1])
         lines.append("\t".join(exact + approx))
     return "\n".join(lines) + "\n"

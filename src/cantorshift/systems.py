@@ -28,6 +28,7 @@ from operator import methodcaller
 from typing import NamedTuple
 
 from .errors import DigitRangeError
+from .rationals import _clip, _int_str, _pair_str
 from .series import EventuallyPeriodicSeq, _periodic_sum
 
 __all__ = [
@@ -301,9 +302,12 @@ def validate(system):
             for i, col in enumerate(items):
                 for j, (_, w, den) in enumerate(col.ints):
                     if not 0 < w < den:
+                        # str(Fraction(w, den)), clipped, for entries of any length
+                        g = gcd(w, den)
+                        entry = _int_str(w // g) if g == den else _pair_str(w // g, den // g)
                         problems.append(Violation(
                             f"{region}[{i}][{j}]",
-                            f"column entry not in (0, 1): {Fraction(w, den)}"))
+                            f"column entry not in (0, 1): {_clip(entry)}"))
                 term, w, den = col.ints[-1]
                 if term + w != den:
                     problems.append(Violation(f"{region}[{i}]", "column sum != 1"))

@@ -379,6 +379,26 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err == f"error: bad rational literal {flag} at $.columns.cycle[0][0]\n"
 
+    @pytest.mark.parametrize("entry, shown", [
+        ("9" * 5000 + "/1", "9" * 60 + "..."),
+        ("1", "1"),
+        ("3/2", "3/2"),
+        ("6/4", "3/2"),
+        ("-1/2", "-1/2"),
+        ("0/7", "0"),
+    ], ids=["5000-nines", "1", "3/2", "6/4", "-1/2", "0/7"])
+    def test_refused_column_entry_of_any_length(self, paths, capsys, entry, shown):
+        # An entry past int()'s 4300-digit str() limit is named like a short one.
+        _, write = paths
+        path = write("bad.json", {"kind": "qtilde",
+                                  "columns": {"prefix": [], "cycle": [[entry, "1/2"]]},
+                                  "signs": "none"})
+        assert run(["segments", path, "-m", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: column entry not in (0, 1): {shown} at $.columns.cycle[0][0]"]
+
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 200_000, encoding="utf-8")

@@ -13,6 +13,7 @@ from cantorshift import (
     QTildeColumn,
     QTildeSystem,
     SignPattern,
+    analysis,
     documents,
     evaluate,
     rationals,
@@ -29,7 +30,7 @@ from cantorshift.documents import (
 )
 from cantorshift.rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
 from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
-from helpers import DEC, NEG, QT, mk, parse_long_int
+from helpers import DEC, NEG, QT, cantor, mk, parse_long_int
 
 
 class TestParseSystem:
@@ -293,6 +294,75 @@ class TestColumnParser:
         assert made == [(1, 3)]
 
 
+def _column_doc(prefix, cycle):
+    return {"kind": "qtilde", "columns": {"prefix": prefix, "cycle": cycle}, "signs": "none"}
+
+
+class TestDocumentMemos:
+    """A document parses each distinct "p/q" string once and builds each
+    distinct column once; `system_to_doc` renders each distinct column
+    once.  None of this may change a result or a message."""
+
+    def test_repeated_columns_match_the_column_by_column_build(self):
+        rng = random.Random(149)
+        checked = 0
+        for _ in range(100):
+            pool = [_random_entries(rng) for _ in range(rng.randrange(1, 4))]
+            # each column drawn from the pool, written reduced ("1/4"),
+            # unreduced ("2/8") or padded, so that literals and columns repeat
+            prefix, cycle = ([[_literal(rng, p, q) if rng.random() < 0.3 else f"{p}/{q}"
+                               for p, q in rng.choice(pool)] for _ in range(count)]
+                             for count in (rng.randrange(0, 30), rng.randrange(1, 4)))
+            try:
+                system = doc_to_system(_column_doc(prefix, cycle))
+            except DocumentError:
+                continue  # entries outside (0, 1), or a cycle that does not contract
+            reference = QTildeSystem(EventuallyPeriodicSeq(
+                tuple(QTildeColumn(tuple(parse_rational(v) for v in c)) for c in prefix),
+                tuple(documents._parse_column(c, "$") for c in cycle)), SignPattern.none())
+            assert system == reference and hash(system) == hash(reference)
+            doc = system_to_doc(system)
+            assert doc == system_to_doc(reference)
+            lists = doc["columns"]["prefix"] + doc["columns"]["cycle"]
+            assert len({id(strs) for strs in lists}) == len(lists)  # one list per position
+            checked += 1
+        assert checked > 40
+
+    def test_boolean_beside_an_identical_column_holding_one(self):
+        doc = _column_doc([["1/2", 1], ["1/2", True]], [["1/2", "1/2"]])
+        with pytest.raises(DocumentError) as exc:
+            doc_to_system(doc)
+        assert str(exc.value) == "bad rational literal True at $.columns.prefix[1][1]"
+
+    @pytest.mark.parametrize("region, index", [("prefix", 2), ("cycle", 1)])
+    def test_bad_literal_after_a_good_identical_column(self, region, index):
+        columns = {"prefix": [["1/4", "3/4"]] * 2, "cycle": [["1/4", "3/4"]]}
+        columns[region] = columns[region] + [["1/4", "3/-4"]]
+        with pytest.raises(DocumentError) as exc:
+            doc_to_system(_column_doc(columns["prefix"], columns["cycle"]))
+        assert str(exc.value) == (f"bad rational literal '3/-4' at $.columns.{region}[{index}][1]: "
+                                  "denominator must be positive")
+
+    def test_each_distinct_literal_parsed_and_column_built_once(self, monkeypatch):
+        rng = random.Random(151)
+        distinct = [["1/4", "3/4"], ["1/6", "1/3", "1/2"], ["2/8", "6/8"], ["1/2", " 1/2 "],
+                    ["1/3", "2/3"]]
+        prefix = [list(rng.choice(distinct)) for _ in range(200)]
+        cycle = [list(c) for c in distinct]
+        parsed, built = [], []
+        parse_pair = documents._parse_pair
+        from_pairs = QTildeColumn._from_pairs
+        monkeypatch.setattr(documents, "_parse_pair",
+                            lambda text, where: parsed.append(text) or parse_pair(text, where))
+        monkeypatch.setattr(QTildeColumn, "_from_pairs", classmethod(
+            lambda cls, pairs: built.append(pairs) or from_pairs(pairs)))
+        system = doc_to_system(_column_doc(prefix, cycle))
+        # " 1/2 " and "1/2" are two literals of one pair
+        assert sorted(parsed) == sorted({v for c in distinct for v in c})
+        assert len(built) == len(distinct)
+        assert system == doc_to_system(_column_doc(prefix, cycle))
+
+
 class TestEmitTsv:
     def test_header_and_dual_columns(self):
         text = emit_tsv(("lo", "hi"), [((1, 4), (1, 2))], precision=3)
@@ -307,6 +377,53 @@ class TestEmitTsv:
     def test_empty_rows_keep_header(self):
         text = emit_tsv(("x", "y"), [])
         assert text == "x\ty\tx_dec\ty_dec\n"
+
+    def test_repeated_cells_match_per_cell_rendering(self):
+        # Each table draws its cells from a few values, each written as a
+        # random multiple, so cells repeat and a value comes both unreduced
+        # and reduced ((2, 8) and (1, 4)).
+        rng = random.Random(157)
+        cells = repeated = 0
+        for t in range(300):
+            precision = rng.choice((0, 40))
+            tiny = 10**precision * rng.randrange(3, 9)  # 1/tiny rounds to zero
+            values = [(rng.randrange(-60, 61), rng.randrange(1, 40)) for _ in range(3)]
+            values += [(0, 1), (1, tiny), (-1, tiny)]
+            if t == 0:
+                values.append((-(7**6000), 3))  # 5071 digits
+            width = rng.randrange(1, 5)
+            rows = [tuple((k * n, k * d) for n, d in rng.choices(values, k=width)
+                          for k in [rng.choice((1, 1, 2, 4))])
+                    for _ in range(rng.randrange(0, 12))]
+            header = tuple(f"c{i}" for i in range(width))
+            expected = ["\t".join(header + tuple(f"{h}_dec" for h in header))]
+            for row in rows:
+                xs = [Fraction(n, d) for n, d in row]
+                expected.append("\t".join([rational_str(x) for x in xs]
+                                          + [decimal_str(x, precision, fixed=True) for x in xs]))
+            assert emit_tsv(header, rows, precision) == "\n".join(expected) + "\n"
+            flat = [cell for row in rows for cell in row]
+            cells += len(flat)
+            repeated += len(flat) - len(set(flat))
+        assert repeated > cells // 3
+
+    def test_each_distinct_cell_rendered_once(self, monkeypatch):
+        # On a tiling table one row's hi is the next row's lo, and the slope
+        # column holds one value per digit: 1795 distinct cells of 4096.
+        rows, d_lo, d_hi = analysis._segment_ints(cantor((), (4,)), 5)
+        cells = [((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td)) for lo, hi, sn, sd, tn, td in rows]
+        distinct = {cell for row in cells for cell in row}
+        assert len(cells) == 1024 and len(distinct) == 1795
+        rendered = []
+        pair_decimal = documents._pair_decimal
+        monkeypatch.setattr(documents, "_pair_decimal",
+                            lambda *args: rendered.append(args) or pair_decimal(*args))
+        text = emit_tsv(("lo", "hi", "slope", "intercept"), cells, 12)
+        assert len(rendered) == len(distinct)
+        assert text.splitlines()[1:] == [
+            "\t".join([rational_str(Fraction(*c)) for c in row]
+                      + [decimal_str(Fraction(*c), 12, fixed=True) for c in row])
+            for row in cells]
 
 
 def _long_str(n):
