@@ -27,12 +27,12 @@ from operator import itemgetter
 
 from .errors import OutOfIntervalError
 from .numbers import (
-    _check_digit,
+    _check_digits,
     _digit_step,
+    _digits,
     _prefix_ints,
     _representable_table,
     cylinder,
-    digit_at,
     dual_representation,
     evaluate,
 )
@@ -103,9 +103,11 @@ def _image_ints(table, x_num, x_den, m, sigma):
     denominator, with sigma = +1 (DIGIT) or -1 (POSITION)."""
     y_num, y_den = x_num, x_den
     w_num = w_den = 1
+    bases, columns = table.bases, table.columns
     for n in range(1, m):
         d, y_num, y_den = _digit_step(table, n, y_num, y_den)
-        _, w, c = table.digit_ints(table.slot(n), d)
+        i = table.slot(n)
+        _, w, c = (d, 1, bases[i]) if bases else columns[i][d]
         w_num *= w
         w_den *= c
     _, z_num, z_den = _digit_step(table, m, y_num, y_den)
@@ -121,8 +123,7 @@ def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
     if m < 1:
         raise ValueError("prefix must contain at least one digit")
     _require_admissible(system, variant)
-    for n, d in enumerate(digits, 1):
-        _check_digit(system, n, d)
+    _check_digits(system, 1, digits)
     sn, sd, tn, td = _cylinder_map(system, m, digits[-1], _prefix_ints(system, digits[:-1]),
                                    variant)
     return AffineMap(Fraction(sn, sd), Fraction(tn, td))
@@ -231,8 +232,7 @@ def numeric_derivative(system, m, num, step, variant=ShiftVariant.DIGIT):
     step = Fraction(step)
     if step <= 0:
         raise ValueError("step must be positive")
-    digits = [digit_at(num, n) for n in range(1, m + 1)]
-    cyl = cylinder(system, digits)
+    cyl = cylinder(system, _digits(num, 1, m))
     x = evaluate(num)
     if not (cyl.lo < x - step and x + step < cyl.hi):
         raise OutOfIntervalError(

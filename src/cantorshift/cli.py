@@ -8,6 +8,7 @@ suite failure (the minimized failing case as JSON on stdout).
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -287,7 +288,16 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:
+        # The reader of stdout is gone.  Python flushes stdout again at
+        # exit, so stdout is pointed at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

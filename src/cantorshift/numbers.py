@@ -8,7 +8,9 @@ once, when it is built (`validate_number`), so every number in the
 package is valid and no operation checks it again.  `_tail_period` is the
 one definition of the position from which a number's digits and its
 system repeat together.  Evaluation is exact rational arithmetic through
-`series`.
+`series`.  Digits are read as slices of positions (`_digits`), the way
+`EventuallyPeriodicSeq.items` reads a system; `digit_at` reads one
+position.
 
 Decoding extracts digits by the half-open cylinder convention (each
 cylinder contains its spatially lowest point; the representable
@@ -37,7 +39,7 @@ from .systems import (
     position_table,
 )
 from .rationals import _shown
-from .series import _fold, _periodic_sum
+from .series import _fold, _periodic_sum, _slice
 
 __all__ = [
     "Tail",
@@ -126,7 +128,8 @@ def digit_at(num, n):
 
 
 def _check_digit(system, n, d):
-    if not isinstance(d, int) or not 0 <= d <= system.max_digit(n):
+    # a bool is an int, but not a digit
+    if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= system.max_digit(n):
         raise DigitRangeError(
             f"digit {d!r} outside alphabet 0..{system.max_digit(n)} at position {n}"
         )
@@ -143,8 +146,21 @@ def _check_digits(system, first, digits):
     """`_check_digit` of the digits at positions first, first + 1, ...:
     the first digit out of its alphabet raises with its position."""
     for n, (d, top) in enumerate(zip(digits, _max_digits(system, first, len(digits))), first):
-        if not (isinstance(d, int) and 0 <= d <= top):
+        if type(d) is not int or not 0 <= d <= top:
             _check_digit(system, n, d)
+
+
+def _digits(num, first, count):
+    """The digits at positions first, ..., first + count - 1, as a list: a
+    slice of the prefix, then zeros, the max digits or the cycle read from
+    its phase."""
+    stream = num.digits
+    tail = stream.tail
+    if tail.kind != "max":
+        return _slice(stream.prefix, tail.cycle or (0,), first, count)
+    head = max(min(count, len(stream.prefix) - first + 1), 0)
+    return (_slice(stream.prefix, (0,), first, head)
+            + _max_digits(num.system, first + head, count - head))
 
 
 def validate_number(num):
@@ -201,8 +217,7 @@ def _term_arrays(num):
     else:
         split, period = _tail_period(num)
         total = split + period
-    digits = [digit_at(num, n) for n in range(1, total + 1)]
-    return (*_position_arrays(num.system, digits), split)
+    return (*_position_arrays(num.system, _digits(num, 1, total)), split)
 
 
 def _array_prefix(t, w, c, s):
@@ -238,10 +253,10 @@ def _stream_prefix(num, m):
     start, period = _tail_period(num)
     k, r = divmod(max(m - start, 0), period)
     if k == 0:
-        return _prefix_ints(system, [digit_at(num, n) for n in range(1, m + 1)])
-    head = _prefix_ints(system, [digit_at(num, n) for n in range(1, start + 1)])
-    block = _position_arrays(system, [digit_at(num, start + j) for j in range(1, period + 1)],
-                             start + 1)
+        return _prefix_ints(system, _digits(num, 1, m))
+    digits = _digits(num, 1, start + period)
+    head = _prefix_ints(system, digits[:start])
+    block = _position_arrays(system, digits[start:], start + 1)
     total_num, total_den = _periodic_sum(*block, 0)
     r_num, r_den = prod(block[1]), prod(block[2])
     g = gcd(r_num, r_den)
@@ -269,7 +284,7 @@ def _digit_step(table, n, y_num, y_den):
     Cantor step keeps the denominator y_den, unreduced; a column step
     returns a reduced pair."""
     i = table.slot(n)
-    lo_num, lo_den, hi_num, hi_den = table.tail(n)
+    lo_num, lo_den, hi_num, hi_den = table.tails[i + 1]
     s = table.signs[i]
     if table.bases:
         # Cantor: the digit is floor(q*y - lo) (ceil(lo - q*y) under a
@@ -383,9 +398,7 @@ def normalize_stream(system, prefix, tail):
             start -= p
         if all(d == 0 for d in cyc):
             tail = TAIL_ZEROS
-        elif periodic_from(system, start, p) and all(
-            d == system.max_digit(start + j) for j, d in enumerate(cyc)
-        ):
+        elif periodic_from(system, start, p) and cyc == _max_digits(system, start, p):
             tail = TAIL_MAX
         else:
             return DigitStream(tuple(prefix), cycle_tail(cyc))
@@ -411,8 +424,7 @@ def cylinder(system, prefix_digits):
     digits: fixed prefix value plus the scaled representable interval of
     the shifted system."""
     prefix_digits = tuple(prefix_digits)
-    for n, d in enumerate(prefix_digits, 1):
-        _check_digit(system, n, d)
+    _check_digits(system, 1, prefix_digits)
     return _cylinder_interval(_prefix_ints(system, prefix_digits),
                               position_table(system).tail(len(prefix_digits)))
 
@@ -424,16 +436,6 @@ def _cylinder_interval(prefix, tail):
     lo_num, lo_den, hi_num, hi_den = tail
     return Interval(Fraction(v * lo_den + w * lo_num, den * lo_den),
                     Fraction(v * hi_den + w * hi_num, den * hi_den))
-
-
-def _beta_digit(system, n):
-    # tail digits of the most negative continuation
-    return system.max_digit(n) if system.signs.member(n) else 0
-
-
-def _gamma_digit(system, n):
-    # tail digits of the most positive continuation
-    return 0 if system.signs.member(n) else system.max_digit(n)
 
 
 @dataclass(frozen=True)
@@ -456,39 +458,31 @@ def dual_representation(num) -> Optional[DualInfo]:
     system = num.system
     if isinstance(system, QTildeSystem) and system.signs.has_members():
         return None
+    # pre >= P and window >= L, so the digits at 1..pre + window also hold
+    # the partner's prefix and one period of its tail.
     pre, window = _tail_period(num)
-    for side, tail_fn, other_fn in (
-        ("beta", _beta_digit, _gamma_digit),
-        ("gamma", _gamma_digit, _beta_digit),
-    ):
-        if any(digit_at(num, n) != tail_fn(system, n) for n in range(pre + 1, pre + window + 1)):
+    size = pre + window
+    digits = _digits(num, 1, size)
+    members = system.signs.membership.items(1, size)
+    tops = _max_digits(system, 1, size)
+    # the tail digits of the most negative and most positive continuations
+    beta = [top if member else 0 for top, member in zip(tops, members)]
+    gamma = [0 if member else top for top, member in zip(tops, members)]
+    for side, tail, other in (("beta", beta, gamma), ("gamma", gamma, beta)):
+        if digits[pre:] != tail[pre:]:
             continue
-        flip = next(
-            (n for n in range(pre, 0, -1) if digit_at(num, n) != tail_fn(system, n)),
-            None,
-        )
+        flip = next((n for n in range(pre, 0, -1) if digits[n - 1] != tail[n - 1]), None)
         if flip is None:
             # the stream is the extreme tail from position 1: an interval
             # endpoint with a unique representation
             return None
-        step = 1 if system.signs.member(flip) else -1
+        step = 1 if members[flip - 1] else -1
         if side == "gamma":
             step = -step
-        flipped = digit_at(num, flip) + step
-
-        def partner_digit(n, flip=flip, flipped=flipped, other_fn=other_fn):
-            if n < flip:
-                return digit_at(num, n)
-            if n == flip:
-                return flipped
-            return other_fn(system, n)
-
-        stream = make_stream(
-            system,
-            partner_digit,
-            max(flip, combined_prefix_len(system)),
-            combined_cycle_len(system),
-        )
+        partner = digits[:flip - 1] + [digits[flip - 1] + step] + other[flip:]
+        split = max(flip, combined_prefix_len(system))
+        stream = normalize_stream(system, partner[:split],
+                                  cycle_tail(partner[split:split + combined_cycle_len(system)]))
         return DualInfo(RepresentedNumber(system, stream), flip, side)
     return None
 
@@ -513,10 +507,17 @@ def canonicalize(num):
 
 def digits_equal(a, b):
     """Semantic equality of two digit streams over their systems: same
-    digit at every position."""
+    digit at every position.  The horizon is the lcm of the periods past
+    the later start, which may be far, so the digits are compared in
+    chunks of the later start plus the longer period: the comparison
+    stops at the first chunk that differs and holds two chunks at a
+    time."""
     (start_a, period_a), (start_b, period_b) = _tail_period(a), _tail_period(b)
     horizon = max(start_a, start_b) + lcm(period_a, period_b)
-    return all(digit_at(a, n) == digit_at(b, n) for n in range(1, horizon + 1))
+    chunk = max(start_a, start_b) + max(period_a, period_b)
+    return all(_digits(a, n, min(chunk, horizon + 1 - n))
+               == _digits(b, n, min(chunk, horizon + 1 - n))
+               for n in range(1, horizon + 1, chunk))
 
 
 def same_number(a, b):

@@ -27,13 +27,15 @@ from math import prod
 
 from .errors import ExpansionError, VariantError
 from .numbers import (
+    _digits,
     _prefix_ints,
     _stream_prefix,
     _tail_period,
     RepresentedNumber,
+    cycle_tail,
     digit_at,
     evaluate,
-    make_stream,
+    normalize_stream,
     same_number,
 )
 from .systems import (
@@ -94,8 +96,10 @@ def iterate_shift(num, m):
         return num
     system2 = shift_system(num.system, m)
     start, period = _tail_period(num)
-    return RepresentedNumber(system2, make_stream(system2, lambda n: digit_at(num, n + m),
-                                                  max(start - m, 0), period))
+    pre = max(start - m, 0)
+    digits = _digits(num, m + 1, pre + period)
+    return RepresentedNumber(system2,
+                             normalize_stream(system2, digits[:pre], cycle_tail(digits[pre:])))
 
 
 def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
@@ -111,14 +115,13 @@ def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
         system2 = CantorSystem(system.base.removed(m), SignPattern.odd())
     else:
         system2 = remove_index(system, m)
-
-    def moved(n):
-        return digit_at(num, n) if n < m else digit_at(num, n + 1)
-
     # Past max(m - 1, start) the moved digits and the remaining positions
     # of the system repeat with the number's period, whatever its tail.
     start, period = _tail_period(num)
-    return RepresentedNumber(system2, make_stream(system2, moved, max(m - 1, start), period))
+    pre = max(m - 1, start)
+    digits = _digits(num, 1, m - 1) + _digits(num, m + 1, pre + period - m + 1)
+    return RepresentedNumber(system2,
+                             normalize_stream(system2, digits[:pre], cycle_tail(digits[pre:])))
 
 
 def _deletion_map(v, w, den, t, wd, c, s, variant):
@@ -172,11 +175,12 @@ def prefix_sums(num, m):
     if not isinstance(num.system, CantorSystem):
         raise ExpansionError("prefix sums are defined for Cantor systems")
     x = evaluate(num)
-    v, w, den = _prefix_ints(num.system, [digit_at(num, k) for k in range(1, m)])
+    digits = _digits(num, 1, m)
+    v, w, den = _prefix_ints(num.system, digits[:-1])
     g, inv = Fraction(v, den), Fraction(w, den)
     q_m = num.system.base_at(m)
     s_m = sign_factor(num.system.signs, m)
-    zeta = q_m * (x - g - s_m * digit_at(num, m) * inv / q_m)
+    zeta = q_m * (x - g - s_m * digits[-1] * inv / q_m)
     return PrefixSums(g, zeta)
 
 

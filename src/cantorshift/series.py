@@ -45,6 +45,24 @@ def _normalize(prefix, cycle):
     return prefix[:len(prefix) - k], cycle[r:] + cycle[:r]
 
 
+def _slice(prefix, cycle, first, count):
+    """The items at positions first, ..., first + count - 1 of the
+    sequence prefix, cycle, cycle, ..., as a list: a slice of the prefix,
+    then the cycle read from its phase at the first position past the
+    prefix."""
+    if first < 1:
+        raise ValueError("positions are 1-based")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    out = list(prefix[first - 1:first - 1 + count])
+    rest = count - len(out)
+    if rest:
+        phase = (first + len(out) - len(prefix) - 1) % len(cycle)
+        repeats = -(-(phase + rest) // len(cycle))
+        out += (cycle * repeats)[phase:phase + rest]
+    return out
+
+
 @dataclass(frozen=True)
 class EventuallyPeriodicSeq:
     """A sequence with a finite prefix followed by a repeating cycle.
@@ -79,21 +97,8 @@ class EventuallyPeriodicSeq:
         return self.cycle[(n - len(self.prefix) - 1) % len(self.cycle)]
 
     def items(self, first, count):
-        """The items at positions first, ..., first + count - 1, as a list:
-        a slice of the prefix, then the cycle read from its phase at the
-        first position past the prefix."""
-        if first < 1:
-            raise ValueError("positions are 1-based")
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        prefix, cycle = self.prefix, self.cycle
-        out = list(prefix[first - 1:first - 1 + count])
-        rest = count - len(out)
-        if rest:
-            phase = (first + len(out) - len(prefix) - 1) % len(cycle)
-            repeats = -(-(phase + rest) // len(cycle))
-            out += (cycle * repeats)[phase:phase + rest]
-        return out
+        """The items at positions first, ..., first + count - 1, as a list."""
+        return _slice(self.prefix, self.cycle, first, count)
 
     def shifted(self, m):
         """Sequence whose position n holds this sequence's position n+m."""

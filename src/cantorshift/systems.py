@@ -16,7 +16,9 @@ column is held as those integers alone, from the document parser up; its
 `digit_weight` give the same values as `Fraction`s, read from the base or
 the column's integers, for callers outside the package and for the tests'
 reference routes.  Per-position data of a whole range of positions is
-read in slices, through `EventuallyPeriodicSeq.items`.
+read in slices, through `EventuallyPeriodicSeq.items`.  A system stores
+its combined prefix length P and combined cycle length L when it is
+built, and every periodicity question reads them.
 """
 
 from dataclasses import dataclass
@@ -64,9 +66,15 @@ class SignPattern:
 
     def __post_init__(self):
         # Items are held as bools, normalized again, so that two patterns
-        # with the same `member` function are equal.
+        # with the same `member` function are equal.  A sequence of bools
+        # is normalized already, as every re-indexed membership is.
         seq = self.membership
-        prefix, cycle = (seq.prefix, seq.cycle) if isinstance(seq, EventuallyPeriodicSeq) else seq
+        if isinstance(seq, EventuallyPeriodicSeq):
+            prefix, cycle = seq.prefix, seq.cycle
+            if all(type(item) is bool for item in prefix + cycle):
+                return
+        else:
+            prefix, cycle = seq
         object.__setattr__(self, "membership", EventuallyPeriodicSeq(
             tuple(map(bool, prefix)), tuple(map(bool, cycle))))
 
@@ -103,12 +111,23 @@ def sign_factor(signs, n):
     return -1 if signs.member(n) else 1
 
 
+def _store_lengths(system, seq):
+    """Store the combined prefix length P and combined cycle length L of a
+    system whose base or column sequence is seq, once, when it is built."""
+    membership = system.signs.membership
+    object.__setattr__(system, "_prefix_len", max(len(seq.prefix), len(membership.prefix)))
+    object.__setattr__(system, "_cycle_len", lcm(len(seq.cycle), len(membership.cycle)))
+
+
 @dataclass(frozen=True)
 class CantorSystem:
     base: EventuallyPeriodicSeq
     signs: SignPattern
 
     kind = "cantor"
+
+    def __post_init__(self):
+        _store_lengths(self, self.base)
 
     def base_at(self, n):
         return self.base.at(n)
@@ -201,6 +220,9 @@ class QTildeSystem:
 
     kind = "qtilde"
 
+    def __post_init__(self):
+        _store_lengths(self, self.columns)
+
     def column_at(self, n):
         return self.columns.at(n)
 
@@ -265,16 +287,12 @@ class ValidationReport:
         return "OK" if self.ok else "; ".join(str(p) for p in self.problems)
 
 
-def _positions_seq(system):
-    return system.base if isinstance(system, CantorSystem) else system.columns
-
-
 def combined_prefix_len(system):
-    return max(_positions_seq(system).prefix_len, system.signs.membership.prefix_len)
+    return system._prefix_len
 
 
 def combined_cycle_len(system):
-    return lcm(_positions_seq(system).cycle_len, system.signs.membership.cycle_len)
+    return system._cycle_len
 
 
 def periodic_from(system, start, period):
@@ -282,8 +300,7 @@ def periodic_from(system, start, period):
     at every position >= start.  Its sequences are held normalized, so this
     holds exactly when start lies past the combined prefix P and the
     combined cycle L divides period."""
-    return (period >= 1 and start > combined_prefix_len(system)
-            and period % combined_cycle_len(system) == 0)
+    return period >= 1 and start > system._prefix_len and period % system._cycle_len == 0
 
 
 def validate(system):

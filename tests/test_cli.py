@@ -617,3 +617,25 @@ def test_python_dash_m(module, paths):
                           env=env, timeout=60)
     assert done.returncode == 1
     assert done.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("argv", [["itershift", "n.json", "-m", "3"],
+                                  ["segments", "s.json", "-m", "3"]])
+def test_closed_stdout_is_one_error_line(argv, paths):
+    # The read end of stdout's pipe is closed before the child starts, so
+    # every write fails with a broken pipe, however small the output.
+    tmp, write = paths
+    write("s.json", system_to_doc(NEG))
+    write("n.json", _number_doc(NEG, (1, 2, 3, 4, 5)))
+    src = str(Path(cantorshift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "cantorshift", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, cwd=tmp, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write output: Broken pipe\n"

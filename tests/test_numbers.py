@@ -16,6 +16,7 @@ from cantorshift import (
     SignPattern,
     TAIL_MAX,
     TAIL_ZEROS,
+    affine_on_cylinder,
     base_interval,
     canonicalize,
     cycle_tail,
@@ -28,8 +29,10 @@ from cantorshift import (
     quasi_partner,
     same_number,
 )
+from cantorshift import numbers
 from cantorshift.numbers import (
     _digit_step,
+    _digits,
     _position_arrays,
     _prefix_ints,
     _stream_prefix,
@@ -161,6 +164,58 @@ class TestPositionSlices:
         with pytest.raises(DigitRangeError) as info:
             RepresentedNumber(system, DigitStream(prefix, tail or TAIL_ZEROS))
         assert str(info.value) == message
+
+
+class TestBoolDigits:
+    """A bool is an int but not a digit.  A number with a bool digit would
+    write a document its own parser refuses, so numbers, cylinders and
+    cylinder maps refuse it when given it."""
+
+    @pytest.mark.parametrize("system, prefix, tail, message", [
+        (cantor((), (3,)), (True, 2), None, "digit True outside alphabet 0..2 at position 1"),
+        (cantor((), (3,)), (1,), cycle_tail((2, False)),
+         "digit False outside alphabet 0..2 at position 3"),
+        (QT, (0, False), None, "digit False outside alphabet 0..1 at position 2"),
+    ])
+    def test_number_refuses_bool_digit(self, system, prefix, tail, message):
+        with pytest.raises(DigitRangeError) as info:
+            RepresentedNumber(system, DigitStream(prefix, tail or TAIL_ZEROS))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("build", [cylinder, affine_on_cylinder])
+    def test_cylinder_refuses_bool_digit(self, build):
+        with pytest.raises(DigitRangeError) as info:
+            build(FACT, (1, True))
+        assert str(info.value) == "digit True outside alphabet 0..2 at position 2"
+
+
+class TestDigitSlices:
+    """`_digits` reads a range of positions at once; it must equal
+    `digit_at` position by position."""
+
+    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
+    def test_matches_digit_at(self, make):
+        rng = random.Random(53)
+        kinds = set()
+        for _ in range(150):
+            num = rand_number(rng, make(rng, signs="any"), max_prefix=6)
+            kinds.add(num.digits.tail.kind)
+            size = len(num.digits.prefix)
+            # first at 1, inside the prefix, at its end and past it
+            for first in (1, rng.randrange(1, size + 2), size + 1, size + rng.randrange(2, 20)):
+                for count in (0, 1, rng.randrange(2, 30)):
+                    assert _digits(num, first, count) == [
+                        digit_at(num, n) for n in range(first, first + count)]
+        assert kinds == {"zeros", "max", "cycle"}
+
+    @pytest.mark.parametrize("tail", [TAIL_ZEROS, TAIL_MAX, cycle_tail((3, 4))])
+    def test_positions_are_one_based(self, tail):
+        num = mk(DEC, (1, 2), tail)
+        for first in (0, -3):
+            with pytest.raises(ValueError, match="1-based"):
+                _digits(num, first, 2)
+        with pytest.raises(ValueError, match="1-based"):
+            digit_at(num, 0)
 
 
 class TestDecode:
@@ -453,3 +508,28 @@ class TestRoundTrip:
         b = mk(NEG, (7, 9), cycle_tail((0, 9)))
         assert digits_equal(a, b)
         assert not digits_equal(a, mk(NEG, (7, 9), cycle_tail((0, 8))))
+
+
+class TestDigitsEqualStaysLazy:
+    """`digits_equal` compares up to max(start) + lcm(periods) positions,
+    which two long coprime cycles make about 16.7M.  It reads them in
+    chunks and stops at the first chunk that differs."""
+
+    def test_coprime_cycles_stop_at_the_first_difference(self, monkeypatch):
+        rng = random.Random(59)
+        system = cantor((), (3,))
+        a = mk(system, (), cycle_tail([0] + [rng.randrange(3) for _ in range(4092)]))
+        b = mk(system, (), cycle_tail([1] + [rng.randrange(3) for _ in range(4090)]))
+        counts = []
+        slice_digits = numbers._digits
+
+        def counting(num, first, count):
+            counts.append(count)
+            return slice_digits(num, first, count)
+
+        monkeypatch.setattr(numbers, "_digits", counting)
+        assert not digits_equal(a, b)
+        assert len(counts) == 2 and sum(counts) <= 2 * 4093
+        counts.clear()
+        assert digits_equal(a, mk(system, (), cycle_tail(a.digits.tail.cycle * 2)))
+        assert sum(counts) == 2 * 2 * 4093

@@ -24,6 +24,8 @@ from cantorshift import (
     shift_system,
     verify_theorem_identities,
 )
+from cantorshift import numbers, operators
+from cantorshift.documents import doc_to_number
 from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system, sign_case_pattern
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, mk
 
@@ -344,3 +346,50 @@ class TestSystemClosure:
             num = rand_number(rng, system, max_prefix=6)
             m = rng.randrange(1, 6)
             assert generalized_shift(num, m).system == remove_index(system, m)
+
+
+def _deep_number(rng, kind, tail):
+    """An 800-position number document over a Cantor or column system."""
+    if kind == "cantor":
+        bases = [rng.randrange(2, 13) for _ in range(800)]
+        system = {"kind": "cantor", "base": {"prefix": bases, "cycle": [3]},
+                  "signs": {"prefix": [rng.random() < 0.5 for _ in bases], "cycle": [False]}}
+        sizes = bases
+    else:
+        columns = [["1/4", "3/4"], ["1/2", "1/3", "1/6"]]
+        prefix = [rng.choice(columns) for _ in range(800)]
+        system = {"kind": "qtilde", "columns": {"prefix": prefix, "cycle": [columns[1]]},
+                  "signs": "none"}
+        sizes = [len(c) for c in prefix]
+    digits = [rng.randrange(size) for size in sizes]
+    return doc_to_number({"system": system, "digits": {"prefix": digits, "tail": tail}})
+
+
+class TestBulkDigitReads:
+    """Images, values and closed forms read a number's digits in slices:
+    none of them calls `digit_at` once per position.  The closed form
+    reads the one digit at m."""
+
+    @pytest.mark.parametrize("kind", ["cantor", "column"])
+    @pytest.mark.parametrize("tail", [{"type": "zeros"}, {"type": "max"},
+                                      {"type": "cycle", "cycle": [1, 0]}])
+    def test_no_digit_at_per_position(self, kind, tail, monkeypatch):
+        num = _deep_number(random.Random(73), kind, tail)
+        calls = []
+
+        def counting(num, n):
+            calls.append(n)
+            return digit_at(num, n)
+
+        monkeypatch.setattr(numbers, "digit_at", counting)
+        monkeypatch.setattr(operators, "digit_at", counting)
+        counts = {}
+        for name, call in [("generalized_shift", lambda: generalized_shift(num, 400)),
+                           ("iterate_shift", lambda: iterate_shift(num, 400)),
+                           ("evaluate", lambda: evaluate(num)),
+                           ("closed_form_value", lambda: closed_form_value(num, 400))]:
+            calls.clear()
+            call()
+            counts[name] = len(calls)
+        assert counts == {"generalized_shift": 0, "iterate_shift": 0, "evaluate": 0,
+                          "closed_form_value": 1}

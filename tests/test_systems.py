@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from cantorshift import (
     sign_factor,
     validate,
 )
+from cantorshift.documents import doc_to_system, system_to_doc
 from cantorshift.sampling import rand_cantor_system, rand_qtilde_system, rand_segment_system
 from cantorshift.systems import combined_cycle_len, combined_prefix_len, periodic_from
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, digit_fractions, qtilde
@@ -50,6 +53,37 @@ class TestSignPattern:
         assert pattern == SignPattern.explicit((), (True,))
         assert pattern.membership.prefix == () and pattern.membership.cycle == (True,)
         assert periodic_from(cantor((), (10,), pattern), 1, 1)
+
+
+class TestStoredLengths:
+    """Each system stores its combined prefix length P and cycle length L
+    when it is built; they must equal the lengths recomputed from its base
+    or column sequence and its sign membership, however it was built."""
+
+    @staticmethod
+    def _recomputed(system):
+        seq = system.base if isinstance(system, CantorSystem) else system.columns
+        membership = system.signs.membership
+        return (max(len(seq.prefix), len(membership.prefix)),
+                math.lcm(len(seq.cycle), len(membership.cycle)))
+
+    def test_every_way_of_building_a_system(self):
+        rng = random.Random(71)
+        for i in range(300):
+            system = rand_segment_system(rng, i % 4)
+            m = rng.randrange(1, 8)
+            built = [system, shift_system(system, m), remove_index(system, m),
+                     dataclasses.replace(system, signs=_explicit_signs(rng)),
+                     doc_to_system(system_to_doc(system))]
+            for other in built:
+                assert ((combined_prefix_len(other), combined_cycle_len(other))
+                        == self._recomputed(other))
+
+    def test_bool_membership_kept_as_given(self):
+        membership = EventuallyPeriodicSeq((True,), (False, True))
+        pattern = SignPattern(membership)
+        assert pattern.membership is membership
+        assert pattern == SignPattern.explicit((1,), (0, 1))
 
 
 def _periodic_from_itemwise(system, start, period):
