@@ -7,10 +7,11 @@ share from the cycle's start position.  A `RepresentedNumber` is checked
 once, when it is built (`validate_number`), so every number in the
 package is valid and no operation checks it again.  `_tail_period` is the
 one definition of the position from which a number's digits and its
-system repeat together.  Evaluation is exact rational arithmetic through
+system repeat together, and `normalize_stream` the one normal form of a
+stream over its system.  Evaluation is exact rational arithmetic through
 `series`.  Digits are read as slices of positions (`_digits`), the way
 `EventuallyPeriodicSeq.items` reads a system; `digit_at` reads one
-position.
+position through it.
 
 Decoding extracts digits by the half-open cylinder convention (each
 cylinder contains its spatially lowest point; the representable
@@ -39,7 +40,7 @@ from .systems import (
     position_table,
 )
 from .rationals import _shown
-from .series import _fold, _periodic_sum, _slice
+from .series import _fold, _normalize, _periodic_sum, _slice
 
 __all__ = [
     "Tail",
@@ -114,17 +115,7 @@ class RepresentedNumber:
 
 def digit_at(num, n):
     """Digit at 1-based position n."""
-    if n < 1:
-        raise ValueError("positions are 1-based")
-    stream = num.digits
-    if n <= len(stream.prefix):
-        return stream.prefix[n - 1]
-    tail = stream.tail
-    if tail.kind == "zeros":
-        return 0
-    if tail.kind == "max":
-        return num.system.max_digit(n)
-    return tail.cycle[(n - len(stream.prefix) - 1) % len(tail.cycle)]
+    return _digits(num, n, 1)[0]
 
 
 def _check_digit(system, n, d):
@@ -204,7 +195,10 @@ def _tail_period(num):
     normalized form (combined prefix P, combined cycle L), so a valid cycle
     tail starts at or after P and its length is a multiple of L: the cycle
     gives (prefix length, cycle length), and a zeros or max tail gives
-    (max(prefix length, P), L)."""
+    (max(prefix length, P), L).  This is the stream as written, not the
+    shortest joint period: a number built directly may carry a longer
+    cycle or prefix than its digits need, while `normalize_stream` gives
+    the shortest that fits the system."""
     system, stream = num.system, num.digits
     if stream.tail.kind == "cycle":
         return len(stream.prefix), len(stream.tail.cycle)
@@ -374,41 +368,33 @@ def decode(system, value, depth):
 
 
 def normalize_stream(system, prefix, tail):
-    """Canonical structural form of a digit stream: cycles reduced to the
-    shortest system-compatible period and absorbed into named zeros/max
-    tails when they match, trailing redundant prefix digits trimmed."""
-    prefix = list(prefix)
-    if tail.kind == "cycle":
-        cyc = list(tail.cycle)
-        start = len(prefix) + 1
-        # shortest period compatible with the system at the start position
-        p = len(cyc)
-        for d in range(1, p + 1):
-            if p % d == 0 and cyc[:d] * (p // d) == cyc and periodic_from(system, start, d):
-                cyc = cyc[:d]
-                p = d
-                break
-        # absorb whole periods sitting at the end of the prefix
-        while (
-            len(prefix) >= p
-            and prefix[-p:] == cyc
-            and periodic_from(system, start - p, p)
-        ):
-            del prefix[-p:]
-            start -= p
-        if all(d == 0 for d in cyc):
-            tail = TAIL_ZEROS
-        elif periodic_from(system, start, p) and cyc == _max_digits(system, start, p):
-            tail = TAIL_MAX
-        else:
-            return DigitStream(tuple(prefix), cycle_tail(cyc))
-    if tail.kind == "zeros":
-        while prefix and prefix[-1] == 0:
-            prefix.pop()
+    """Canonical form of a digit stream over the system: two streams have
+    the same digits exactly when their forms are equal.  The digits are
+    read as one normalized sequence (primitive cycle, shortest prefix; a
+    max tail is first written out as the system's max digits).  A zeros
+    tail keeps that prefix.  Otherwise the cycle starts at the later of the
+    prefix's end and the system's prefix P, with length the lcm of the
+    primitive period and the system's cycle L, so the stream fits the
+    system; a cycle of max digits is named, and the prefix digits it
+    repeats are trimmed."""
+    system_pre, system_period = combined_prefix_len(system), combined_cycle_len(system)
+    if tail.kind == "max":
+        prefix = list(prefix)
+        split = max(len(prefix), system_pre)
+        prefix += _max_digits(system, len(prefix) + 1, split - len(prefix))
+        prefix, cycle = _normalize(prefix, _max_digits(system, split + 1, system_period))
     else:
-        while prefix and prefix[-1] == system.max_digit(len(prefix)):
-            prefix.pop()
-    return DigitStream(tuple(prefix), tail)
+        prefix, cycle = _normalize(prefix, tail.cycle or (0,))
+    if cycle == (0,):
+        return DigitStream(prefix, TAIL_ZEROS)
+    start = max(len(prefix), system_pre)
+    period = lcm(len(cycle), system_period)
+    prefix, cyc = _slice(prefix, cycle, 1, start), _slice(prefix, cycle, start + 1, period)
+    if cyc != _max_digits(system, start + 1, period):
+        return DigitStream(tuple(prefix), cycle_tail(cyc))
+    while prefix and prefix[-1] == system.max_digit(len(prefix)):
+        prefix.pop()
+    return DigitStream(tuple(prefix), TAIL_MAX)
 
 
 def make_stream(system, fn, preperiod, period):
@@ -505,19 +491,21 @@ def canonicalize(num):
     return decode(system, evaluate(num), depth)
 
 
+def _digit_seq(num):
+    """The number's digits as one normalized (prefix, cycle) sequence, the
+    form `EventuallyPeriodicSeq` holds, read once over its start and
+    period."""
+    start, period = _tail_period(num)
+    digits = _digits(num, 1, start + period)
+    return _normalize(digits[:start], digits[start:])
+
+
 def digits_equal(a, b):
     """Semantic equality of two digit streams over their systems: same
-    digit at every position.  The horizon is the lcm of the periods past
-    the later start, which may be far, so the digits are compared in
-    chunks of the later start plus the longer period: the comparison
-    stops at the first chunk that differs and holds two chunks at a
-    time."""
-    (start_a, period_a), (start_b, period_b) = _tail_period(a), _tail_period(b)
-    horizon = max(start_a, start_b) + lcm(period_a, period_b)
-    chunk = max(start_a, start_b) + max(period_a, period_b)
-    return all(_digits(a, n, min(chunk, horizon + 1 - n))
-               == _digits(b, n, min(chunk, horizon + 1 - n))
-               for n in range(1, horizon + 1, chunk))
+    digit at every position.  The systems may differ.  Each side reads
+    its start plus its period once, as a normalized sequence, and two
+    normalized sequences are equal exactly when their digits are."""
+    return _digit_seq(a) == _digit_seq(b)
 
 
 def same_number(a, b):

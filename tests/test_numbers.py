@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -26,6 +27,7 @@ from cantorshift import (
     digits_equal,
     evaluate,
     is_quasi_rational,
+    normalize_stream,
     quasi_partner,
     same_number,
 )
@@ -43,6 +45,7 @@ from cantorshift.sampling import (
     rand_number,
     rand_qtilde_system,
     rand_segment_system,
+    rand_stream,
 )
 from cantorshift.systems import (
     combined_cycle_len,
@@ -189,9 +192,22 @@ class TestBoolDigits:
         assert str(info.value) == "digit True outside alphabet 0..2 at position 2"
 
 
+def _stream_digit(system, stream, n):
+    """Digit at position n of a stream, read position by position: the
+    reference for `_digits` and `normalize_stream`."""
+    if n <= len(stream.prefix):
+        return stream.prefix[n - 1]
+    tail = stream.tail
+    if tail.kind == "zeros":
+        return 0
+    if tail.kind == "max":
+        return system.max_digit(n)
+    return tail.cycle[(n - len(stream.prefix) - 1) % len(tail.cycle)]
+
+
 class TestDigitSlices:
-    """`_digits` reads a range of positions at once; it must equal
-    `digit_at` position by position."""
+    """`_digits` reads a range of positions at once, and `digit_at` one;
+    both must equal the position-by-position reference."""
 
     @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
     def test_matches_digit_at(self, make):
@@ -204,8 +220,10 @@ class TestDigitSlices:
             # first at 1, inside the prefix, at its end and past it
             for first in (1, rng.randrange(1, size + 2), size + 1, size + rng.randrange(2, 20)):
                 for count in (0, 1, rng.randrange(2, 30)):
-                    assert _digits(num, first, count) == [
-                        digit_at(num, n) for n in range(first, first + count)]
+                    expected = [_stream_digit(num.system, num.digits, n)
+                                for n in range(first, first + count)]
+                    assert _digits(num, first, count) == expected
+                    assert [digit_at(num, n) for n in range(first, first + count)] == expected
         assert kinds == {"zeros", "max", "cycle"}
 
     @pytest.mark.parametrize("tail", [TAIL_ZEROS, TAIL_MAX, cycle_tail((3, 4))])
@@ -226,7 +244,7 @@ class TestDecode:
         assert decode(DEC, Fraction(1, 4), 8) == mk(DEC, (2, 5))
 
     def test_periodic_signed(self):
-        assert decode(NEG, Fraction(-67, 110), 8) == mk(NEG, (6, 0), cycle_tail((9, 0)))
+        assert decode(NEG, Fraction(-67, 110), 8) == mk(NEG, (6,), cycle_tail((0, 9)))
 
     def test_supremum_decodes_to_max_tail(self):
         assert decode(DEC, Fraction(1), 4) == mk(DEC, (), TAIL_MAX)
@@ -468,7 +486,7 @@ class TestCanonicalize:
 
     def test_signed_gamma_side_rewrites(self):
         assert canonicalize(mk(NEG, (7, 9), cycle_tail((0, 9)))) == mk(
-            NEG, (6, 0), cycle_tail((9, 0))
+            NEG, (6,), cycle_tail((0, 9))
         )
 
     def test_idempotent_and_partner_stable(self):
@@ -511,15 +529,12 @@ class TestRoundTrip:
 
 
 class TestDigitsEqualStaysLazy:
-    """`digits_equal` compares up to max(start) + lcm(periods) positions,
-    which two long coprime cycles make about 16.7M.  It reads them in
-    chunks and stops at the first chunk that differs."""
+    """`digits_equal` reads each side's start plus period digits once, as a
+    normalized sequence, however far max(start) + lcm(periods) lies: two
+    long coprime cycles put that horizon at about 16.7M positions."""
 
-    def test_coprime_cycles_stop_at_the_first_difference(self, monkeypatch):
-        rng = random.Random(59)
-        system = cantor((), (3,))
-        a = mk(system, (), cycle_tail([0] + [rng.randrange(3) for _ in range(4092)]))
-        b = mk(system, (), cycle_tail([1] + [rng.randrange(3) for _ in range(4090)]))
+    @pytest.fixture
+    def counts(self, monkeypatch):
         counts = []
         slice_digits = numbers._digits
 
@@ -528,8 +543,112 @@ class TestDigitsEqualStaysLazy:
             return slice_digits(num, first, count)
 
         monkeypatch.setattr(numbers, "_digits", counting)
+        return counts
+
+    def test_coprime_cycles_read_one_period_each(self, counts):
+        rng = random.Random(59)
+        system = cantor((), (3,))
+        a = mk(system, (), cycle_tail([0] + [rng.randrange(3) for _ in range(4092)]))
+        b = mk(system, (), cycle_tail([1] + [rng.randrange(3) for _ in range(4090)]))
         assert not digits_equal(a, b)
-        assert len(counts) == 2 and sum(counts) <= 2 * 4093
+        assert counts == [4093, 4091]
         counts.clear()
         assert digits_equal(a, mk(system, (), cycle_tail(a.digits.tail.cycle * 2)))
-        assert sum(counts) == 2 * 2 * 4093
+        assert counts == [4093, 2 * 4093]
+
+    def test_equal_coprime_written_cycles(self, counts):
+        system = cantor((), (3,))
+        assert digits_equal(mk(system, (), cycle_tail([1] * 4093)),
+                            mk(system, (), cycle_tail([1] * 4091)))
+        assert sum(counts) <= 8184
+
+    def test_across_systems(self):
+        binary = cantor((), (2,))
+        halves = qtilde((), [(Fraction(1, 2), Fraction(1, 2))])
+        assert digits_equal(mk(binary, (1, 0), cycle_tail((0, 1))),
+                            mk(halves, (1, 0, 0), cycle_tail((1, 0))))
+        assert digits_equal(mk(binary, (0,), TAIL_MAX), mk(halves, (0,), cycle_tail((1,))))
+        assert not digits_equal(mk(binary, (1, 0), cycle_tail((0, 1))),
+                                mk(halves, (1,), cycle_tail((1, 0))))
+
+
+def _joint_period(system, stream):
+    """(start, period): from position start + 1 on, the stream as written
+    and the system repeat together with the given period."""
+    period = combined_cycle_len(system)
+    if stream.tail.kind == "cycle":
+        period = lcm(len(stream.tail.cycle), period)
+    return max(len(stream.prefix), combined_prefix_len(system)), period
+
+
+def _rewritten(rng, system, stream):
+    """The same digits written another way: the prefix extended by whole
+    or partial periods of the tail, then the tail kept when it is named,
+    or written as a cycle of one to three periods."""
+    if stream.tail.kind == "max":
+        start, period = _joint_period(system, stream)
+    else:
+        start, period = len(stream.prefix), len(stream.tail.cycle or (0,))
+    split = start + rng.randrange(3 * period)
+    prefix = [_stream_digit(system, stream, n) for n in range(1, split + 1)]
+    if stream.tail.kind != "cycle" and rng.random() < 0.5:
+        return DigitStream(prefix, stream.tail)
+    size = period * rng.randrange(1, 4)
+    return DigitStream(prefix, cycle_tail(
+        _stream_digit(system, stream, n) for n in range(split + 1, split + size + 1)))
+
+
+def _with_digit_changed(system, stream, n):
+    """The stream with its digit at position n moved to the next one in
+    the alphabet, cyclically."""
+    split = max(n, len(stream.prefix))
+    prefix = [_stream_digit(system, stream, k) for k in range(1, split + 1)]
+    prefix[n - 1] = (prefix[n - 1] + 1) % (system.max_digit(n) + 1)
+    tail = stream.tail
+    if tail.kind == "cycle":
+        tail = cycle_tail(_stream_digit(system, stream, k)
+                          for k in range(split + 1, split + len(tail.cycle) + 1))
+    return DigitStream(prefix, tail)
+
+
+def _agree(system, a, b):
+    """Digits of streams a and b agree up to max(start) + lcm(periods)."""
+    (start_a, period_a), (start_b, period_b) = _joint_period(system, a), _joint_period(system, b)
+    horizon = max(start_a, start_b) + lcm(period_a, period_b)
+    return all(_stream_digit(system, a, n) == _stream_digit(system, b, n)
+               for n in range(1, horizon + 1))
+
+
+class TestNormalizeStream:
+    """`normalize_stream` is a normal form: idempotent, valid over its
+    system, and equal for two streams exactly when their digits agree up
+    to max(start) + lcm(periods)."""
+
+    MAKERS = [lambda rng: rand_cantor_system(rng, 6, signs="any"),
+              lambda rng: rand_qtilde_system(rng, 12, signs="any"),
+              *(lambda rng, f=f: rand_segment_system(rng, f) for f in range(4))]
+
+    def test_forms_are_canonical(self):
+        rng = random.Random(67)
+        kinds, outcomes = set(), set()
+        for case in range(3000):
+            system = self.MAKERS[case % len(self.MAKERS)](rng)
+            x = rand_stream(rng, system, max_prefix=6)
+            if case % 3 == 0:
+                y = _rewritten(rng, system, x)
+            elif case % 3 == 1:
+                y = rand_stream(rng, system, max_prefix=6)
+            else:
+                start, period = _joint_period(system, x)
+                y = _with_digit_changed(system, _rewritten(rng, system, x),
+                                        rng.randrange(1, start + 2 * period + 1))
+            forms = [normalize_stream(system, s.prefix, s.tail) for s in (x, y)]
+            for stream, form in zip((x, y), forms):
+                kinds.add(stream.tail.kind)
+                assert normalize_stream(system, form.prefix, form.tail) == form
+                RepresentedNumber(system, form)
+                assert _agree(system, stream, form)
+            same = _agree(system, x, y)
+            outcomes.add(same)
+            assert (forms[0] == forms[1]) == same
+        assert kinds == {"zeros", "max", "cycle"} and outcomes == {True, False}
