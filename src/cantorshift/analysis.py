@@ -13,7 +13,8 @@ Two independent formulas give the image.  `segment_table` and
 `affine_on_cylinder` build each cylinder's affine map from its digit
 prefix (`operators._deletion_map`), and `graph_samples` applies those
 rows.  `point_image` reads the image of a single point off the residuals
-of its canonical decode, without summing its digit prefix.
+of its canonical decode, without summing its digit prefix; its integer
+core (`_images_ints`) decodes many points of one table together.
 
 Tables are built, sorted and sampled in integers (`_segment_ints`,
 `_graph_ints`): every rank-m cylinder's ends share one denominator per
@@ -28,7 +29,7 @@ from operator import itemgetter
 from .errors import OutOfIntervalError
 from .numbers import (
     _check_digits,
-    _digit_step,
+    _digit_steps,
     _digits,
     _prefix_ints,
     _representable_table,
@@ -101,18 +102,37 @@ def _image_ints(table, x_num, x_den, m, sigma):
     """Unreduced (num, den), den > 0, of `point_image` at x_num/x_den: a
     point of the table's representable interval over any positive
     denominator, with sigma = +1 (DIGIT) or -1 (POSITION)."""
-    y_num, y_den = x_num, x_den
-    w_num = w_den = 1
+    return _images_ints(table, [x_num], x_den, m, sigma)[0]
+
+
+def _images_ints(table, x_nums, x_den, m, sigma):
+    """`_image_ints` at every point x_nums[k]/x_den, as a list of pairs.
+    The points are decoded together, one `_digit_steps` call per position.
+    A position's digits share one denominator c_n, so the weight product W
+    of the digits below m has one denominator for all points; a Cantor
+    digit's weight numerator is 1, and a column point's numerator is the
+    product of the weights of the digits the steps returned."""
+    y_nums, y_dens = x_nums, [x_den] * len(x_nums)
+    w_nums = [1] * len(x_nums)
+    w_den = 1
     bases, columns = table.bases, table.columns
     for n in range(1, m):
-        d, y_num, y_den = _digit_step(table, n, y_num, y_den)
         i = table.slot(n)
-        _, w, c = (d, 1, bases[i]) if bases else columns[i][d]
-        w_num *= w
-        w_den *= c
-    _, z_num, z_den = _digit_step(table, m, y_num, y_den)
-    diff_num, diff_den = y_num * z_den - sigma * z_num * y_den, y_den * z_den
-    return x_num * w_den * diff_den - x_den * w_num * diff_num, x_den * w_den * diff_den
+        digits, y_nums, y_dens = _digit_steps(table, n, y_nums, y_dens)
+        if bases:
+            w_den *= bases[i]
+        else:
+            column = columns[i]
+            w_den *= column[0][2]
+            w_nums = [w_num * column[d][1] for w_num, d in zip(w_nums, digits)]
+    _, z_nums, z_dens = _digit_steps(table, m, y_nums, y_dens)
+    images = []
+    for x_num, w_num, y_num, y_den, z_num, z_den in zip(x_nums, w_nums, y_nums, y_dens,
+                                                        z_nums, z_dens):
+        diff_num, diff_den = y_num * z_den - sigma * z_num * y_den, y_den * z_den
+        images.append((x_num * w_den * diff_den - x_den * w_num * diff_num,
+                       x_den * w_den * diff_den))
+    return images
 
 
 def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):

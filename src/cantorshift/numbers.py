@@ -271,27 +271,44 @@ def evaluate(num):
     return _evaluate(num)
 
 
-def _digit_step(table, n, y_num, y_den):
-    """Extract the digit at position n from the residual y_num/y_den,
-    returning (digit, next residual's num, den).  The residual must lie in
-    the representable interval of the system shifted by n-1 positions.  A
-    Cantor step keeps the denominator y_den, unreduced; a column step
-    returns a reduced pair."""
+def _digit_steps(table, n, y_nums, y_dens):
+    """Extract the digit at position n from each residual
+    y_nums[k]/y_dens[k], returning lists (digits, next nums, next dens).
+    Every residual must lie in the representable interval of the system
+    shifted by n-1 positions.  The slot, its tail interval, sign and base
+    or pieces are read once per call.  A Cantor step keeps each
+    denominator, unreduced, and returns `y_dens` itself; a column step
+    returns reduced pairs."""
     i = table.slot(n)
     lo_num, lo_den, hi_num, hi_den = table.tails[i + 1]
     s = table.signs[i]
+    digits, nums = [], []
     if table.bases:
         # Cantor: the digit is floor(q*y - lo) (ceil(lo - q*y) under a
-        # negative sign), computed on numerators and denominators.
+        # negative sign), clamped to 0..q-1, computed on numerators and
+        # denominators.
         q = table.bases[i]
-        d = (q * y_num * lo_den - lo_num * y_den) // (y_den * lo_den)
-        d = min(max(d if s > 0 else -d, 0), q - 1)
-        y2_num, y2_den = q * y_num - s * d * y_den, y_den
-    else:
-        # Column: the first piece (lo, hi, d, ...) with lo <= y < hi, all
-        # over the slot's denominator; y2 = (y - s*t/c) / (w/c).
-        scaled = y_num * table.piece_dens[i]
-        for lo, hi, d, t, w, c in table.pieces[i]:
+        for k in range(len(y_nums)):
+            y_num, y_den = y_nums[k], y_dens[k]
+            d = (q * y_num * lo_den - lo_num * y_den) // (y_den * lo_den)
+            if s < 0:
+                d = -d
+            if not 0 <= d < q:
+                d = 0 if d < 0 else q - 1
+            y2_num = q * y_num - s * d * y_den
+            if not (lo_num * y_den <= y2_num * lo_den and y2_num * hi_den <= hi_num * y_den):
+                raise OutOfIntervalError(f"value has no digit at position {n}")
+            digits.append(d)
+            nums.append(y2_num)
+        return digits, nums, y_dens
+    # Column: the first piece (lo, hi, d, ...) with lo <= y < hi, all over
+    # the slot's denominator; y2 = (y - s*t/c) / (w/c).
+    pieces, piece_den = table.pieces[i], table.piece_dens[i]
+    dens = []
+    for k in range(len(y_nums)):
+        y_num, y_den = y_nums[k], y_dens[k]
+        scaled = y_num * piece_den
+        for lo, hi, d, t, w, c in pieces:
             if lo * y_den <= scaled < hi * y_den:
                 break
         else:
@@ -301,9 +318,12 @@ def _digit_step(table, n, y_num, y_den):
         y2_num, y2_den = c * y_num - s * t * y_den, w * y_den
         g = gcd(y2_num, y2_den)
         y2_num, y2_den = y2_num // g, y2_den // g
-    if not (lo_num * y2_den <= y2_num * lo_den and y2_num * hi_den <= hi_num * y2_den):
-        raise OutOfIntervalError(f"value has no digit at position {n}")
-    return d, y2_num, y2_den
+        if not (lo_num * y2_den <= y2_num * lo_den and y2_num * hi_den <= hi_num * y2_den):
+            raise OutOfIntervalError(f"value has no digit at position {n}")
+        digits.append(d)
+        nums.append(y2_num)
+        dens.append(y2_den)
+    return digits, nums, dens
 
 
 def _representable_table(system, y):
@@ -323,11 +343,11 @@ def partial_digits(system, value, count):
     """First `count` digits of the canonical expansion of `value`."""
     y = Fraction(value)
     table = _representable_table(system, y)
-    y_num, y_den = y.numerator, y.denominator
+    y_nums, y_dens = [y.numerator], [y.denominator]
     digits = []
     for n in range(1, count + 1):
-        d, y_num, y_den = _digit_step(table, n, y_num, y_den)
-        digits.append(d)
+        d, y_nums, y_dens = _digit_steps(table, n, y_nums, y_dens)
+        digits += d
     return tuple(digits)
 
 
@@ -346,13 +366,13 @@ def decode(system, value, depth):
     y0 = Fraction(value)
     table = _representable_table(system, y0)
     pre, period = table.prefix_len, table.cycle_len
-    y_num, y_den = y0.numerator, y0.denominator
+    y_nums, y_dens = [y0.numerator], [y0.denominator]
     digits = []
     seen = {}
     while True:
         k = len(digits)
         if k >= pre and (k - pre) % period == 0:
-            y = y_num, y_den
+            y = y_nums[0], y_dens[0]
             if y in seen:
                 cut = seen[y]
                 return RepresentedNumber(
@@ -363,8 +383,8 @@ def decode(system, value, depth):
             raise InexactDecodeError(
                 f"no exact tail found within depth {depth} for value {_shown(y0)}"
             )
-        d, y_num, y_den = _digit_step(table, k + 1, y_num, y_den)
-        digits.append(d)
+        d, y_nums, y_dens = _digit_steps(table, k + 1, y_nums, y_dens)
+        digits += d
 
 
 def normalize_stream(system, prefix, tail):

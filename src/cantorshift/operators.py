@@ -92,8 +92,6 @@ def iterate_shift(num, m):
     """
     if m < 0:
         raise ValueError("shift count must be >= 0")
-    if m == 0:
-        return num
     system2 = shift_system(num.system, m)
     start, period = _tail_period(num)
     pre = max(start - m, 0)

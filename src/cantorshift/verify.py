@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
-from .analysis import _image_ints, _segment_ints, continuity_at
+from .analysis import _images_ints, _segment_ints, continuity_at
 from .documents import number_to_doc, system_to_doc
 from .errors import ExpansionError
 from .numbers import (
@@ -50,6 +50,7 @@ from .sampling import (
 from .series import EventuallyPeriodicSeq
 from .systems import (
     CantorSystem,
+    QTildeSystem,
     SignPattern,
     base_interval,
     combined_cycle_len,
@@ -90,17 +91,35 @@ class SuiteResult:
         return self.passed == self.total
 
 
+def _case_doc(case):
+    """A trial's drawn objects as JSON values: numbers and systems as
+    documents, rationals as strings."""
+    doc = {}
+    for key, value in case.items():
+        if isinstance(value, RepresentedNumber):
+            value = number_to_doc(value)
+        elif isinstance(value, (CantorSystem, QTildeSystem)):
+            value = system_to_doc(value)
+        elif isinstance(value, Fraction):
+            value = str(value)
+        doc[key] = value
+    return doc
+
+
 def _run_trials(name, cfg, trial):
-    """The one trial loop of every suite: trial(rng, t) draws case t from
-    its own RNG and returns None on a pass or the failure record.  A trial
-    that raises a domain or arithmetic error fails, and its record names
-    the error; MemoryError propagates."""
+    """The one trial loop of every suite: trial(rng, t, case) draws case t
+    from its own RNG, stores each drawn object in the dict `case` as soon
+    as it is drawn, and returns None on a pass or the failure record.  A
+    trial that raises a domain or arithmetic error fails, and its record
+    names the error and the case drawn so far (made into documents only
+    then); MemoryError propagates."""
     result = SuiteResult(name, 0, cfg.trials)
     for t in range(cfg.trials):
+        case = {}
         try:
-            failure = trial(trial_rng(cfg.seed, t), t)
+            failure = trial(trial_rng(cfg.seed, t), t, case)
         except (ExpansionError, ValueError, ArithmeticError) as exc:
-            failure = {"error": f"{type(exc).__name__}: {exc}"}
+            failure = {**_case_doc(case), "error": f"{type(exc).__name__}: {exc}"}
         if failure is None:
             result.passed += 1
         else:
@@ -153,9 +172,10 @@ def _closed_form_trial(num, m, variant):
 
 def _closed_form_suite(name, cfg, draw_number, variant):
     """Closed-form suite whose trial draws a number (system first), then m."""
-    def trial(rng, t):
-        num = draw_number(rng)
-        return _closed_form_trial(num, rng.randrange(1, cfg.max_m + 1), variant)
+    def trial(rng, t, case):
+        case["number"] = num = draw_number(rng)
+        case["m"] = m = rng.randrange(1, cfg.max_m + 1)
+        return _closed_form_trial(num, m, variant)
 
     return _run_trials(name, cfg, trial)
 
@@ -182,25 +202,24 @@ def _suite_qtilde(cfg):
 
 
 def _suite_general_signed(cfg):
-    def trial(rng, t):
-        m = rng.randrange(1, cfg.max_m + 1)
+    def trial(rng, t, case):
+        case["m"] = m = rng.randrange(1, cfg.max_m + 1)
         pattern = sign_case_pattern(rng, m, SIGN_CASES[t % 4])
-        system = rand_cantor_system(rng, cfg.max_q, sign_pattern=pattern)
-        return _closed_form_trial(rand_number(rng, system, cfg.max_prefix), m,
-                                  ShiftVariant.DIGIT)
+        case["system"] = system = rand_cantor_system(rng, cfg.max_q, sign_pattern=pattern)
+        case["number"] = num = rand_number(rng, system, cfg.max_prefix)
+        return _closed_form_trial(num, m, ShiftVariant.DIGIT)
 
     return _run_trials("general_signed", cfg, trial)
 
 
 def _suite_theorem_a(cfg):
-    def trial(rng, t):
-        num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
-        m = t % 9  # 0..8 applications of the deletion at position 2
+    def trial(rng, t, case):
+        case["number"] = num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
+        case["m"] = m = t % 9  # 0..8 applications of the deletion at position 2
         lhs, rhs = _shift_compose_sides(num, m)
         if _same_rep(lhs, rhs):
             return None
-        return {"number": number_to_doc(num), "m": m,
-                "lhs": str(evaluate(lhs)), "rhs": str(evaluate(rhs))}
+        return {**_case_doc(case), "lhs": str(evaluate(lhs)), "rhs": str(evaluate(rhs))}
 
     return _run_trials("theorem_a", cfg, trial)
 
@@ -208,23 +227,24 @@ def _suite_theorem_a(cfg):
 def _suite_theorem_b(cfg):
     printed_holds = 0
 
-    def trial(rng, t):
+    def trial(rng, t, case):
         nonlocal printed_holds
-        num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
+        case["number"] = num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
         n = rng.randrange(1, 5)
         indices = tuple(sorted(rng.sample(range(1, 13), n)))
+        case["indices"] = list(indices)
         ok = _same_rep(*_subsequence_sides(num, indices))
 
         # consecutive run corollary: k1-1 closes the gap exactly
         k1 = rng.randrange(1, 7)
         run = tuple(range(k1, k1 + rng.randrange(1, 5)))
+        case["run_start"], case["run_len"] = k1, len(run)
         adjusted, printed, target = _consecutive_sides(num, run)
         ok = ok and _same_rep(adjusted, target)
         printed_holds += _same_rep(printed, target)
         if ok:
             return None
-        return {"number": number_to_doc(num), "indices": list(indices),
-                "run_start": k1, "run_len": len(run)}
+        return _case_doc(case)
 
     result = _run_trials("theorem_b", cfg, trial)
     result.notes.append(
@@ -242,9 +262,10 @@ def _leading_weight(system, m):
 def _suite_jump(cfg):
     signs_seen = set()
 
-    def trial(rng, t):
+    def trial(rng, t, case):
         flavor = t % 5
         system, n, beta_side, gamma_side = rand_dual_case(rng, cfg.max_q, flavor)
+        case["number"], case["n"] = beta_side, n
         report = continuity_at(system, n, beta_side)
         expected = _leading_weight(system, n)
         signs_seen.add(1 if report.jump > 0 else -1 if report.jump < 0 else 0)
@@ -257,8 +278,8 @@ def _suite_jump(cfg):
             ok = ok and report.jump == -expected
         if ok:
             return None
-        return {"number": number_to_doc(beta_side), "n": n,
-                "jump": str(report.jump), "expected_magnitude": str(expected)}
+        return {**_case_doc(case), "jump": str(report.jump),
+                "expected_magnitude": str(expected)}
 
     result = _run_trials("jump", cfg, trial)
     observed = ", ".join(str(s) for s in sorted(signs_seen)) or "none"
@@ -270,33 +291,36 @@ def _suite_jump(cfg):
 
 
 def _suite_continuity(cfg):
-    def trial(rng, t):
+    def trial(rng, t, case):
         system, n, beta_side, gamma_side = rand_dual_case(rng, cfg.max_q, t % 5)
+        case["number"], case["n"] = beta_side, n
         if n > 1 and rng.random() < 0.5:
             m = rng.randrange(1, n)
         else:
             m = n + rng.randrange(1, 4)
+        case["m"] = m
         left = closed_form_value(gamma_side, m)
         right = closed_form_value(beta_side, m)
         report = continuity_at(system, m, beta_side)
         if left == right and report.kind == "continuous" and report.jump == 0:
             return None
-        return {"number": number_to_doc(beta_side), "n": n, "m": m,
-                "left": str(left), "right": str(right)}
+        return {**_case_doc(case), "left": str(left), "right": str(right)}
 
     return _run_trials("continuity", cfg, trial)
 
 
 def _suite_duality(cfg):
-    def trial(rng, t):
+    def trial(rng, t, case):
         flavor = t % 5
-        n = rng.randrange(1, 5)
+        case["n"] = n = rng.randrange(1, 5)
         if flavor < 4:
             pattern = sign_case_pattern(rng, n, SIGN_CASES[flavor])
             system = rand_cantor_system(rng, cfg.max_q, sign_pattern=pattern)
         else:
             system = rand_qtilde_system(rng, signs="none")
+        case["system"] = system
         beta_side, gamma_side = dual_pair(rng, system, n)
+        case["beta_side"], case["gamma_side"] = beta_side, gamma_side
         partner = quasi_partner(beta_side)
         if (
             evaluate(beta_side) == evaluate(gamma_side)
@@ -312,13 +336,13 @@ def _suite_duality(cfg):
 
 
 def _suite_residual(cfg):
-    def trial(rng, t):
-        num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
-        m = rng.randrange(1, min(cfg.max_m, 10) + 1)
+    def trial(rng, t, case):
+        case["number"] = num = rand_positive_cantor_number(rng, cfg.max_q, cfg.max_prefix)
+        case["m"] = m = rng.randrange(1, min(cfg.max_m, 10) + 1)
         lhs, rhs = _residual_sides(num, m)
         if lhs == rhs:
             return None
-        return {"number": number_to_doc(num), "m": m, "lhs": str(lhs), "rhs": str(rhs)}
+        return {**_case_doc(case), "lhs": str(lhs), "rhs": str(rhs)}
 
     return _run_trials("residual", cfg, trial)
 
@@ -328,7 +352,7 @@ def _decode_depth(system, extra):
 
 
 def _suite_roundtrip(cfg):
-    def trial(rng, t):
+    def trial(rng, t, case):
         flavor = t % 3
         if flavor == 0:
             system = rand_cantor_system(rng, cfg.max_q, signs="none")
@@ -336,6 +360,7 @@ def _suite_roundtrip(cfg):
             system = rand_cantor_system(rng, cfg.max_q, signs="any")
         else:
             system = rand_qtilde_system(rng, signs="none")
+        case["system"] = system
         # value -> digits -> value
         if isinstance(system, CantorSystem):
             k = rng.randrange(1, 9)
@@ -345,9 +370,10 @@ def _suite_roundtrip(cfg):
             probe = rand_number(rng, system, max_prefix=8, tail_kinds=("zeros",))
             k = len(probe.digits.prefix)
             v = evaluate(probe)
+        case["value"] = v
         ok = evaluate(decode(system, v, _decode_depth(system, k))) == v
         # digits -> value -> canonical digits
-        num = rand_number(rng, system, cfg.max_prefix)
+        case["number"] = num = rand_number(rng, system, cfg.max_prefix)
         canon = canonicalize(num)
         ok = ok and evaluate(canon) == evaluate(num) and canonicalize(canon) == canon
         partner = quasi_partner(num)
@@ -355,7 +381,7 @@ def _suite_roundtrip(cfg):
             ok = ok and canonicalize(partner) == canon
         if ok:
             return None
-        return {"system": system_to_doc(system), "value": str(v), "number": number_to_doc(num)}
+        return _case_doc(case)
 
     return _run_trials("roundtrip", cfg, trial)
 
@@ -367,8 +393,9 @@ def _segments_ok(system, m, expected_count, tiling):
     and Cantor rows have slope q_m.  Every check runs on integers: the
     table's lo ends share the denominator d_lo and its hi ends d_hi, so
     the points (4-j)/4*lo + j/4*hi of every row lie over the one
-    denominator 4*d_lo*d_hi, and their images come from the integer core
-    of point_image."""
+    denominator 4*d_lo*d_hi.  The bounds and slopes of all rows are checked
+    first; then the points of every row are decoded in one batch by the
+    integer core of point_image."""
     rows, d_lo, d_hi = _segment_ints(system, m)
     if len(rows) != expected_count:
         return False
@@ -389,32 +416,37 @@ def _segments_ok(system, m, expected_count, tiling):
     expected_slope = system.base_at(m) if isinstance(system, CantorSystem) else None
     den = 4 * d_lo * d_hi
     lo_bound, hi_bound = lo_num * den, hi_num * den
-    for a, c, sn, sd, tn, td in rows:
+    points = []
+    for a, c, sn, sd, _, _ in rows:
         if expected_slope is not None and sn != expected_slope * sd:
             return False
         for j in (1, 2, 3):
             num = (4 - j) * a * d_hi + j * c * d_lo
             if not (lo_bound <= num * lo_den and num * hi_den <= hi_bound):
                 return False
-            y_num, y_den = _image_ints(positions, num, den, m, 1)
-            # y == slope*x + intercept, over the denominator sd*den*td
-            if y_num * sd * den * td != (sn * num * td + tn * sd * den) * y_den:
+            points.append(num)
+    images = _images_ints(positions, points, den, m, 1)
+    # y == slope*x + intercept, over the denominator sd*den*td
+    for k, (_, _, sn, sd, tn, td) in enumerate(rows):
+        for x, (y_num, y_den) in zip(points[3 * k:3 * k + 3], images[3 * k:3 * k + 3]):
+            if y_num * sd * den * td != (sn * x * td + tn * sd * den) * y_den:
                 return False
     return True
 
 
 def _suite_segments(cfg):
-    def trial(rng, t):
+    def trial(rng, t, case):
         flavor = t % 4  # signed column systems get the count check only
-        system = rand_segment_system(rng, flavor)
+        case["system"] = system = rand_segment_system(rng, flavor)
         m = rng.randrange(1, 5)
         expected_count = prod(system.max_digit(j) + 1 for j in range(1, m + 1))
         while m > 1 and expected_count > 512:
             expected_count //= system.max_digit(m) + 1
             m -= 1
+        case["m"] = m
         if _segments_ok(system, m, expected_count, tiling=flavor != 3):
             return None
-        return {"system": system_to_doc(system), "m": m}
+        return _case_doc(case)
 
     result = _run_trials("segments", cfg, trial)
     result.notes.append(
@@ -426,14 +458,14 @@ def _suite_segments(cfg):
 
 
 def _suite_constant_alphabet(cfg):
-    def trial(rng, t):
-        m = rng.randrange(1, cfg.max_m + 1)
+    def trial(rng, t, case):
+        case["m"] = m = rng.randrange(1, cfg.max_m + 1)
         if t % 2 == 0:
             q = rng.randrange(2, cfg.max_q + 1)
             signs = (SignPattern.none() if rng.random() < 0.5
                      else SignPattern.explicit((), (True,)))
-            system = CantorSystem(EventuallyPeriodicSeq((), (q,)), signs)
-            num = rand_number(rng, system, cfg.max_prefix)
+            case["system"] = system = CantorSystem(EventuallyPeriodicSeq((), (q,)), signs)
+            case["number"] = num = rand_number(rng, system, cfg.max_prefix)
             out = generalized_shift(num, m)
             deletion = RepresentedNumber(
                 system,
@@ -450,10 +482,10 @@ def _suite_constant_alphabet(cfg):
             qs = rng.sample(range(2, cfg.max_q + 1), 2)
             prefix = [rng.randrange(2, cfg.max_q + 1) for _ in range(m + 1)]
             prefix[m - 1], prefix[m] = qs[0], qs[1]
-            system = CantorSystem(
+            case["system"] = system = CantorSystem(
                 EventuallyPeriodicSeq(tuple(prefix), (qs[0],)), SignPattern.none()
             )
-            num = rand_number(rng, system, cfg.max_prefix)
+            case["number"] = num = rand_number(rng, system, cfg.max_prefix)
             out = generalized_shift(num, m)
             ok = out.system != system
         return None if ok else {"m": m, "system": system_to_doc(system)}

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -27,7 +28,7 @@ from cantorshift import (
     segment_table,
 )
 from cantorshift import analysis, numbers, operators, verify
-from cantorshift.analysis import AffineMap, _image_ints
+from cantorshift.analysis import AffineMap, _image_ints, _images_ints
 from cantorshift.operators import _deletion_map
 from cantorshift.systems import Interval, position_table
 from cantorshift.verify import _segments_ok
@@ -269,17 +270,51 @@ class TestImageInts:
             table = position_table(system)
             m = rng.randrange(1, 4)
             rows = segment_table(system, m, variant)
+            points, undecodable = [], []
             for interval, _ in rng.sample(rows, min(len(rows), 8)):
                 x = interval.lo + interval.width * Fraction(rng.randrange(1, 8), 8)
                 try:
                     expected = point_image(system, x, m, variant)
                 except OutOfIntervalError:
-                    continue  # a sign-variable column system may leave x undecodable
+                    # a sign-variable column system may leave x outside its
+                    # base interval, or undecodable
+                    try:
+                        _image_ints(table, x.numerator, x.denominator, m, sigma)
+                    except OutOfIntervalError:
+                        undecodable.append(x)
+                    continue
+                points.append(x)
                 # the point in lowest terms and unreduced, k/d as 2k/2d and 6k/6d
                 for scale in (1, 2, 6):
                     num, den = _image_ints(table, scale * x.numerator, scale * x.denominator,
                                            m, sigma)
                     assert den > 0 and Fraction(num, den) == expected
+            # the batch over one shared denominator, unreduced by 1, 2 and 6,
+            # gives each point the pair of the one-point case
+            den = lcm(*(x.denominator for x in points + undecodable))
+            for scale in (1, 2, 6):
+                nums = [int(x * den) * scale for x in points]
+                assert _images_ints(table, nums, scale * den, m, sigma) == [
+                    _image_ints(table, num, scale * den, m, sigma) for num in nums]
+                if undecodable:
+                    with pytest.raises(OutOfIntervalError):
+                        _images_ints(table, nums + [int(undecodable[0] * den) * scale],
+                                     scale * den, m, sigma)
+
+    def test_segments_suite_decodes_every_point(self, monkeypatch):
+        """The suite steps the three points of every row, at position 1 and at m."""
+        steps, stepped = analysis._digit_steps, {}
+
+        def counting(table, n, y_nums, y_dens):
+            stepped[n] = stepped.get(n, 0) + len(y_nums)
+            return steps(table, n, y_nums, y_dens)
+
+        monkeypatch.setattr(analysis, "_digit_steps", counting)
+        for flavor, m in ((0, 3), (2, 2)):
+            system, m, count = self._segments_case(flavor, m)
+            stepped.clear()
+            assert _segments_ok(system, m, count, tiling=True)
+            assert stepped[1] == stepped[m] == 3 * count
 
     def _segments_case(self, flavor=0, m=2):
         system = rand_segment_system(random.Random(79), flavor)

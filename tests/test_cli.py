@@ -203,8 +203,7 @@ class TestOperators:
 
 class TestPrintedNumbersAreNormal:
     """Every number the CLI builds and prints is in the one normal form: a
-    fixed point of `normalize_stream`.  (`itershift -m 0` prints its input
-    as written.)"""
+    fixed point of `normalize_stream`, `itershift -m 0` included."""
 
     @staticmethod
     def _assert_normal(printed):
@@ -224,7 +223,7 @@ class TestPrintedNumbersAreNormal:
             else:
                 num = rand_number(rng, system, max_prefix=6)
             path = write("n.json", number_to_doc(num))
-            for argv in (["itershift", path, "-m", str(rng.randrange(1, 9))],
+            for argv in (["itershift", path, "-m", str(rng.randrange(0, 9))],
                          ["gshift", path, "-m", str(rng.randrange(1, 9))]):
                 assert run(argv) == 0
                 self._assert_normal(json.dumps(json.loads(capsys.readouterr().out)["number"]))
@@ -375,10 +374,10 @@ class TestVerifyCommand:
         }
 
     def test_undecodable_segment_point_is_a_suite_failure(self, capsys, monkeypatch):
-        def undecodable(table, n, y_num, y_den):
+        def undecodable(table, n, y_nums, y_dens):
             raise OutOfIntervalError(f"value has no digit at position {n}")
 
-        monkeypatch.setattr(analysis, "_digit_step", undecodable)
+        monkeypatch.setattr(analysis, "_digit_steps", undecodable)
         assert run(["verify", "segments", "--trials", "4", "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -392,7 +391,7 @@ class TestVerifyCommand:
         def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setattr(analysis, "_digit_step", exhausted)
+        monkeypatch.setattr(analysis, "_digit_steps", exhausted)
         assert run(["verify", "segments", "--trials", "4", "--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
 

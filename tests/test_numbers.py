@@ -33,7 +33,7 @@ from cantorshift import (
 )
 from cantorshift import numbers
 from cantorshift.numbers import (
-    _digit_step,
+    _digit_steps,
     _digits,
     _position_arrays,
     _prefix_ints,
@@ -316,9 +316,9 @@ class TestDigitStep:
                     expected = _fraction_step(table, n, y)
                 except OutOfIntervalError:
                     with pytest.raises(OutOfIntervalError):
-                        _digit_step(table, n, y_num, y_den)
+                        _digit_steps(table, n, [y_num], [y_den])
                     break
-                d, next_num, next_den = _digit_step(table, n, y_num, y_den)
+                (d,), (next_num,), (next_den,) = _digit_steps(table, n, [y_num], [y_den])
                 assert (d, Fraction(next_num, next_den)) == expected
                 if table.bases:
                     assert next_den == y_den  # Cantor steps keep x's denominator
@@ -327,6 +327,52 @@ class TestDigitStep:
                 y, y_num, y_den = expected[1], next_num, next_den
                 steps += 1
         assert steps > 300
+
+    @pytest.mark.parametrize("flavor", [0, 1, 2, 3, "signed-cantor"], ids=[
+        "positive-cantor", "signed-cantor-small", "positive-column", "signed-column",
+        "signed-cantor"])
+    def test_batch_matches_one_point_steps(self, flavor):
+        """A batch gives each point the digit and residual pair of stepping it
+        alone; a batch holding an undecodable point raises."""
+        rng = random.Random(31)
+        stepped = raised = 0
+        for _ in range(40):
+            if flavor == "signed-cantor":
+                system = rand_cantor_system(rng, signs="any")
+            else:
+                system = rand_segment_system(rng, flavor)
+            table = position_table(system)
+            interval = base_interval(system)
+            points = []
+            for _ in range(rng.randrange(1, 9)):
+                y = interval.lo + interval.width * Fraction(rng.randrange(0, 241), 240)
+                scale = rng.randrange(1, 4)  # unreduced pairs too
+                points.append((scale * y.numerator, scale * y.denominator))
+            if rng.random() < 0.3:  # a point past the interval has no digit at 1
+                y = interval.hi + interval.width / 7
+                points.insert(rng.randrange(len(points) + 1), (y.numerator, y.denominator))
+            for n in range(1, 7):
+                alone, decodable = [], []
+                for y_num, y_den in points:
+                    try:
+                        (d,), (next_num,), (next_den,) = _digit_steps(table, n, [y_num],
+                                                                      [y_den])
+                    except OutOfIntervalError:
+                        continue
+                    alone.append((d, next_num, next_den))
+                    decodable.append((y_num, y_den))
+                if len(decodable) < len(points):
+                    with pytest.raises(OutOfIntervalError, match=f"at position {n}$"):
+                        _digit_steps(table, n, *map(list, zip(*points)))
+                    raised += 1
+                    points = decodable
+                if not points:
+                    break
+                digits, nums, dens = _digit_steps(table, n, *map(list, zip(*points)))
+                assert list(zip(digits, nums, dens)) == alone
+                stepped += len(points)
+                points = [(y_num, y_den) for _, y_num, y_den in alone]
+        assert stepped > 800 and raised >= 10
 
 
 class TestCylinder:

@@ -53,8 +53,6 @@ class TestShift:
 def _iterate_shift_by_slicing(num, m):
     """Reference: slice the digit prefix and rotate a cycle tail by the
     number of cycle digits dropped, whatever the number's period."""
-    if m == 0:
-        return num
     system = shift_system(num.system, m)
     prefix, tail = num.digits.prefix, num.digits.tail
     if m > len(prefix) and tail.kind == "cycle":
@@ -68,8 +66,10 @@ class TestIterateShift:
         assert evaluate(iterate_shift(mk(DEC, (1, 2, 3, 4, 5)), 3)) == Fraction(45, 100)
 
     def test_identity_at_zero(self):
+        # m = 0 keeps the digits and returns them in the normal form
         num = mk(FACT, (1, 2, 3))
-        assert iterate_shift(num, 0) is num
+        assert iterate_shift(num, 0) == num
+        assert iterate_shift(mk(DEC, (0, 0, 1, 0, 0)), 0) == mk(DEC, (0, 0, 1))
 
     def test_column_decomposition(self):
         num = mk(QT, (1, 1))

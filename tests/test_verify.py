@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from cantorshift import analysis, numbers, operators, verify
+from cantorshift import DigitRangeError, analysis, numbers, operators, verify
+from cantorshift.documents import doc_to_number
 from cantorshift.numbers import TAIL_ZEROS, DigitStream, RepresentedNumber
 
 GOLDEN = Path(__file__).parent / "data" / "verify_failures_16_5.json"
@@ -84,3 +85,21 @@ def test_failure_records_match_golden(suite, monkeypatch):
 
 def test_golden_covers_every_suite():
     assert set(json.loads(GOLDEN.read_text(encoding="utf-8"))) == set(verify.SUITE_NAMES)
+
+
+def test_raising_trial_records_its_case(monkeypatch):
+    """A trial that raises names the number and m it drew, as documents from
+    which the error is raised again."""
+
+    remove_index = operators.remove_index
+    # deletion that drops position m+1 builds numbers that do not fit their system
+    monkeypatch.setattr(operators, "remove_index",
+                        lambda system, m: remove_index(system, m + 1))
+    failures = verify.run_suite(verify.VerifyConfig("eq4", trials=16, seed=1)).failures
+    record = next(f for f in failures if f["trial"] == 2)
+    assert list(record) == ["trial", "number", "m", "error"]
+    assert record["error"] == "DigitRangeError: digit 5 outside alphabet 0..2 at position 6"
+    num = doc_to_number(record["number"])
+    with pytest.raises(DigitRangeError, match="^digit 5 outside alphabet 0..2 at position 6$"):
+        operators.generalized_shift(num, record["m"])
+    assert all(set(f) == {"trial", "number", "m", "error"} for f in failures if "error" in f)
