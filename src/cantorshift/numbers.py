@@ -34,6 +34,9 @@ from .errors import (
 from .systems import (
     Interval,
     QTildeSystem,
+    _extreme_digits,
+    _max_digits,
+    _position_arrays,
     combined_cycle_len,
     combined_prefix_len,
     periodic_from,
@@ -126,13 +129,6 @@ def _check_digit(system, n, d):
         )
 
 
-def _max_digits(system, first, count):
-    """Max digits at positions first, ..., first + count - 1."""
-    if isinstance(system, QTildeSystem):
-        return [len(col.ints) - 1 for col in system.columns.items(first, count)]
-    return [q - 1 for q in system.base.items(first, count)]
-
-
 def _check_digits(system, first, digits):
     """`_check_digit` of the digits at positions first, first + 1, ...:
     the first digit out of its alphabet raises with its position."""
@@ -170,22 +166,6 @@ def validate_number(num):
                 "is not a period of the numeral system there"
             )
         _check_digits(system, start, tail.cycle)
-
-
-def _position_arrays(system, digits, first=1):
-    """Integer (term_num, weight_num, den, sign) arrays of the digits at
-    positions first, first + 1, ..., as `series` sums them.  The system's
-    bases or columns and signs are read as slices.  The digits must lie in
-    their alphabets, and are not checked: numbers are checked when built,
-    and `cylinder` and `affine_on_cylinder` check their prefixes first."""
-    size = len(digits)
-    s = [-1 if member else 1 for member in system.signs.membership.items(first, size)]
-    if isinstance(system, QTildeSystem):
-        ints = [col.ints[d] for col, d in zip(system.columns.items(first, size), digits)]
-        t, w, c = zip(*ints) if ints else ((), (), ())
-    else:
-        t, w, c = digits, [1] * size, system.base.items(first, size)
-    return t, w, c, s
 
 
 def _tail_period(num):
@@ -456,7 +436,9 @@ def dual_representation(num) -> Optional[DualInfo]:
     exactly when its digits beyond some position n follow the extreme
     beta tail (max at member positions, 0 elsewhere) or the mirror gamma
     tail.  The partner flips the digit at n toward the adjacent cylinder
-    and carries the opposite extreme tail; both evaluate equal.
+    and carries the opposite extreme tail; both evaluate equal.  The tails
+    come from the one rule `systems._extreme_digits`, read directly: a
+    position table would cost more than the rest of the call.
 
     Sign-variable column systems are excluded: their cylinders may
     overlap or leave gaps, so adjacent-cylinder duality is not available.
@@ -470,10 +452,8 @@ def dual_representation(num) -> Optional[DualInfo]:
     size = pre + window
     digits = _digits(num, 1, size)
     members = system.signs.membership.items(1, size)
-    tops = _max_digits(system, 1, size)
     # the tail digits of the most negative and most positive continuations
-    beta = [top if member else 0 for top, member in zip(tops, members)]
-    gamma = [0 if member else top for top, member in zip(tops, members)]
+    beta, gamma = _extreme_digits(_max_digits(system, 1, size), members)
     for side, tail, other in (("beta", beta, gamma), ("gamma", gamma, beta)):
         if digits[pre:] != tail[pre:]:
             continue

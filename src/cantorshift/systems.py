@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .errors import DigitRangeError
 from .rationals import _clip, _int_str, _pair_str
-from .series import EventuallyPeriodicSeq, _periodic_sum
+from .series import EventuallyPeriodicSeq, _suffix_values
 
 __all__ = [
     "SignPattern",
@@ -338,6 +338,41 @@ def validate(system):
     return ValidationReport(tuple(problems))
 
 
+def _max_digits(system, first, count):
+    """Max digits at positions first, ..., first + count - 1."""
+    if isinstance(system, QTildeSystem):
+        return [len(col.ints) - 1 for col in system.columns.items(first, count)]
+    return [q - 1 for q in system.base.items(first, count)]
+
+
+def _extreme_digits(max_digits, members):
+    """The most negative and most positive digits at positions with the
+    given max digits and sign memberships: the max digit at member
+    positions and 0 elsewhere, and the mirror image.  This greedy rule is
+    the one definition of the extreme streams, which the position table
+    and `dual_representation` read.  It gives the exact inf and sup on
+    Cantor and positive column systems; the exact hull of sign-variable
+    column systems will replace it here."""
+    return ([top if member else 0 for top, member in zip(max_digits, members)],
+            [0 if member else top for top, member in zip(max_digits, members)])
+
+
+def _position_arrays(system, digits, first=1):
+    """Integer (term_num, weight_num, den, sign) arrays of the digits at
+    positions first, first + 1, ..., as `series` sums them.  The system's
+    bases or columns and signs are read as slices.  The digits must lie in
+    their alphabets, and are not checked: numbers are checked when built,
+    and `cylinder` and `affine_on_cylinder` check their prefixes first."""
+    size = len(digits)
+    s = [-1 if member else 1 for member in system.signs.membership.items(first, size)]
+    if isinstance(system, QTildeSystem):
+        ints = [col.ints[d] for col, d in zip(system.columns.items(first, size), digits)]
+        t, w, c = zip(*ints) if ints else ((), (), ())
+    else:
+        t, w, c = digits, [1] * size, system.base.items(first, size)
+    return t, w, c, s
+
+
 class PositionTable(NamedTuple):
     """Per-position data of a system for positions 1..P+L, where P is the
     combined prefix length and L the combined cycle length; position
@@ -350,7 +385,10 @@ class PositionTable(NamedTuple):
     with lo and hi over the slot's `piece_dens` entry, sorted by (lo, hi, d),
     with the piece owning the upper end in `tops`.  `tails[n]` is the
     residual interval after position n (n = 0..P+L) as reduced
-    (lo_num, lo_den, hi_num, hi_den).
+    (lo_num, lo_den, hi_num, hi_den): the values after n of the two
+    extreme streams of `_extreme_digits`, folded by
+    `series._suffix_values`.  That rule is where the exact hull of
+    sign-variable column systems will enter.
     """
 
     prefix_len: int
@@ -390,22 +428,16 @@ class PositionTable(NamedTuple):
         prefix_len = combined_prefix_len(system)
         cycle_len = combined_cycle_len(system)
         size = prefix_len + cycle_len
-        signs = tuple(-1 if member else 1 for member in system.signs.membership.items(1, size))
+        max_digits = _max_digits(system, 1, size)
+        lows, highs = _extreme_digits(max_digits, system.signs.membership.items(1, size))
+        _, _, c, signs = low_arrays = _position_arrays(system, lows)
+        lo_tails = _suffix_values(*low_arrays, prefix_len)
+        hi_tails = _suffix_values(*_position_arrays(system, highs), prefix_len)
+        head = (prefix_len, cycle_len, tuple(max_digits), tuple(signs),
+                tuple(lo + hi for lo, hi in zip(lo_tails, hi_tails)))
         if isinstance(system, CantorSystem):
-            bases = tuple(system.base.items(1, size))
-            table = cls(prefix_len, cycle_len, tuple(q - 1 for q in bases), signs, (),
-                        bases=bases)
-        else:
-            columns = tuple(col.ints for col in system.columns.items(1, size))
-            table = cls(prefix_len, cycle_len, tuple(len(ints) - 1 for ints in columns), signs,
-                        (), columns=columns)
-        # The most negative stream takes the max digit at negative positions
-        # and 0 elsewhere; the most positive stream is the mirror image.
-        lows = table._extreme_tails(lambda i: signs[i] < 0)
-        highs = table._extreme_tails(lambda i: signs[i] > 0)
-        tails = tuple(lo + hi for lo, hi in zip(lows, highs))
-        if table.bases:
-            return table._replace(tails=tails)
+            return cls(*head, bases=tuple(c))
+        columns = tuple(col.ints for col in system.columns.items(1, size))
         # Digit d's piece is s*t/c + (w/c)*[lo, hi], held over the slot's
         # denominator c*lo_den*hi_den.
         pieces = tuple(
@@ -414,30 +446,12 @@ class PositionTable(NamedTuple):
                           for d, (t, w, c) in enumerate(column)),
                          key=lambda piece: piece[:3]))
             for s, column, (lo_n, lo_d), (hi_n, hi_d)
-            in zip(signs, table.columns, lows[1:], highs[1:]))
+            in zip(signs, columns, lo_tails[1:], hi_tails[1:]))
         piece_dens = tuple(column[0][2] * lo_d * hi_d
                            for column, (_, lo_d), (_, hi_d)
-                           in zip(table.columns, lows[1:], highs[1:]))
+                           in zip(columns, lo_tails[1:], hi_tails[1:]))
         tops = tuple(max(p, key=lambda piece: (piece[1], -piece[2])) for p in pieces)
-        return table._replace(tails=tails, pieces=pieces, piece_dens=piece_dens, tops=tops)
-
-    def _extreme_tails(self, takes_max):
-        """Reduced (num, den) of the values after positions 0..P+L of the
-        stream whose digit at slot i is the max digit when takes_max(i),
-        else 0."""
-        size = self.prefix_len + self.cycle_len
-        t, w, c = zip(*(self.digit_ints(i, self.max_digits[i] if takes_max(i) else 0)
-                        for i in range(size)))
-        p = self.prefix_len
-        num, den = _periodic_sum(t[p:], w[p:], c[p:], self.signs[p:], 0)
-        g = gcd(num, den)
-        values = [(num // g, den // g)]
-        for i in range(size - 1, -1, -1):
-            num, den = values[-1]
-            num, den = self.signs[i] * t[i] * den + w[i] * num, c[i] * den
-            g = gcd(num, den)
-            values.append((num // g, den // g))
-        return values[::-1]
+        return cls(*head, columns=columns, pieces=pieces, piece_dens=piece_dens, tops=tops)
 
 
 # Beyond 64 systems a table is rebuilt in O(P + L); a larger cache only
@@ -450,9 +464,11 @@ def position_table(system):
 
 @lru_cache(maxsize=4096)
 def base_interval(system):
-    """Exact infimum/supremum of the greedy extreme digit streams: the
-    most negative stream takes the max digit at member positions and 0
-    elsewhere; the most positive stream is the mirror image."""
+    """Exact values of the two extreme digit streams of
+    `_extreme_digits` (the max digit at member positions and 0 elsewhere,
+    and the mirror image), read from the position table.  They are the
+    infimum and supremum on Cantor and positive column systems; the exact
+    hull of sign-variable column systems will change that one rule."""
     return position_table(system).interval(0)
 
 

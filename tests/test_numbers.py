@@ -35,12 +35,12 @@ from cantorshift import numbers
 from cantorshift.numbers import (
     _digit_steps,
     _digits,
-    _position_arrays,
     _prefix_ints,
     _stream_prefix,
     _tail_period,
 )
 from cantorshift.sampling import (
+    dual_pair,
     rand_cantor_system,
     rand_number,
     rand_qtilde_system,
@@ -48,6 +48,8 @@ from cantorshift.sampling import (
     rand_stream,
 )
 from cantorshift.systems import (
+    PositionTable,
+    _position_arrays,
     combined_cycle_len,
     combined_prefix_len,
     periodic_from,
@@ -520,6 +522,21 @@ class TestDuality:
     def test_signed_column_systems_excluded(self):
         signed = qtilde((), [(Fraction(1, 4), Fraction(3, 4))], SignPattern.odd())
         assert quasi_partner(mk(signed, (1,))) is None
+
+    def test_builds_no_position_table(self, monkeypatch):
+        # duality reads the extreme digits straight from the system: a table
+        # per fresh system would cost about a tenth of a duality trial
+        def refuse(cls, system):
+            raise AssertionError("dual_representation built a position table")
+
+        monkeypatch.setattr(PositionTable, "build", classmethod(refuse))
+        position_table.cache_clear()
+        rng = random.Random(37)
+        for flavor in (0, 1, 2):  # Cantor, signed Cantor, positive column
+            for _ in range(20):
+                beta, gamma = dual_pair(rng, rand_segment_system(rng, flavor),
+                                        rng.randrange(1, 4))
+                assert quasi_partner(beta) == gamma and quasi_partner(gamma) == beta
 
 
 class TestCanonicalize:

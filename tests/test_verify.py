@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from cantorshift import DigitRangeError, analysis, numbers, operators, verify
-from cantorshift.documents import doc_to_number
+from cantorshift.documents import doc_to_number, doc_to_system
 from cantorshift.numbers import TAIL_ZEROS, DigitStream, RepresentedNumber
 
 GOLDEN = Path(__file__).parent / "data" / "verify_failures_16_5.json"
@@ -103,3 +103,20 @@ def test_raising_trial_records_its_case(monkeypatch):
     with pytest.raises(DigitRangeError, match="^digit 5 outside alphabet 0..2 at position 6$"):
         operators.generalized_shift(num, record["m"])
     assert all(set(f) == {"trial", "number", "m", "error"} for f in failures if "error" in f)
+
+
+def test_constant_alphabet_records_name_their_number(monkeypatch):
+    """Each failure record of constant_alphabet holds the number it drew,
+    which rebuilds over the record's system, so the trial can be replayed."""
+    failures = failing_report("constant_alphabet", monkeypatch)["failures"]
+    assert failures
+    for record in failures:
+        assert doc_to_number(record["number"]).system == doc_to_system(record["system"])
+
+
+if __name__ == "__main__":
+    # Rewrite the golden from the current code:
+    #   PYTHONPATH=src python tests/test_verify.py
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        reports = {suite: failing_report(suite, monkeypatch) for suite in verify.SUITE_NAMES}
+    GOLDEN.write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n", encoding="utf-8")
