@@ -13,8 +13,9 @@ Two independent formulas give the image.  `segment_table` and
 `affine_on_cylinder` build each cylinder's affine map from its digit
 prefix (`operators._deletion_map`), and `graph_samples` applies those
 rows.  `point_image` reads the image of a single point off the residuals
-of its canonical decode, without summing its digit prefix; its integer
-core (`_images_ints`) decodes many points of one table together.
+of its canonical decode, without summing its digit prefix.  Its integer
+core, `_images_ints`, decodes a list of points of one table together;
+`point_image` passes a list of one.
 
 Tables are built, sorted and sampled in integers (`_segment_ints`,
 `_graph_ints`): every rank-m cylinder's ends share one denominator per
@@ -23,7 +24,6 @@ end, so `Fraction` appears only in the public wrappers.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
 from operator import itemgetter
 
 from .errors import OutOfIntervalError
@@ -88,30 +88,28 @@ def point_image(system, x, m, variant=ShiftVariant.DIGIT):
     of the digits below m, x = V + W*y_{m-1} and the image is
     V + sigma*W*y_m, that is x - W*(y_{m-1} - sigma*y_m), with sigma = +1
     for DIGIT and -1 for POSITION.  The digit prefix is never re-summed,
-    and the residuals and W stay integer pairs until the one result."""
+    and the residuals and W stay integer pairs until the one result: x is
+    the one point of a batch of `_images_ints`."""
     _require_admissible(system, variant)
     if m < 1:
         raise ValueError("positions are 1-based")
     x = Fraction(x)
     sigma = -1 if variant == ShiftVariant.POSITION else 1
-    return Fraction(*_image_ints(_representable_table(system, x), x.numerator, x.denominator,
-                                 m, sigma))
-
-
-def _image_ints(table, x_num, x_den, m, sigma):
-    """Unreduced (num, den), den > 0, of `point_image` at x_num/x_den: a
-    point of the table's representable interval over any positive
-    denominator, with sigma = +1 (DIGIT) or -1 (POSITION)."""
-    return _images_ints(table, [x_num], x_den, m, sigma)[0]
+    return Fraction(*_images_ints(_representable_table(system, x), [x.numerator],
+                                  x.denominator, m, sigma)[0])
 
 
 def _images_ints(table, x_nums, x_den, m, sigma):
-    """`_image_ints` at every point x_nums[k]/x_den, as a list of pairs.
-    The points are decoded together, one `_digit_steps` call per position.
-    A position's digits share one denominator c_n, so the weight product W
-    of the digits below m has one denominator for all points; a Cantor
-    digit's weight numerator is 1, and a column point's numerator is the
-    product of the weights of the digits the steps returned."""
+    """The integer core of `point_image`: the unreduced (num, den),
+    den > 0, of the image at every point x_nums[k]/x_den, as a list of
+    pairs, with sigma = +1 (DIGIT) or -1 (POSITION).  The points lie in
+    the table's representable interval, over any positive denominator;
+    `point_image` passes a list of one.  The points are decoded together,
+    one `_digit_steps` call per position.  A position's digits share one
+    denominator c_n, so the weight product W of the digits below m has
+    one denominator for all points; a Cantor digit's weight numerator is
+    1, and a column point's numerator is the product of the weights of
+    the digits the steps returned."""
     y_nums, y_dens = x_nums, [x_den] * len(x_nums)
     w_nums = [1] * len(x_nums)
     w_den = 1
@@ -169,35 +167,31 @@ def _cylinder_rows(system, m, variant):
     prefix has the denominator den_m = c_1...c_m, and every cylinder ends
     in the same residual interval tail(m) = [lo/lo_den, hi/hi_den]; hence
     d_lo = den_m*lo_den and d_hi = den_m*hi_den.  The map is
-    `_deletion_map`'s, unreduced.  An iterative depth-first walk: a node
-    holds the signed value v and weight product w of its digit prefix
-    over the product of its positions' denominators, and each child
-    extends them by one position."""
+    `_deletion_map`'s, unreduced.  The prefixes are walked one level at a
+    time: a node holds the signed value v and weight product w of its
+    digit prefix over den, the product of its positions' denominators, and
+    each level extends every node by every digit of the next position, in
+    digit order, so the rows come out lexicographic."""
     table = position_table(system)
     lo_num, lo_den, hi_num, hi_den = table.tail(m)
-    den = prod(table.digit_ints(table.slot(n), 0)[2] for n in range(1, m))
-    last = table.slot(m)
-    s_m = table.signs[last]
-    digits = [table.digit_ints(last, d) for d in range(table.max_digits[last] + 1)]
-    rows = []
-    stack = [(1, 0, 1)]  # (next position, v, w)
-    while stack:
-        n, v, w = stack.pop()
+    nodes, den = [(0, 1)], 1
+    for n in range(1, m + 1):
+        i = table.slot(n)
+        s = table.signs[i]
+        digits = [table.digit_ints(i, d) for d in range(table.max_digits[i] + 1)]
         if n < m:
-            i = table.slot(n)
-            s = table.signs[i]
-            for d in range(table.max_digits[i], -1, -1):
-                t, wd, c = table.digit_ints(i, d)
-                stack.append((n + 1, v * c + s * t * w, w * wd))
-            continue
+            nodes = [(v * c + s * t * w, w * wd) for v, w in nodes for t, wd, c in digits]
+            den *= digits[0][2]
+    rows = []
+    for v, w in nodes:
         for t, wd, c in digits:
-            v_m, w_m = v * c + s_m * t * w, w * wd
+            v_m, w_m = v * c + s * t * w, w * wd
             lo, hi = v_m * lo_den + w_m * lo_num, v_m * hi_den + w_m * hi_num
             if lo * hi_den > hi * lo_den:
                 raise ValueError("interval endpoints out of order: "
                                  f"{Fraction(lo, den * c * lo_den)} > "
                                  f"{Fraction(hi, den * c * hi_den)}")
-            rows.append((lo, hi, *_deletion_map(v, w, den, t, wd, c, s_m, variant)))
+            rows.append((lo, hi, *_deletion_map(v, w, den, t, wd, c, s, variant)))
     den_m = den * digits[0][2]
     return rows, den_m * lo_den, den_m * hi_den
 

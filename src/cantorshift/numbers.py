@@ -52,7 +52,6 @@ __all__ = [
     "cycle_tail",
     "DigitStream",
     "RepresentedNumber",
-    "Interval",
     "validate_number",
     "digit_at",
     "evaluate",
@@ -276,6 +275,10 @@ def _digit_steps(table, n, y_nums, y_dens):
             if not 0 <= d < q:
                 d = 0 if d < 0 else q - 1
             y2_num = q * y_num - s * d * y_den
+            # the clamp moves a point past either end onto digit 0 or q-1,
+            # so the next residual may leave the interval; a column step
+            # needs no such check, since y in the piece s*t/c + (w/c)*[lo,
+            # hi] puts (y - s*t/c)*c/w in [lo, hi]
             if not (lo_num * y_den <= y2_num * lo_den and y2_num * hi_den <= hi_num * y_den):
                 raise OutOfIntervalError(f"value has no digit at position {n}")
             digits.append(d)
@@ -298,8 +301,6 @@ def _digit_steps(table, n, y_nums, y_dens):
         y2_num, y2_den = c * y_num - s * t * y_den, w * y_den
         g = gcd(y2_num, y2_den)
         y2_num, y2_den = y2_num // g, y2_den // g
-        if not (lo_num * y2_den <= y2_num * lo_den and y2_num * hi_den <= hi_num * y2_den):
-            raise OutOfIntervalError(f"value has no digit at position {n}")
         digits.append(d)
         nums.append(y2_num)
         dens.append(y2_den)

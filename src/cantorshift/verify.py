@@ -107,23 +107,26 @@ def _case_doc(case):
 
 
 def _run_trials(name, cfg, trial):
-    """The one trial loop of every suite: trial(rng, t, case) draws case t
-    from its own RNG, stores each drawn object in the dict `case` as soon
-    as it is drawn, and returns None on a pass or the failure record.  A
-    trial that raises a domain or arithmetic error fails, and its record
-    names the error and the case drawn so far (made into documents only
-    then); MemoryError propagates."""
+    """The one trial loop of every suite and the one writer of failure
+    records.  trial(rng, t, case) draws case t from its own RNG, stores
+    each drawn object in the dict `case` as soon as it is drawn, and
+    returns None on a pass; on a failure it returns a dict of what it
+    found, {} when it found nothing beyond the case.  A trial that raises
+    a domain or arithmetic error fails, and its finding is the error;
+    MemoryError propagates.  A record is the trial number, then the case
+    drawn so far as documents (made only then), in draw order, then the
+    finding."""
     result = SuiteResult(name, 0, cfg.trials)
     for t in range(cfg.trials):
         case = {}
         try:
-            failure = trial(trial_rng(cfg.seed, t), t, case)
+            found = trial(trial_rng(cfg.seed, t), t, case)
         except (ExpansionError, ValueError, ArithmeticError) as exc:
-            failure = {**_case_doc(case), "error": f"{type(exc).__name__}: {exc}"}
-        if failure is None:
+            found = {"error": f"{type(exc).__name__}: {exc}"}
+        if found is None:
             result.passed += 1
         else:
-            result.failures.append({"trial": t, **failure})
+            result.failures.append({"trial": t, **_case_doc(case), **found})
     return result
 
 
@@ -156,26 +159,25 @@ def _closed_form_shrink_steps(num, m):
         yield num, m - 1
 
 
-def _closed_form_trial(num, m, variant):
-    """None when surgery and closed form agree, else the minimized case."""
+def _closed_form_trial(case, variant):
+    """None when surgery and closed form agree on the case's number and m.
+    Else the minimized pair replaces them in the case, and the finding is
+    the variant and the two values at that pair."""
+    num, m = case["number"], case["m"]
     if _closed_form_ok(num, m, variant):
         return None
-    num, m = _shrink_closed_form(num, m, variant)
-    return {
-        "number": number_to_doc(num),
-        "m": m,
-        "variant": variant.value,
-        "surgery": str(evaluate(generalized_shift(num, m, variant))),
-        "closed_form": str(closed_form_value(num, m, variant)),
-    }
+    case["number"], case["m"] = num, m = _shrink_closed_form(num, m, variant)
+    return {"variant": variant.value,
+            "surgery": str(evaluate(generalized_shift(num, m, variant))),
+            "closed_form": str(closed_form_value(num, m, variant))}
 
 
 def _closed_form_suite(name, cfg, draw_number, variant):
     """Closed-form suite whose trial draws a number (system first), then m."""
     def trial(rng, t, case):
-        case["number"] = num = draw_number(rng)
-        case["m"] = m = rng.randrange(1, cfg.max_m + 1)
-        return _closed_form_trial(num, m, variant)
+        case["number"] = draw_number(rng)
+        case["m"] = rng.randrange(1, cfg.max_m + 1)
+        return _closed_form_trial(case, variant)
 
     return _run_trials(name, cfg, trial)
 
@@ -206,8 +208,8 @@ def _suite_general_signed(cfg):
         case["m"] = m = rng.randrange(1, cfg.max_m + 1)
         pattern = sign_case_pattern(rng, m, SIGN_CASES[t % 4])
         case["system"] = system = rand_cantor_system(rng, cfg.max_q, sign_pattern=pattern)
-        case["number"] = num = rand_number(rng, system, cfg.max_prefix)
-        return _closed_form_trial(num, m, ShiftVariant.DIGIT)
+        case["number"] = rand_number(rng, system, cfg.max_prefix)
+        return _closed_form_trial(case, ShiftVariant.DIGIT)
 
     return _run_trials("general_signed", cfg, trial)
 
@@ -219,7 +221,7 @@ def _suite_theorem_a(cfg):
         lhs, rhs = _shift_compose_sides(num, m)
         if _same_rep(lhs, rhs):
             return None
-        return {**_case_doc(case), "lhs": str(evaluate(lhs)), "rhs": str(evaluate(rhs))}
+        return {"lhs": str(evaluate(lhs)), "rhs": str(evaluate(rhs))}
 
     return _run_trials("theorem_a", cfg, trial)
 
@@ -242,9 +244,7 @@ def _suite_theorem_b(cfg):
         adjusted, printed, target = _consecutive_sides(num, run)
         ok = ok and _same_rep(adjusted, target)
         printed_holds += _same_rep(printed, target)
-        if ok:
-            return None
-        return _case_doc(case)
+        return None if ok else {}
 
     result = _run_trials("theorem_b", cfg, trial)
     result.notes.append(
@@ -278,8 +278,7 @@ def _suite_jump(cfg):
             ok = ok and report.jump == -expected
         if ok:
             return None
-        return {**_case_doc(case), "jump": str(report.jump),
-                "expected_magnitude": str(expected)}
+        return {"jump": str(report.jump), "expected_magnitude": str(expected)}
 
     result = _run_trials("jump", cfg, trial)
     observed = ", ".join(str(s) for s in sorted(signs_seen)) or "none"
@@ -304,7 +303,7 @@ def _suite_continuity(cfg):
         report = continuity_at(system, m, beta_side)
         if left == right and report.kind == "continuous" and report.jump == 0:
             return None
-        return {**_case_doc(case), "left": str(left), "right": str(right)}
+        return {"left": str(left), "right": str(right)}
 
     return _run_trials("continuity", cfg, trial)
 
@@ -322,15 +321,13 @@ def _suite_duality(cfg):
         beta_side, gamma_side = dual_pair(rng, system, n)
         case["beta_side"], case["gamma_side"] = beta_side, gamma_side
         partner = quasi_partner(beta_side)
-        if (
+        ok = (
             evaluate(beta_side) == evaluate(gamma_side)
             and partner is not None
             and same_number(partner, gamma_side)
             and is_quasi_rational(gamma_side)
-        ):
-            return None
-        return {"beta_side": number_to_doc(beta_side),
-                "gamma_side": number_to_doc(gamma_side), "n": n}
+        )
+        return None if ok else {}
 
     return _run_trials("duality", cfg, trial)
 
@@ -342,7 +339,7 @@ def _suite_residual(cfg):
         lhs, rhs = _residual_sides(num, m)
         if lhs == rhs:
             return None
-        return {**_case_doc(case), "lhs": str(lhs), "rhs": str(rhs)}
+        return {"lhs": str(lhs), "rhs": str(rhs)}
 
     return _run_trials("residual", cfg, trial)
 
@@ -379,31 +376,31 @@ def _suite_roundtrip(cfg):
         partner = quasi_partner(num)
         if partner is not None:
             ok = ok and canonicalize(partner) == canon
-        if ok:
-            return None
-        return _case_doc(case)
+        return None if ok else {}
 
     return _run_trials("roundtrip", cfg, trial)
 
 
-def _segments_ok(system, m, expected_count, tiling):
-    """The rank-m segment table has expected_count rows; with `tiling`,
-    they tile the representable interval, each row's map agrees with
-    point_image (the decode-residual formula) at three interior points,
-    and Cantor rows have slope q_m.  Every check runs on integers: the
-    table's lo ends share the denominator d_lo and its hi ends d_hi, so
-    the points (4-j)/4*lo + j/4*hi of every row lie over the one
-    denominator 4*d_lo*d_hi.  The tiling is checked by its ends alone: the
-    first row starts at the interval's lo, the last ends at its hi, and
-    each row ends where the next starts.  Every row has lo <= hi (the
-    table refuses one that does not), so the widths then sum to the
-    interval's and every point lies inside it.  The slopes of all rows
-    are checked first; then the points of every row are decoded in one
-    batch by the integer core of point_image."""
+def _segments_ok(system, m, expected_count):
+    """The rank-m segment table has expected_count rows.  Unless the
+    system is a sign-variable column system, whose cylinders can overlap
+    and which gets the count check only, the rows also tile the
+    representable interval, each row's map agrees with point_image (the
+    decode-residual formula) at three interior points, and Cantor rows
+    have slope q_m.  Every check runs on integers: the table's lo ends
+    share the denominator d_lo and its hi ends d_hi, so the points
+    (4-j)/4*lo + j/4*hi of every row lie over the one denominator
+    4*d_lo*d_hi.  The tiling is checked by its ends alone: the first row
+    starts at the interval's lo, the last ends at its hi, and each row
+    ends where the next starts.  Every row has lo <= hi (the table
+    refuses one that does not), so the widths then sum to the interval's
+    and every point lies inside it.  The slopes of all rows are checked
+    first; then the points of every row are decoded in one batch by the
+    integer core of point_image."""
     rows, d_lo, d_hi = _segment_ints(system, m)
     if len(rows) != expected_count:
         return False
-    if not tiling:
+    if isinstance(system, QTildeSystem) and system.signs.has_members():
         return True
     positions = position_table(system)
     lo_num, lo_den, hi_num, hi_den = positions.tail(0)
@@ -432,17 +429,14 @@ def _segments_ok(system, m, expected_count, tiling):
 
 def _suite_segments(cfg):
     def trial(rng, t, case):
-        flavor = t % 4  # signed column systems get the count check only
-        case["system"] = system = rand_segment_system(rng, flavor)
+        case["system"] = system = rand_segment_system(rng, t % 4)
         m = rng.randrange(1, 5)
         expected_count = prod(system.max_digit(j) + 1 for j in range(1, m + 1))
         while m > 1 and expected_count > 512:
             expected_count //= system.max_digit(m) + 1
             m -= 1
         case["m"] = m
-        if _segments_ok(system, m, expected_count, tiling=flavor != 3):
-            return None
-        return _case_doc(case)
+        return None if _segments_ok(system, m, expected_count) else {}
 
     result = _run_trials("segments", cfg, trial)
     result.notes.append(
@@ -484,7 +478,7 @@ def _suite_constant_alphabet(cfg):
             case["number"] = num = rand_number(rng, system, cfg.max_prefix)
             out = generalized_shift(num, m)
             ok = out.system != system
-        return None if ok else _case_doc(case)
+        return None if ok else {}
 
     return _run_trials("constant_alphabet", cfg, trial)
 

@@ -28,7 +28,7 @@ from cantorshift import (
     segment_table,
 )
 from cantorshift import analysis, numbers, operators, verify
-from cantorshift.analysis import AffineMap, _image_ints, _images_ints
+from cantorshift.analysis import AffineMap, _images_ints
 from cantorshift.operators import _deletion_map
 from cantorshift.systems import Interval, position_table
 from cantorshift.verify import _segments_ok
@@ -279,15 +279,15 @@ class TestImageInts:
                     # a sign-variable column system may leave x outside its
                     # base interval, or undecodable
                     try:
-                        _image_ints(table, x.numerator, x.denominator, m, sigma)
+                        _images_ints(table, [x.numerator], x.denominator, m, sigma)
                     except OutOfIntervalError:
                         undecodable.append(x)
                     continue
                 points.append(x)
                 # the point in lowest terms and unreduced, k/d as 2k/2d and 6k/6d
                 for scale in (1, 2, 6):
-                    num, den = _image_ints(table, scale * x.numerator, scale * x.denominator,
-                                           m, sigma)
+                    [(num, den)] = _images_ints(table, [scale * x.numerator],
+                                                scale * x.denominator, m, sigma)
                     assert den > 0 and Fraction(num, den) == expected
             # the batch over one shared denominator, unreduced by 1, 2 and 6,
             # gives each point the pair of the one-point case
@@ -295,7 +295,7 @@ class TestImageInts:
             for scale in (1, 2, 6):
                 nums = [int(x * den) * scale for x in points]
                 assert _images_ints(table, nums, scale * den, m, sigma) == [
-                    _image_ints(table, num, scale * den, m, sigma) for num in nums]
+                    _images_ints(table, [num], scale * den, m, sigma)[0] for num in nums]
                 if undecodable:
                     with pytest.raises(OutOfIntervalError):
                         _images_ints(table, nums + [int(undecodable[0] * den) * scale],
@@ -313,13 +313,13 @@ class TestImageInts:
         for flavor, m in ((0, 3), (2, 2)):
             system, m, count = self._segments_case(flavor, m)
             stepped.clear()
-            assert _segments_ok(system, m, count, tiling=True)
+            assert _segments_ok(system, m, count)
             assert stepped[1] == stepped[m] == 3 * count
 
     def _segments_case(self, flavor=0, m=2):
         system = rand_segment_system(random.Random(79), flavor)
         count = len(segment_table(system, m))
-        assert _segments_ok(system, m, count, tiling=True)
+        assert _segments_ok(system, m, count)
         return system, m, count
 
     @pytest.mark.parametrize("flavor", [0, 2])
@@ -334,7 +334,7 @@ class TestImageInts:
             return rows, d_lo, d_hi
 
         monkeypatch.setattr(verify, "_segment_ints", shifted)
-        assert _segments_ok(system, m, count, tiling=True) is False
+        assert _segments_ok(system, m, count) is False
 
     @pytest.mark.parametrize("flavor", [0, 2])
     def test_moved_lo_fails(self, flavor, monkeypatch):
@@ -351,7 +351,7 @@ class TestImageInts:
             return rows, 3 * d_lo * d_hi, d_hi
 
         monkeypatch.setattr(verify, "_segment_ints", moved)
-        assert _segments_ok(system, m, count, tiling=True) is False
+        assert _segments_ok(system, m, count) is False
 
     @staticmethod
     def _failing_trials(monkeypatch, deletion_map):

@@ -1,4 +1,5 @@
-"""Every name a `cantorshift` module exports resolves, and every name the
+"""Every name a `cantorshift` module exports resolves, a class or function
+is exported only by the module that defines it, and every name the
 package re-exports is exported by one of its modules, so a deleted
 function cannot stay listed in an `__all__` or behind the package."""
 
@@ -37,3 +38,12 @@ def test_package_reexports_are_module_exports():
         homes = [m for m in modules if attr in _exports(m)]
         assert homes, f"cantorshift.{attr} is exported by no module"
         assert all(getattr(m, attr) is getattr(cantorshift, attr) for m in homes), attr
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_all_names_have_one_home(name):
+    """A class or function is exported by the module that defines it, so
+    each exported name has one home."""
+    module = importlib.import_module(name)
+    assert [attr for attr in getattr(module, "__all__", ())
+            if getattr(getattr(module, attr), "__module__", name) != name] == []

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from cantorshift import DigitRangeError, analysis, numbers, operators, verify
-from cantorshift.documents import doc_to_number, doc_to_system
+from cantorshift.documents import doc_to_number, doc_to_system, number_to_doc, system_to_doc
 from cantorshift.numbers import TAIL_ZEROS, DigitStream, RepresentedNumber
+from helpers import DEC
 
 GOLDEN = Path(__file__).parent / "data" / "verify_failures_16_5.json"
 TRIALS, SEED = 16, 5
@@ -105,13 +106,50 @@ def test_raising_trial_records_its_case(monkeypatch):
     assert all(set(f) == {"trial", "number", "m", "error"} for f in failures if "error" in f)
 
 
+def test_run_trials_writes_every_record():
+    """A record is the trial number, then the case in draw order (numbers,
+    systems and rationals as documents), then what the trial found; a
+    raising trial's finding is its error, and a trial that found nothing
+    beyond its case adds no key."""
+    num = RepresentedNumber(DEC, DigitStream((1,), TAIL_ZEROS))
+
+    def trial(rng, t, case):
+        case["m"] = t
+        case["number"] = num
+        if t == 0:
+            return None
+        case["value"] = Fraction(1, 3)
+        case["system"] = DEC
+        if t == 1:
+            return {"lhs": "1", "rhs": "2"}
+        if t == 2:
+            return {}
+        raise ValueError("no digit")
+
+    cfg = verify.VerifyConfig("synthetic", trials=4)
+    result = verify._run_trials("synthetic", cfg, trial)
+    assert (result.passed, result.total) == (1, 4)
+    case = {"number": number_to_doc(num), "value": "1/3", "system": system_to_doc(DEC)}
+    assert [list(record.items()) for record in result.failures] == [
+        [("trial", 1), ("m", 1), *case.items(), ("lhs", "1"), ("rhs", "2")],
+        [("trial", 2), ("m", 2), *case.items()],
+        [("trial", 3), ("m", 3), *case.items(), ("error", "ValueError: no digit")],
+    ]
+
+
 def test_constant_alphabet_records_name_their_number(monkeypatch):
-    """Each failure record of constant_alphabet holds the number it drew,
-    which rebuilds over the record's system, so the trial can be replayed."""
-    failures = failing_report("constant_alphabet", monkeypatch)["failures"]
-    assert failures
-    for record in failures:
-        assert doc_to_number(record["number"]).system == doc_to_system(record["system"])
+    """Each failure record of a suite that draws a system and numbers holds
+    the system and every number it drew, and each number rebuilds over the
+    record's system, so the trial can be replayed."""
+    number_keys = {"constant_alphabet": ("number",), "general_signed": ("number",),
+                   "duality": ("beta_side", "gamma_side"), "roundtrip": ("number",)}
+    for suite, keys in number_keys.items():
+        failures = failing_report(suite, monkeypatch)["failures"]
+        assert failures, suite
+        for record in failures:
+            system = doc_to_system(record["system"])
+            for key in keys:
+                assert doc_to_number(record[key]).system == system, (suite, key)
 
 
 if __name__ == "__main__":
