@@ -33,10 +33,10 @@ from .errors import (
 )
 from .systems import (
     Interval,
-    QTildeSystem,
     _extreme_digits,
     _max_digits,
     _position_arrays,
+    _sign_variable_columns,
     combined_cycle_len,
     combined_prefix_len,
     periodic_from,
@@ -445,7 +445,7 @@ def dual_representation(num) -> Optional[DualInfo]:
     overlap or leave gaps, so adjacent-cylinder duality is not available.
     """
     system = num.system
-    if isinstance(system, QTildeSystem) and system.signs.has_members():
+    if _sign_variable_columns(system):
         return None
     # pre >= P and window >= L, so the digits at 1..pre + window also hold
     # the partner's prefix and one period of its tail.

@@ -357,6 +357,26 @@ def _extreme_digits(max_digits, members):
             [0 if member else top for top, member in zip(max_digits, members)])
 
 
+def _sign_variable_columns(system):
+    """True for a column system with a member sign position.  Its digit
+    weights differ within a column, so its cylinders may overlap or leave
+    gaps, and the greedy extreme streams need not be its inf and sup."""
+    return isinstance(system, QTildeSystem) and system.signs.has_members()
+
+
+def _digit_arrays(system, data, members, digits):
+    """Integer (term_num, weight_num, den, sign) arrays of the digits over
+    slices of the system already read: data holds the bases or columns
+    at the digits' positions, members their sign memberships."""
+    s = [-1 if member else 1 for member in members]
+    if isinstance(system, QTildeSystem):
+        ints = [col.ints[d] for col, d in zip(data, digits)]
+        t, w, c = zip(*ints) if ints else ((), (), ())
+    else:
+        t, w, c = digits, [1] * len(digits), data
+    return t, w, c, s
+
+
 def _position_arrays(system, digits, first=1):
     """Integer (term_num, weight_num, den, sign) arrays of the digits at
     positions first, first + 1, ..., as `series` sums them.  The system's
@@ -364,13 +384,9 @@ def _position_arrays(system, digits, first=1):
     their alphabets, and are not checked: numbers are checked when built,
     and `cylinder` and `affine_on_cylinder` check their prefixes first."""
     size = len(digits)
-    s = [-1 if member else 1 for member in system.signs.membership.items(first, size)]
-    if isinstance(system, QTildeSystem):
-        ints = [col.ints[d] for col, d in zip(system.columns.items(first, size), digits)]
-        t, w, c = zip(*ints) if ints else ((), (), ())
-    else:
-        t, w, c = digits, [1] * size, system.base.items(first, size)
-    return t, w, c, s
+    seq = system.columns if isinstance(system, QTildeSystem) else system.base
+    return _digit_arrays(system, seq.items(first, size),
+                         system.signs.membership.items(first, size), digits)
 
 
 class PositionTable(NamedTuple):
@@ -427,17 +443,22 @@ class PositionTable(NamedTuple):
     def build(cls, system):
         prefix_len = combined_prefix_len(system)
         cycle_len = combined_cycle_len(system)
+        # The base or column sequence and the sign membership are read
+        # once each; everything else is derived from those two slices.
         size = prefix_len + cycle_len
-        max_digits = _max_digits(system, 1, size)
-        lows, highs = _extreme_digits(max_digits, system.signs.membership.items(1, size))
-        _, _, c, signs = low_arrays = _position_arrays(system, lows)
+        cantor = isinstance(system, CantorSystem)
+        data = (system.base if cantor else system.columns).items(1, size)
+        members = system.signs.membership.items(1, size)
+        max_digits = [q - 1 for q in data] if cantor else [len(col.ints) - 1 for col in data]
+        lows, highs = _extreme_digits(max_digits, members)
+        _, _, _, signs = low_arrays = _digit_arrays(system, data, members, lows)
         lo_tails = _suffix_values(*low_arrays, prefix_len)
-        hi_tails = _suffix_values(*_position_arrays(system, highs), prefix_len)
+        hi_tails = _suffix_values(*_digit_arrays(system, data, members, highs), prefix_len)
         head = (prefix_len, cycle_len, tuple(max_digits), tuple(signs),
                 tuple(lo + hi for lo, hi in zip(lo_tails, hi_tails)))
-        if isinstance(system, CantorSystem):
-            return cls(*head, bases=tuple(c))
-        columns = tuple(col.ints for col in system.columns.items(1, size))
+        if cantor:
+            return cls(*head, bases=tuple(data))
+        columns = tuple(col.ints for col in data)
         # Digit d's piece is s*t/c + (w/c)*[lo, hi], held over the slot's
         # denominator c*lo_den*hi_den.
         pieces = tuple(

@@ -52,6 +52,7 @@ from .systems import (
     CantorSystem,
     QTildeSystem,
     SignPattern,
+    _sign_variable_columns,
     base_interval,
     combined_cycle_len,
     combined_prefix_len,
@@ -400,7 +401,7 @@ def _segments_ok(system, m, expected_count):
     rows, d_lo, d_hi = _segment_ints(system, m)
     if len(rows) != expected_count:
         return False
-    if isinstance(system, QTildeSystem) and system.signs.has_members():
+    if _sign_variable_columns(system):
         return True
     positions = position_table(system)
     lo_num, lo_den, hi_num, hi_den = positions.tail(0)

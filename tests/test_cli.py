@@ -317,7 +317,10 @@ class TestVerifyCommand:
 
     def test_unknown_suite_is_usage_error(self, capsys):
         assert run(["verify", "nosuch"]) == 1
-        assert "error:" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: unknown suite 'nosuch'; choose from " + ", ".join(verify.SUITE_NAMES)]
 
     def test_seed_bounds(self, capsys):
         assert run(["verify", "eq4", "--trials", "5", "--seed", str(2**64)]) == 1
@@ -566,7 +569,7 @@ class TestErrors:
             raise AssertionError("the command ran")
 
         monkeypatch.setattr(cli, "decode", reached)
-        monkeypatch.setattr(cli.verify, "run_suite", reached)
+        monkeypatch.setattr(verify, "run_suite", reached)
         tmp, write = paths
         write("s.json", system_to_doc(DEC))
         assert run([str(tmp / arg) if arg.endswith(".json") else arg for arg in argv]) == 1
@@ -645,13 +648,44 @@ class TestErrors:
         assert capsys.readouterr().err == ""
 
 
+def _child_env():
+    """The environment of a fresh interpreter that imports this checkout's
+    package first."""
+    src = str(Path(cantorshift.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+
+
+_COLD_START = """
+import contextlib, io, json, sys
+import cantorshift.cli as cli
+
+def loaded(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    return [code] + [name in sys.modules for name in ("cantorshift.verify", "cantorshift.sampling")]
+
+print(json.dumps([loaded(["eval", sys.argv[1]]),
+                  loaded(["verify", "eq4", "--trials", "1", "--seed", "0"])]))
+"""
+
+
+def test_only_verify_loads_the_suites(paths):
+    # A fresh interpreter: the suites and their samplers are compiled only
+    # by the command that runs them.
+    _, write = paths
+    path = write("n.json", _number_doc(NEG, (1, 2, 3)))
+    done = subprocess.run([sys.executable, "-c", _COLD_START, path], capture_output=True,
+                          text=True, env=_child_env(), timeout=60)
+    assert done.stderr == ""
+    assert json.loads(done.stdout) == [[0, False, False], [0, True, True]]
+
+
 @pytest.mark.parametrize("module", ["cantorshift", "cantorshift.cli"])
 def test_python_dash_m(module, paths):
     _, write = paths
     spath = write("s.json", system_to_doc(NEG))
-    src = str(Path(cantorshift.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = _child_env()
     done = subprocess.run([sys.executable, "-m", module, "cylinder", spath, "1"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0
@@ -670,9 +704,7 @@ def test_closed_stdout_is_one_error_line(argv, paths):
     tmp, write = paths
     write("s.json", system_to_doc(NEG))
     write("n.json", _number_doc(NEG, (1, 2, 3, 4, 5)))
-    src = str(Path(cantorshift.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    env = _child_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:

@@ -9,6 +9,7 @@ from cantorshift import (
     CantorSystem,
     EventuallyPeriodicSeq,
     Interval,
+    PositionTable,
     QTildeColumn,
     QTildeSystem,
     RepresentedNumber,
@@ -23,6 +24,7 @@ from cantorshift import (
     sign_factor,
     validate,
 )
+from cantorshift import series
 from cantorshift.documents import doc_to_system, system_to_doc
 from cantorshift.sampling import rand_cantor_system, rand_qtilde_system, rand_segment_system
 from cantorshift.systems import combined_cycle_len, combined_prefix_len, periodic_from
@@ -370,6 +372,22 @@ class TestPositionTable:
     def test_base_interval_is_tail_at_zero(self):
         for system in FLAVOURS.values():
             assert base_interval(system) == position_table(system).interval(0)
+
+    @pytest.mark.parametrize("make", [
+        *(lambda rng, flavour=flavour: rand_segment_system(rng, flavour) for flavour in range(4)),
+        rand_cantor_system, rand_qtilde_system],
+        ids=[*sorted(FLAVOURS, key=FLAVOUR_INDEX.get), "rand_cantor", "rand_qtilde"])
+    def test_build_reads_two_slices(self, monkeypatch, make):
+        # the base or column sequence once and the sign membership once
+        reads = []
+        read = series._slice
+        monkeypatch.setattr(series, "_slice", lambda *args: reads.append(args) or read(*args))
+        rng = random.Random(5)
+        for _ in range(20):
+            system = make(rng)
+            reads.clear()
+            PositionTable.build(system)
+            assert len(reads) == 2
 
     def test_cached_per_system(self):
         assert position_table(cantor((), (7,))) is position_table(cantor((), (7,)))
