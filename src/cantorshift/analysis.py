@@ -22,9 +22,9 @@ Tables are built, sorted and sampled in integers (`_segment_ints`,
 end, so `Fraction` appears only in the public wrappers.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import OutOfIntervalError
 from .numbers import (
@@ -44,7 +44,7 @@ from .operators import (
     _require_admissible,
     closed_form_value,
 )
-from .systems import Interval, position_table
+from .systems import MAX_TABLE_ROWS, Interval, position_table
 
 __all__ = [
     "AffineMap",
@@ -55,17 +55,10 @@ __all__ = [
     "numeric_derivative",
     "graph_samples",
     "point_image",
-    "MAX_TABLE_ROWS",
 ]
 
-# Largest segment or graph table built: the product of the first m
-# alphabet sizes (times the samples per cylinder for a graph).  Larger
-# requests are refused up front rather than run unbounded.
-MAX_TABLE_ROWS = 1 << 20
 
-
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     slope: Fraction
     intercept: Fraction
 
@@ -73,8 +66,7 @@ class AffineMap:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
+class ContinuityReport(NamedTuple):
     kind: str  # "continuous" | "jump"
     left_limit: Fraction
     right_limit: Fraction

@@ -4,6 +4,11 @@ Subcommands: eval, decode, shift, itershift, gshift, cylinder, segments,
 graph, partner, verify.  Exit codes: 0 success, 1 validation or domain
 error (one machine-parsable "error: ..." line on stderr), 2 property
 suite failure (the minimized failing case as JSON on stdout).
+
+Each command is a process, and the package may be compiled from source on
+every start, so `operators`, `analysis` and `verify` are imported inside
+the commands that use them: `eval`, `decode`, `cylinder` and `partner`
+load none of them.
 """
 
 import argparse
@@ -14,16 +19,10 @@ import sys
 from pathlib import Path
 
 from . import documents
-from .analysis import MAX_TABLE_ROWS, _graph_ints, _segment_ints
 from .errors import ExpansionError
 from .numbers import cylinder, decode, evaluate, quasi_partner
-from .operators import (
-    ShiftVariant,
-    closed_form_value,
-    generalized_shift,
-    iterate_shift,
-)
 from .rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
+from .systems import MAX_TABLE_ROWS
 
 __all__ = ["run", "main"]
 
@@ -81,6 +80,8 @@ def _load_number(path):
 
 
 def _variant(name):
+    from .operators import ShiftVariant
+
     return ShiftVariant.POSITION if name == "position" else ShiftVariant.DIGIT
 
 
@@ -129,21 +130,25 @@ def _cmd_decode(args):
 
 
 def _cmd_itershift(args):
+    from . import operators
+
     num = _load_number(args.number)
-    image = iterate_shift(num, args.m)
+    image = operators.iterate_shift(num, args.m)
     _print_json({"number": documents.number_to_doc(image),
                  "value": rational_str(evaluate(image))})
     return 0
 
 
 def _cmd_gshift(args):
+    from . import operators
+
     num = _load_number(args.number)
     variant = _variant(args.variant)
-    image = generalized_shift(num, args.m, variant)
+    image = operators.generalized_shift(num, args.m, variant)
     _print_json({
         "number": documents.number_to_doc(image),
         "surgery_value": rational_str(evaluate(image)),
-        "closed_form_value": rational_str(closed_form_value(num, args.m, variant)),
+        "closed_form_value": rational_str(operators.closed_form_value(num, args.m, variant)),
     })
     return 0
 
@@ -158,8 +163,10 @@ def _cmd_cylinder(args):
 
 
 def _cmd_segments(args):
+    from . import analysis
+
     system = _load_system(args.system)
-    rows, d_lo, d_hi = _segment_ints(system, args.m, _variant(args.variant))
+    rows, d_lo, d_hi = analysis._segment_ints(system, args.m, _variant(args.variant))
     cells = [((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td)) for lo, hi, sn, sd, tn, td in rows]
     sys.stdout.write(documents.emit_tsv(("lo", "hi", "slope", "intercept"),
                                         cells, args.precision))
@@ -167,8 +174,10 @@ def _cmd_segments(args):
 
 
 def _cmd_graph(args):
+    from . import analysis
+
     system = _load_system(args.system)
-    points, x_den = _graph_ints(system, args.m, args.samples, _variant(args.variant))
+    points, x_den = analysis._graph_ints(system, args.m, args.samples, _variant(args.variant))
     cells = [((x, x_den), (y, y_den)) for x, y, y_den in points]
     sys.stdout.write(documents.emit_tsv(("x", "y"), cells, args.precision))
     return 0
@@ -185,8 +194,6 @@ def _cmd_partner(args):
 
 
 def _cmd_verify(args):
-    # Imported here: only this command uses the suites (and, through them,
-    # `sampling`), so no other command pays to compile them.
     from . import verify
 
     names = verify.SUITE_NAMES if args.suite == "all" else (args.suite,)

@@ -23,7 +23,7 @@ tail exactly.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     AlignmentError,
@@ -425,8 +425,7 @@ def _cylinder_interval(prefix, tail):
                     Fraction(v * hi_den + w * hi_num, den * hi_den))
 
 
-@dataclass(frozen=True)
-class DualInfo:
+class DualInfo(NamedTuple):
     partner: RepresentedNumber
     position: int
     side: str  # "beta" when the number carries the most-negative tail

@@ -20,10 +20,10 @@ Two sign conventions exist for deletion over signed systems:
   where it matches the original alternating-series definition.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .errors import ExpansionError, VariantError
 from .numbers import (
@@ -157,8 +157,7 @@ def closed_form_value(num, m, variant=ShiftVariant.DIGIT):
     return Fraction(sn * xn * td + tn * sd * xd, sd * xd * td)
 
 
-@dataclass(frozen=True)
-class PrefixSums:
+class PrefixSums(NamedTuple):
     """Signed prefix sum below position m and the re-weighted tail whose
     denominators skip q_m; over Cantor systems
     x = g + sign_m * i_m / (q_1...q_m) + zeta / q_m holds exactly."""
@@ -197,8 +196,7 @@ def compose_removals(num, indices, variant=ShiftVariant.DIGIT):
     return out
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Pass/fail record for the composition identities of the deletion
     operator over positive Cantor systems."""
 

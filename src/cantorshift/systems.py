@@ -34,6 +34,7 @@ from .rationals import _clip, _int_str, _pair_str
 from .series import EventuallyPeriodicSeq, _suffix_values
 
 __all__ = [
+    "MAX_TABLE_ROWS",
     "SignPattern",
     "CantorSystem",
     "QTildeColumn",
@@ -53,6 +54,13 @@ __all__ = [
     "combined_cycle_len",
     "periodic_from",
 ]
+
+# Largest segment or graph table built: the product of the first m
+# alphabet sizes (times the samples per cylinder for a graph).  Larger
+# requests are refused up front rather than run unbounded.  It lives here,
+# not in `analysis`, so that the CLI can bound its arguments without
+# loading the table code.
+MAX_TABLE_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -266,8 +274,11 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-@dataclass(frozen=True)
-class Violation:
+# Records that are only ever returned are NamedTuples, which cost about a
+# fifth of a frozen dataclass to define at import.  Value types stay
+# dataclasses: a tuple equals any tuple with the same items, whatever its
+# type.
+class Violation(NamedTuple):
     path: str
     message: str
 
@@ -275,8 +286,7 @@ class Violation:
         return f"{self.message} at $.{self.path}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     problems: tuple
 
     @property

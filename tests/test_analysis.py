@@ -34,6 +34,7 @@ from cantorshift.systems import Interval, position_table
 from cantorshift.verify import _segments_ok
 from cantorshift.sampling import (
     rand_cantor_system,
+    rand_dual_case,
     rand_number,
     rand_qtilde_system,
     rand_segment_system,
@@ -57,6 +58,20 @@ class TestAffineOnCylinder:
     def test_column_system(self):
         affine = affine_on_cylinder(QT, (1,))
         assert (affine.slope, affine.intercept) == (Fraction(4, 3), Fraction(-1, 3))
+
+    def test_seeded_maps(self):
+        # slope, intercept and the image of the cylinder's left end on seeded
+        # rank-2 cylinders of the four segment-system flavours
+        rng = random.Random(2103)
+        got = []
+        for t in range(6):
+            system = rand_segment_system(rng, t % 4)
+            digits = [rng.randrange(0, system.max_digit(k) + 1) for k in (1, 2)]
+            affine = affine_on_cylinder(system, digits)
+            got.append(tuple(map(str, (affine.slope, affine.intercept,
+                                       affine.apply(cylinder(system, digits).lo)))))
+        assert got == [("5", "-2", "0"), ("5", "3/5", "-1/5"), ("5/3", "-5/12", "0"),
+                       ("11", "25/4", "-5/8"), ("5", "-8/5", "2/5"), ("3", "-1", "7/16")]
 
     @pytest.mark.parametrize("system, digits", [
         (cantor((), (3,)), (7,)),
@@ -394,6 +409,19 @@ class TestContinuity:
     def test_continuous_at_single_representation_points(self):
         report = continuity_at(DEC, 2, mk(DEC, (1, 2, 3), cycle_tail((5,))))
         assert report.kind == "continuous"
+
+    def test_seeded_reports(self):
+        # one seeded dual case of each sign flavour, as first recorded
+        rng = random.Random(2104)
+        got = []
+        for flavor in range(5):
+            system, n, beta_side, _ = rand_dual_case(rng, 6, flavor)
+            report = continuity_at(system, n, beta_side)
+            got.append((report.kind, *map(str, (report.left_limit, report.right_limit,
+                                                report.jump))))
+        assert got == [("jump", "4/5", "3/5", "-1/5"), ("jump", "14/25", "9/25", "-1/5"),
+                       ("jump", "41/80", "9/20", "-1/16"), ("jump", "4/5", "-1/5", "-1"),
+                       ("jump", "1/5", "-4/5", "-1")]
 
     def test_signed_jump_magnitude(self):
         beta_side = mk(NEG, (6, 0), cycle_tail((9, 0)))

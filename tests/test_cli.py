@@ -10,7 +10,15 @@ import pytest
 
 import cantorshift
 
-from cantorshift import OutOfIntervalError, SignPattern, analysis, cli, evaluate, verify
+from cantorshift import (
+    OutOfIntervalError,
+    SignPattern,
+    analysis,
+    cli,
+    evaluate,
+    operators,
+    verify,
+)
 from cantorshift.cli import run
 from cantorshift.documents import number_to_doc, parse_number, system_to_doc
 from cantorshift.numbers import normalize_stream
@@ -355,8 +363,6 @@ class TestVerifyCommand:
     def test_trial_that_raises_is_a_suite_failure(self, capsys, monkeypatch):
         # deletion that drops position m+1 builds numbers that do not fit
         # their system; the trials that raise fail, named by suite and trial
-        from cantorshift import operators
-
         remove_index = operators.remove_index
         monkeypatch.setattr(operators, "remove_index",
                             lambda system, m: remove_index(system, m + 1))
@@ -538,7 +544,7 @@ class TestErrors:
         def surgery(*args):
             raise AssertionError("the deletion ran")
 
-        monkeypatch.setattr(cli, "generalized_shift", surgery)
+        monkeypatch.setattr(operators, "generalized_shift", surgery)
         _, write = paths
         path = write("n.json", _number_doc(FACT, (1, 2, 3)))
         assert run(["gshift", path, "-m", m]) == 1
@@ -597,8 +603,9 @@ class TestErrors:
         def reached(*args):
             raise AssertionError("the command ran")
 
-        for name in ("iterate_shift", "_segment_ints", "_graph_ints", "cylinder"):
-            monkeypatch.setattr(cli, name, reached)
+        for module, name in ((operators, "iterate_shift"), (analysis, "_segment_ints"),
+                             (analysis, "_graph_ints"), (cli, "cylinder")):
+            monkeypatch.setattr(module, name, reached)
         tmp, write = paths
         write("s.json", system_to_doc(DEC))
         write("n.json", _number_doc(DEC, (1, 2, 3)))
@@ -623,7 +630,7 @@ class TestErrors:
             raise AssertionError("the command ran")
 
         monkeypatch.setattr(cli, "evaluate", reached)
-        monkeypatch.setattr(cli, "_segment_ints", reached)
+        monkeypatch.setattr(analysis, "_segment_ints", reached)
         system = {"kind": "cantor",
                   "base": {"prefix": [], "cycle": [2 + i % 7 for i in range(99)] + [3]},
                   "signs": {"prefix": [], "cycle": [i % 3 == 0 for i in range(100)] + [True]}}
@@ -658,27 +665,42 @@ def _child_env():
 
 _COLD_START = """
 import contextlib, io, json, sys
-import cantorshift.cli as cli
 
-def loaded(argv):
+def loaded():
+    return {name for name in sys.modules if name.startswith("cantorshift.")}
+
+import cantorshift.cli as cli
+steps = [[None, sorted(loaded())]]
+for argv in json.loads(sys.argv[1]):
+    before = loaded()
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(argv)
-    return [code] + [name in sys.modules for name in ("cantorshift.verify", "cantorshift.sampling")]
-
-print(json.dumps([loaded(["eval", sys.argv[1]]),
-                  loaded(["verify", "eq4", "--trials", "1", "--seed", "0"])]))
+    steps.append([code, sorted(loaded() - before)])
+print(json.dumps(steps))
 """
 
 
-def test_only_verify_loads_the_suites(paths):
-    # A fresh interpreter: the suites and their samplers are compiled only
-    # by the command that runs them.
+def test_commands_load_only_their_modules(paths):
+    # A fresh interpreter runs the commands in an order in which the set of
+    # loaded modules only grows, and reports what each one added: a module
+    # is compiled only by the first command that uses it.
     _, write = paths
-    path = write("n.json", _number_doc(NEG, (1, 2, 3)))
-    done = subprocess.run([sys.executable, "-c", _COLD_START, path], capture_output=True,
-                          text=True, env=_child_env(), timeout=60)
+    spath = write("s.json", system_to_doc(NEG))
+    npath = write("n.json", _number_doc(NEG, (1, 2, 3)))
+    commands = [["eval", npath], ["decode", spath, "1/22"], ["cylinder", spath, "1"],
+                ["partner", npath], ["gshift", npath, "-m", "2"], ["segments", spath, "-m", "2"],
+                ["verify", "eq4", "--trials", "1", "--seed", "0"]]
+    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(commands)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
     assert done.stderr == ""
-    assert json.loads(done.stdout) == [[0, False, False], [0, True, True]]
+    base = ["cli", "documents", "errors", "numbers", "rationals", "series", "systems"]
+    assert json.loads(done.stdout) == [
+        [None, [f"cantorshift.{name}" for name in base]],
+        [0, []], [0, []], [0, []], [0, []],
+        [0, ["cantorshift.operators"]],
+        [0, ["cantorshift.analysis"]],
+        [0, ["cantorshift.sampling", "cantorshift.verify"]],
+    ]
 
 
 @pytest.mark.parametrize("module", ["cantorshift", "cantorshift.cli"])

@@ -30,10 +30,17 @@ def test_all_names_resolve(name):
 
 
 def test_package_reexports_are_module_exports():
+    # Some names are resolved on first use, so every listed name is read
+    # with getattr here: a misspelt lazy entry fails in any test order.
     modules = [importlib.import_module(name) for name in SUBMODULES]
-    public = [attr for attr, obj in vars(cantorshift).items()
-              if not attr.startswith("_") and not isinstance(obj, types.ModuleType)]
+    public = [attr for attr in dir(cantorshift) if not attr.startswith("_")
+              and not isinstance(getattr(cantorshift, attr), types.ModuleType)]
+    assert sorted(public) == sorted(cantorshift.__all__)
     assert len(public) > 50
+    star = {}
+    exec("from cantorshift import *", star)
+    assert star.keys() - {"__builtins__"} == set(public)
+    assert not hasattr(cantorshift, "no_such_name")
     for attr in public:
         homes = [m for m in modules if attr in _exports(m)]
         assert homes, f"cantorshift.{attr} is exported by no module"

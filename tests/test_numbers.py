@@ -538,6 +538,21 @@ class TestDuality:
                                         rng.randrange(1, 4))
                 assert quasi_partner(beta) == gamma and quasi_partner(gamma) == beta
 
+    def test_seeded_dual_info(self):
+        # each side of a seeded pair names the other as its partner, with
+        # the pair's flip position and its own side
+        rng = random.Random(2105)
+        positions = []
+        for t in range(9):
+            beta, gamma = dual_pair(rng, rand_segment_system(rng, t % 3), rng.randrange(1, 4))
+            beta_info = numbers.dual_representation(beta)
+            gamma_info = numbers.dual_representation(gamma)
+            assert (beta_info.partner, beta_info.side) == (gamma, "beta")
+            assert (gamma_info.partner, gamma_info.side) == (beta, "gamma")
+            assert beta_info.position == gamma_info.position
+            positions.append(beta_info.position)
+        assert positions == [3, 1, 3, 1, 1, 3, 1, 1, 2]
+
 
 class TestCanonicalize:
     def test_max_tail_rewrites_to_zero_tail(self):

@@ -26,7 +26,13 @@ from cantorshift import (
 )
 from cantorshift import numbers, operators
 from cantorshift.documents import doc_to_number
-from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system, sign_case_pattern
+from cantorshift.sampling import (
+    rand_cantor_system,
+    rand_number,
+    rand_positive_cantor_number,
+    rand_qtilde_system,
+    sign_case_pattern,
+)
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, mk
 
 DIGIT = ShiftVariant.DIGIT
@@ -303,6 +309,22 @@ class TestTheoremIdentities:
     def test_requires_positive_cantor(self):
         with pytest.raises(ExpansionError):
             verify_theorem_identities(mk(NEG, (1,)), m=1, indices=(1,))
+
+    def test_seeded_reports(self):
+        # the fields of seeded theorem reports and prefix sums, as first
+        # recorded; only the printed exponent ever fails
+        rng = random.Random(2102)
+        got = []
+        for _ in range(6):
+            num = rand_positive_cantor_number(rng, 5, 6)
+            m = rng.randrange(1, 4)
+            report = verify_theorem_identities(num, m, tuple(sorted(rng.sample(range(1, 7), 2))))
+            assert (report.shift_compose, report.subsequence, report.consecutive_adjusted,
+                    report.residual, report.expected_ok) == (True,) * 5
+            sums = prefix_sums(num, m)
+            got.append((report.consecutive_printed, str(sums.g), str(sums.zeta)))
+        assert got == [(False, "0", "0"), (False, "0", "1706/3125"), (True, "3/10", "0"),
+                       (True, "1/3", "4/15"), (False, "0", "8/45"), (False, "1/10", "1/20")]
 
 
 class TestSemanticEquivalences:

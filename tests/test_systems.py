@@ -199,6 +199,36 @@ class TestValidateColumns:
             verdicts.add(report.ok)
         assert verdicts == {True, False}
 
+    def test_seeded_reports(self):
+        # the verdict, text and fields of seeded reports, as first recorded
+        rng = random.Random(2101)
+        reports = [validate(QTildeSystem(EventuallyPeriodicSeq(
+            tuple(_rand_damaged_column(rng) for _ in range(rng.randrange(0, 2))),
+            (_rand_damaged_column(rng),)), SignPattern.none())) for _ in range(6)]
+        assert [report.ok for report in reports] == [True, False, False, False, True, False]
+        assert [str(report) for report in reports] == [
+            "OK",
+            "column entry not in (0, 1): 0 at $.columns.cycle[0][0]; "
+            "column entry not in (0, 1): -1/3 at $.columns.cycle[0][1]; "
+            "column sum != 1 at $.columns.cycle[0]",
+            "column entry not in (0, 1): -1/3 at $.columns.prefix[0][1]; "
+            "column entry not in (0, 1): 1 at $.columns.prefix[0][2]; "
+            "column sum != 1 at $.columns.prefix[0]; column sum != 1 at $.columns.cycle[0]",
+            "column entry not in (0, 1): 12/11 at $.columns.prefix[0][1]; "
+            "column sum != 1 at $.columns.prefix[0]",
+            "OK",
+            "column entry not in (0, 1): 0 at $.columns.prefix[0][0]; "
+            "column sum != 1 at $.columns.prefix[0]; "
+            "column entry not in (0, 1): 1 at $.columns.cycle[0][0]; "
+            "column entry not in (0, 1): 1 at $.columns.cycle[0][1]; "
+            "column sum != 1 at $.columns.cycle[0]; "
+            "cycle max-entry product must be < 1 at $.columns.cycle",
+        ]
+        assert reports[0].problems == ()
+        assert [(p.path, p.message) for p in reports[3].problems] == [
+            ("columns.prefix[0][1]", "column entry not in (0, 1): 12/11"),
+            ("columns.prefix[0]", "column sum != 1")]
+
 
 class TestColumnInts:
     def test_equal_entries_make_equal_columns(self):
