@@ -115,9 +115,11 @@ def _get(obj, key, path):
 
 def _int_list(obj, path):
     items = _expect_list(obj, path)
-    for i, v in enumerate(items):
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise DocumentError(f"expected an integer at {path}[{i}]")
+    # One pass over a list of plain ints; the walk only names a bad index.
+    if not all(type(v) is int for v in items):
+        for i, v in enumerate(items):
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise DocumentError(f"expected an integer at {path}[{i}]")
     return items
 
 
@@ -130,9 +132,9 @@ def _parse_signs(obj, path):
     prefix = _expect_list(_get(obj, "prefix", path), f"{path}.prefix")
     cycle = _expect_list(_get(obj, "cycle", path), f"{path}.cycle")
     for where, items in ((f"{path}.prefix", prefix), (f"{path}.cycle", cycle)):
-        for i, v in enumerate(items):
-            if not isinstance(v, bool):
-                raise DocumentError(f"expected a boolean at {where}[{i}]")
+        if not all(type(v) is bool for v in items):
+            i = next(i for i, v in enumerate(items) if not isinstance(v, bool))
+            raise DocumentError(f"expected a boolean at {where}[{i}]")
     if not cycle:
         raise DocumentError(f"sign cycle must be nonempty at {path}.cycle")
     return SignPattern.explicit(prefix, cycle)

@@ -20,7 +20,6 @@ residual value recurs at an aligned position, which yields the periodic
 tail exactly.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import NamedTuple, Optional
@@ -43,7 +42,7 @@ from .systems import (
     position_table,
 )
 from .rationals import _shown
-from .series import _fold, _normalize, _periodic_sum, _slice
+from .series import _fold, _normalize, _periodic_sum, _slice, _Value
 
 __all__ = [
     "Tail",
@@ -70,19 +69,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tail:
-    kind: str
-    cycle: tuple = ()
+class Tail(_Value):
+    __slots__ = _fields = ("kind", "cycle")
 
-    def __post_init__(self):
-        if self.kind not in ("zeros", "max", "cycle"):
-            raise ValueError(f"unknown tail kind {self.kind!r}")
-        object.__setattr__(self, "cycle", tuple(self.cycle))
-        if self.kind == "cycle" and not self.cycle:
+    def __init__(self, kind, cycle=()):
+        if kind not in ("zeros", "max", "cycle"):
+            raise ValueError(f"unknown tail kind {kind!r}")
+        cycle = tuple(cycle)
+        if kind == "cycle" and not cycle:
             raise ValueError("cycle tail needs at least one digit")
-        if self.kind != "cycle" and self.cycle:
-            raise ValueError(f"{self.kind} tail carries no cycle digits")
+        if kind != "cycle" and cycle:
+            raise ValueError(f"{kind} tail carries no cycle digits")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cycle", cycle)
 
 
 TAIL_ZEROS = Tail("zeros")
@@ -93,25 +92,24 @@ def cycle_tail(digits):
     return Tail("cycle", tuple(digits))
 
 
-@dataclass(frozen=True)
-class DigitStream:
-    prefix: tuple
-    tail: Tail
+class DigitStream(_Value):
+    __slots__ = _fields = ("prefix", "tail")
 
-    def __post_init__(self):
-        object.__setattr__(self, "prefix", tuple(self.prefix))
+    def __init__(self, prefix, tail):
+        object.__setattr__(self, "prefix", tuple(prefix))
+        object.__setattr__(self, "tail", tail)
 
 
-@dataclass(frozen=True)
-class RepresentedNumber:
+class RepresentedNumber(_Value):
     """A digit stream over a numeral system.  Construction raises
     DigitRangeError or AlignmentError when the stream does not fit the
     system, so no invalid number exists."""
 
-    system: object
-    digits: DigitStream
+    __slots__ = _fields = ("system", "digits")
 
-    def __post_init__(self):
+    def __init__(self, system, digits):
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "digits", digits)
         validate_number(self)
 
 

@@ -9,12 +9,13 @@ running denominator, and leaves the single reduction to a `Fraction` to
 its caller.  `_suffix_values` folds the same arrays into the value after
 every position, reduced at each step.  The public `geometric_block_sum`
 and `periodic_tail_sum` work on `Fraction`s and are the tests'
-independent reference.
+independent reference.  `_Value` is the base of the immutable value
+types.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
+from operator import attrgetter
 
 from .errors import DivergentSeriesError
 
@@ -65,20 +66,56 @@ def _slice(prefix, cycle, first, count):
     return out
 
 
-@dataclass(frozen=True)
-class EventuallyPeriodicSeq:
+class _Value:
+    """An immutable value over the fields named in `_fields`, which its
+    `__init__` takes in that order, checks and stores with
+    `object.__setattr__`; `__slots__` may hold more that equality ignores.
+    Equality, hash and repr read the fields as a frozen dataclass's do: a
+    value equals only an instance of its own class, hashes as the tuple of
+    its fields, and shows them by name."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The tuple of the fields, called as self._key(self).
+        get = attrgetter(*cls._fields)
+        cls._key = staticmethod(get if len(cls._fields) > 1 else lambda value: (get(value),))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        items = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({items})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # Pickle and deepcopy rebuild the value through its constructor.
+        return type(self), self._key(self)
+
+
+class EventuallyPeriodicSeq(_Value):
     """A sequence with a finite prefix followed by a repeating cycle.
 
     Instances are normalized on construction (primitive cycle, minimal
-    prefix), so two sequences are equal as dataclasses exactly when they
-    are equal as functions of the position.
+    prefix), so two sequences are equal exactly when they are equal as
+    functions of the position.
     """
 
-    prefix: tuple
-    cycle: tuple
+    __slots__ = _fields = ("prefix", "cycle")
 
-    def __post_init__(self):
-        prefix, cycle = _normalize(self.prefix, self.cycle)
+    def __init__(self, prefix, cycle):
+        prefix, cycle = _normalize(prefix, cycle)
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
 

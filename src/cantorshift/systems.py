@@ -21,7 +21,6 @@ its combined prefix length P and combined cycle length L when it is
 built, and every periodicity question reads them.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -31,7 +30,7 @@ from typing import NamedTuple
 
 from .errors import DigitRangeError
 from .rationals import _clip, _int_str, _pair_str
-from .series import EventuallyPeriodicSeq, _suffix_values
+from .series import EventuallyPeriodicSeq, _suffix_values, _Value
 
 __all__ = [
     "MAX_TABLE_ROWS",
@@ -63,26 +62,25 @@ __all__ = [
 MAX_TABLE_ROWS = 1 << 20
 
 
-@dataclass(frozen=True)
-class SignPattern:
+class SignPattern(_Value):
     """Membership of positions in the negative-sign set.
 
     Member positions carry sign factor -1, non-members +1.
     """
 
-    membership: EventuallyPeriodicSeq
+    __slots__ = _fields = ("membership",)
 
-    def __post_init__(self):
+    def __init__(self, membership):
         # Items are held as bools, normalized again, so that two patterns
         # with the same `member` function are equal.  A sequence of bools
         # is normalized already, as every re-indexed membership is.
-        seq = self.membership
-        if isinstance(seq, EventuallyPeriodicSeq):
-            prefix, cycle = seq.prefix, seq.cycle
+        if isinstance(membership, EventuallyPeriodicSeq):
+            prefix, cycle = membership.prefix, membership.cycle
             if all(type(item) is bool for item in prefix + cycle):
+                object.__setattr__(self, "membership", membership)
                 return
         else:
-            prefix, cycle = seq
+            prefix, cycle = membership
         object.__setattr__(self, "membership", EventuallyPeriodicSeq(
             tuple(map(bool, prefix)), tuple(map(bool, cycle))))
 
@@ -119,23 +117,25 @@ def sign_factor(signs, n):
     return -1 if signs.member(n) else 1
 
 
-def _store_lengths(system, seq):
-    """Store the combined prefix length P and combined cycle length L of a
-    system whose base or column sequence is seq, once, when it is built."""
-    membership = system.signs.membership
-    object.__setattr__(system, "_prefix_len", max(len(seq.prefix), len(membership.prefix)))
-    object.__setattr__(system, "_cycle_len", lcm(len(seq.cycle), len(membership.cycle)))
+def _store(system, seq, signs):
+    """Store a system's base or column sequence seq and its sign pattern,
+    then its combined prefix length P and combined cycle length L, which
+    are computed once, when it is built, and are not fields."""
+    membership = signs.membership
+    for name, value in zip(system.__slots__, (
+            seq, signs, max(len(seq.prefix), len(membership.prefix)),
+            lcm(len(seq.cycle), len(membership.cycle)))):
+        object.__setattr__(system, name, value)
 
 
-@dataclass(frozen=True)
-class CantorSystem:
-    base: EventuallyPeriodicSeq
-    signs: SignPattern
+class CantorSystem(_Value):
+    __slots__ = ("base", "signs", "_prefix_len", "_cycle_len")
+    _fields = __slots__[:2]
 
     kind = "cantor"
 
-    def __post_init__(self):
-        _store_lengths(self, self.base)
+    def __init__(self, base, signs):
+        _store(self, base, signs)
 
     def base_at(self, n):
         return self.base.at(n)
@@ -154,8 +154,7 @@ class CantorSystem:
         return d, 1, self.base.at(n)
 
 
-@dataclass(frozen=True)
-class QTildeColumn:
+class QTildeColumn(_Value):
     """One weight column: entries in (0,1) that sum to 1.
 
     Digit i against this column contributes the cumulative sum of the
@@ -173,7 +172,7 @@ class QTildeColumn:
     builder `_set_ints`.
     """
 
-    ints: tuple
+    __slots__ = _fields = ("ints",)
 
     def __init__(self, entries):
         fractions = [e if isinstance(e, Fraction) else Fraction(e) for e in entries]
@@ -205,6 +204,9 @@ class QTildeColumn:
     def __repr__(self):
         return f"{type(self).__qualname__}(entries={self.entries!r})"
 
+    def __reduce__(self):
+        return type(self), (self.entries,)
+
     @property
     def entries(self):
         """The entries as reduced Fractions."""
@@ -221,15 +223,14 @@ class QTildeColumn:
         return Fraction(term, den)
 
 
-@dataclass(frozen=True)
-class QTildeSystem:
-    columns: EventuallyPeriodicSeq
-    signs: SignPattern
+class QTildeSystem(_Value):
+    __slots__ = ("columns", "signs", "_prefix_len", "_cycle_len")
+    _fields = __slots__[:2]
 
     kind = "qtilde"
 
-    def __post_init__(self):
-        _store_lengths(self, self.columns)
+    def __init__(self, columns, signs):
+        _store(self, columns, signs)
 
     def column_at(self, n):
         return self.columns.at(n)
@@ -257,14 +258,14 @@ class QTildeSystem:
         return col
 
 
-@dataclass(frozen=True)
-class Interval:
-    lo: Fraction
-    hi: Fraction
+class Interval(_Value):
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"interval endpoints out of order: {self.lo} > {self.hi}")
+    def __init__(self, lo, hi):
+        if lo > hi:
+            raise ValueError(f"interval endpoints out of order: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def width(self):
@@ -274,10 +275,9 @@ class Interval:
         return self.lo <= x <= self.hi
 
 
-# Records that are only ever returned are NamedTuples, which cost about a
-# fifth of a frozen dataclass to define at import.  Value types stay
-# dataclasses: a tuple equals any tuple with the same items, whatever its
-# type.
+# Records that are only ever returned are NamedTuples.  Value types are
+# `_Value`s instead: a tuple equals any tuple with the same items, whatever
+# its type.
 class Violation(NamedTuple):
     path: str
     message: str

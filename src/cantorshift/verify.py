@@ -6,7 +6,6 @@ bounds) configurations produce identical reports.
 """
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 
@@ -69,23 +68,23 @@ def trial_rng(seed, index):
     return random.Random(sub)
 
 
-@dataclass
 class VerifyConfig:
-    suite: str
-    trials: int = 1000
-    seed: int = 0
-    max_q: int = 12
-    max_prefix: int = 12
-    max_m: int = 8
+    def __init__(self, suite, trials=1000, seed=0, max_q=12, max_prefix=12, max_m=8):
+        self.suite = suite
+        self.trials = trials
+        self.seed = seed
+        self.max_q = max_q
+        self.max_prefix = max_prefix
+        self.max_m = max_m
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: int
-    total: int
-    failures: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+    def __init__(self, name, passed, total, failures=None, notes=None):
+        self.name = name
+        self.passed = passed
+        self.total = total
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     @property
     def ok(self):
