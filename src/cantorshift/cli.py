@@ -3,7 +3,9 @@
 Subcommands: eval, decode, shift, itershift, gshift, cylinder, segments,
 graph, partner, verify.  Exit codes: 0 success, 1 validation or domain
 error (one machine-parsable "error: ..." line on stderr), 2 property
-suite failure (the minimized failing case as JSON on stdout).
+suite failure (the minimized failing case as JSON on stdout).  Every JSON
+document is printed by `documents.dump_json`, as `json.dumps(doc,
+indent=2)` would print it.
 
 Each command is a process, and the package may be compiled from source on
 every start, so `operators`, `analysis` and `verify` are imported inside
@@ -12,7 +14,6 @@ load none of them.
 """
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -86,7 +87,7 @@ def _variant(name):
 
 
 def _print_json(obj):
-    print(json.dumps(obj, indent=2))
+    print(documents.dump_json(obj))
 
 
 def _int_range(name, lo, hi=None, message=None):
@@ -211,8 +212,7 @@ def _cmd_verify(args):
     print(verify.format_report(results))
     failing = [r for r in results if not r.ok]
     if failing:
-        print(json.dumps({"suite": failing[0].name,
-                          "failing_case": failing[0].failures[0]}, indent=2))
+        _print_json({"suite": failing[0].name, "failing_case": failing[0].failures[0]})
         return 2
     return 0
 

@@ -194,9 +194,10 @@ def _term_arrays(num):
 def _array_prefix(t, w, c, s):
     """(v, w, den) of the positions of the arrays: the signed sum of
     s_n*term_n*w_1...w_{n-1} is v/den and the product w_1...w_k is w/den,
-    with den the product of the positions' denominators."""
+    with den the product of the positions' denominators.  Long prefixes
+    are summed by binary splitting in `series._fold`."""
     num, den = _fold(t, w, c, s, 0, len(t), 0, 1)
-    full = prod(c)  # den omits the positions after the fold's last restart
+    full = prod(c)  # the fold's den omits positions after its last restart, so divides it
     return num * (full // den), prod(w), full
 
 

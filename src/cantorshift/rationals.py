@@ -20,6 +20,8 @@ MAX_PRECISION = 4000
 # _parse_digits reads pieces of at most 600 digits.
 _PIECE_BITS = 1993
 _PIECE_DIGITS = 600
+# An integer below this in magnitude is one piece: str() renders it.
+_PIECE_BOUND = 1 << _PIECE_BITS
 _DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
@@ -123,7 +125,9 @@ def decimal_str(value, precision=12, fixed=False):
 
 def _pair_str(num, den):
     """"p/q" of the integer pair num/den, den > 0, as given: the caller
-    reduces it."""
+    reduces it.  A pair of one-piece integers is formatted directly."""
+    if -_PIECE_BOUND < num < _PIECE_BOUND and den < _PIECE_BOUND:
+        return f"{num}/{den}"
     return f"{_int_str(num)}/{_int_str(den)}"
 
 
@@ -135,7 +139,8 @@ def _pair_decimal(num, den, precision, scale, fixed):
     scaled, rem = divmod(abs(num) * scale, den)
     if 2 * rem >= den:
         scaled += 1
-    digits = _int_str(scaled).rjust(precision + 1, "0")
+    digits = str(scaled) if scaled < _PIECE_BOUND else _int_str(scaled)
+    digits = digits.rjust(precision + 1, "0")
     whole, frac = digits[: len(digits) - precision], digits[len(digits) - precision:]
     if not fixed:
         frac = frac.rstrip("0")

@@ -11,10 +11,16 @@ import pytest
 import cantorshift
 
 from cantorshift import (
+    DigitStream,
+    EventuallyPeriodicSeq,
     OutOfIntervalError,
+    QTildeSystem,
+    RepresentedNumber,
     SignPattern,
+    TAIL_ZEROS,
     analysis,
     cli,
+    cycle_tail,
     evaluate,
     operators,
     verify,
@@ -26,10 +32,12 @@ from cantorshift.rationals import MAX_PRECISION, decimal_str, rational_str
 from cantorshift.sampling import (
     dual_pair,
     rand_cantor_system,
+    rand_column,
     rand_number,
+    rand_qtilde_system,
     rand_segment_system,
 )
-from helpers import DEC, FACT, NEG, QT, cantor, parse_long_int
+from helpers import DEC, FACT, NEG, QT, cantor, mk, parse_long_int
 
 DATA = Path(__file__).parent / "data"
 
@@ -403,6 +411,80 @@ class TestVerifyCommand:
         monkeypatch.setattr(analysis, "_digit_steps", exhausted)
         assert run(["verify", "segments", "--trials", "4", "--seed", "1"]) == 1
         assert capsys.readouterr().err == "error: out of memory\n"
+
+
+class TestJsonLayout:
+    """Every JSON document the CLI prints is `json.dumps(doc, indent=2)`
+    of itself, on shallow and deep documents, so the printer's bytes are
+    pinned without stored outputs."""
+
+    @staticmethod
+    def _indented(text):
+        return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    @staticmethod
+    def _numbers():
+        """Seeded numbers: shallow Cantor and column ones, 1500-digit Cantor
+        ones with a zero and a cycle tail, and a 300-digit column one."""
+        rng = random.Random(97)
+        numbers = []
+        for _ in range(4):
+            system = rand_cantor_system(rng) if len(numbers) % 2 else rand_qtilde_system(rng)
+            numbers.append(rand_number(rng, system))
+        bases = [rng.randrange(2, 13) for _ in range(1500)]
+        signs = SignPattern.explicit([rng.random() < 0.5 for _ in bases], [False])
+        deep = cantor(bases, (7,), signs)
+        for tail in (TAIL_ZEROS, cycle_tail((3, 0, 6))):
+            numbers.append(RepresentedNumber(
+                deep, DigitStream(tuple(rng.randrange(q) for q in bases), tail)))
+        columns = [rand_column(rng) for _ in range(300)]
+        column_system = QTildeSystem(EventuallyPeriodicSeq(columns, columns[:1]),
+                                     SignPattern.odd())
+        numbers.append(rand_number(rng, column_system, 300, ("zeros", "max")))
+        return numbers, deep
+
+    def test_number_commands(self, paths, capsys):
+        _, write = paths
+        numbers, deep = self._numbers()
+        rng = random.Random(101)
+        # partners exist for the two sides of a dual pair
+        numbers += [side for system, n in ((FACT, 3), (NEG, 2), (deep, 1200))
+                    for side in dual_pair(rng, system, n)]
+        partners = 0
+        for i, num in enumerate(numbers):
+            path = write(f"n{i}.json", number_to_doc(num))
+            m = str(rng.randrange(1, len(num.digits.prefix) + 2))
+            for argv in (["gshift", path, "-m", m], ["itershift", path, "-m", m],
+                         ["shift", path], ["partner", path]):
+                assert run(argv) == 0
+                out = capsys.readouterr().out
+                if argv[0] == "partner" and out == "none\n":
+                    continue
+                assert self._indented(out), argv
+                partners += argv[0] == "partner"
+        assert partners >= 6
+
+    def test_decode(self, paths, capsys):
+        _, write = paths
+        _, deep = self._numbers()
+        qt_value = rational_str(evaluate(mk(QT, (1, 0, 1, 1))))
+        for system, value, depth in ((NEG, "-67/110", 40), (QT, qt_value, 40),
+                                     (cantor((), (3,)), "1/701", 1402), (deep, "1/3", 1600)):
+            assert run(["decode", write("s.json", system_to_doc(system)), value,
+                        "--depth", str(depth)]) == 0, capsys.readouterr().err
+            assert self._indented(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("max_prefix", ["4", "300"])
+    def test_verify_failure(self, capsys, monkeypatch, max_prefix):
+        closed_form_value = verify.closed_form_value
+        monkeypatch.setattr(verify, "closed_form_value",
+                            lambda *args: closed_form_value(*args) + Fraction(1, 3))
+        assert run(["verify", "eq4", "--trials", "3", "--seed", "1",
+                    "--max-prefix", max_prefix]) == 2
+        out = capsys.readouterr().out
+        report, doc = out.split("\n", 1)
+        assert report == "eq4: 0/3 FAIL"
+        assert json.loads(doc)["suite"] == "eq4" and self._indented(doc)
 
 
 class TestErrors:

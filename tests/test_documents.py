@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantorshift import (
     DocumentError,
@@ -22,6 +24,7 @@ from cantorshift import (
 from cantorshift.documents import (
     doc_to_number,
     doc_to_system,
+    dump_json,
     emit_tsv,
     number_to_doc,
     parse_number,
@@ -156,14 +159,15 @@ class TestRationalStrings:
 
 
 @contextlib.contextmanager
-def _no_int_str_limit():
-    """Lift int()/str()'s digit limit, where Python has one, for a with
-    block: repr() of a Fraction past 4300 digits needs it."""
+def _int_str_limit(digits):
+    """int()/str()'s digit limit set to `digits` (0: no limit) for a with
+    block, where Python has one: repr() of a Fraction past 4300 digits
+    needs it lifted."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
+    sys.set_int_max_str_digits(digits)
     try:
         yield
     finally:
@@ -226,7 +230,7 @@ class TestColumnParser:
         assert parsed == reference and hash(parsed) == hash(reference)
         assert parsed.entries == reference.entries
         assert all(type(e) is Fraction for e in parsed.entries)
-        with _no_int_str_limit():
+        with _int_str_limit(0):
             assert repr(parsed) == repr(reference)
         return parsed
 
@@ -490,3 +494,87 @@ class TestPairRenderer:
         for num in (big, -big, big + 1, 1):
             for k in (1, 10**50):
                 self._check(k * num, k * den, precision)
+
+    def test_cells_at_the_one_piece_bound(self):
+        # Integers below 2**1993 render in one str() call, larger ones in
+        # pieces; under a 640-digit limit str() refuses anything past
+        # 10**640 > 2**1993, so a wrong side of the bound raises.
+        bound = 2**rationals._PIECE_BITS
+        cases = []
+        for num in (bound - 1, bound, bound + 1, bound * 10**50 + 1):
+            for den in (1, 3, bound - 1, bound, 2 * bound + 1):
+                cases += [(num, den, 0), (-num, den, 0), (den, num, 0), (-den, num, 5)]
+        for precision in (0, 3, 12):
+            scale = 10**precision
+            # the scaled value just below, at and just above the bound,
+            # crossing it by rounding half away from zero
+            for num in (bound - 1, bound, 2 * bound - 1, 2 * bound, 2 * bound + 1):
+                for den in (scale, 2 * scale):
+                    cases += [(num, den, precision), (-num, den, precision)]
+        expected = [_reference_cells(Fraction(num, den), precision)
+                    for num, den, precision in cases]
+        with _int_str_limit(640):
+            for (num, den, precision), (exact, approx) in zip(cases, expected):
+                x = Fraction(num, den)
+                scale = 10**precision
+                assert rationals._pair_str(x.numerator, x.denominator) == exact
+                assert rational_str(x) == exact
+                assert rationals._pair_decimal(num, den, precision, scale, True) == approx
+                assert decimal_str(x, precision, fixed=True) == approx
+                assert decimal_str(x, precision) == _trimmed(approx)
+                assert emit_tsv(("v",), [((num, den),)], precision) == (
+                    f"v\tv_dec\n{exact}\t{approx}\n")
+
+
+def _trimmed(fixed):
+    """A fixed decimal with its trailing fraction zeros and point dropped."""
+    return fixed.rstrip("0").rstrip(".") if "." in fixed else fixed
+
+
+# Strings with what JSON escapes: quotes, backslashes, control and
+# non-ASCII characters, astral ones (a surrogate pair) and lone surrogates.
+_json_text = st.text() | st.text(alphabet='"\\/\x00\x01\x1f\x7f \u00e9\u2028\ud800\U0001f600ab')
+_json_scalars = (st.none() | st.booleans() | st.integers()
+                 | st.integers(min_value=-10**1200, max_value=10**1200)
+                 | st.floats() | _json_text)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: (st.lists(children, max_size=6)
+                      | st.dictionaries(_json_text, children, max_size=6)),
+    max_leaves=40)
+
+
+class TestDumpJson:
+    """dump_json is json.dumps(obj, indent=2), byte for byte."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_json_values)
+    def test_equals_json_dumps(self, obj):
+        assert dump_json(obj) == json.dumps(obj, indent=2)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.booleans() | st.integers() | st.none(), max_size=30),
+           st.lists(_json_text, max_size=30))
+    def test_lists_of_scalars(self, scalars, strings):
+        for obj in (scalars, strings, [scalars, strings], {"a": scalars, "b": [strings]},
+                    scalars + strings, tuple(scalars)):
+            assert dump_json(obj) == json.dumps(obj, indent=2)
+
+    def test_empty_and_nested_containers(self):
+        for obj in ([], {}, [[]], [{}], {"": {}}, {"a": []}, [[[]], [{}, []], {"x": [[], {}]}],
+                    [True, 1, False, 0, None, 1.0, -0.0], "x", 3, None, float("inf")):
+            assert dump_json(obj) == json.dumps(obj, indent=2)
+
+    def test_int_past_the_str_limit_raises_as_json_does(self):
+        big = 10**700
+        with _int_str_limit(640):
+            for obj in (big, [big], [1, big], {"a": [True, -big]}, [[1], {"b": big}]):
+                try:
+                    expected = json.dumps(obj, indent=2)
+                except ValueError as exc:
+                    with pytest.raises(ValueError) as caught:
+                        dump_json(obj)
+                    assert str(caught.value) == str(exc)
+                else:  # no digit limit in this interpreter
+                    assert dump_json(obj) == expected
+

@@ -10,7 +10,7 @@ from cantorshift import (
     geometric_block_sum,
     periodic_tail_sum,
 )
-from cantorshift.series import _periodic_sum, _suffix_values
+from cantorshift.series import _LEAF, _fold, _periodic_sum, _suffix_values
 
 
 class TestTermAt:
@@ -293,6 +293,129 @@ class TestIntegerKernel:
         t, w, c, s = [1] + [0] * 50, [1] * 51, [3] * 51, [1] * 51
         assert _periodic_sum(t, w, c, s, 51) == (1, 3)
         assert _periodic_sum([0] * 20, [1] * 20, [5] * 20, [1] * 20, 20) == (0, 5)
+
+
+def _horner(t, w, c, s, lo, hi, acc_n, acc_d):
+    """The Horner loop that `_fold` ran for runs of every length before
+    long runs were binary-split, kept here as the reference pair."""
+    for k in range(hi - 1, lo - 1, -1):
+        if acc_n:
+            acc_n = s[k] * t[k] * acc_d + w[k] * acc_n
+            acc_d *= c[k]
+        else:
+            acc_n, acc_d = s[k] * t[k], c[k]
+    return acc_n, acc_d
+
+
+def _cancels_midway(t, w, c, s, lo, hi, acc_n, acc_d):
+    """Whether the Horner loop's sum turns 0 after it was nonzero and a
+    position is left, where the loop restarts its denominator."""
+    for k in range(hi - 1, lo, -1):
+        was = acc_n
+        acc_n, acc_d = _horner(t, w, c, s, k, k + 1, acc_n, acc_d)
+        if was and not acc_n:
+            return True
+    return False
+
+
+def _fraction_fold(t, w, c, s, lo, hi, acc):
+    """The value of the fold over positions lo..hi-1 from acc, summed
+    forward with Fractions."""
+    total, lead = Fraction(0), Fraction(1)
+    for k in range(lo, hi):
+        total += lead * s[k] * Fraction(t[k], c[k])
+        lead *= Fraction(w[k], c[k])
+    return total + lead * acc
+
+
+def _cantor_arrays(rng, n):
+    """Integer arrays of Cantor digits: term d, weight 1, base q."""
+    c = [rng.randrange(2, 13) for _ in range(n)]
+    return ([rng.randrange(q) for q in c], [1] * n, c,
+            [rng.choice((-1, 1)) for _ in range(n)])
+
+
+def _column_arrays(rng, n):
+    """Integer arrays of column digits: term and weight over a den that
+    is often not their lowest common one."""
+    c = [rng.choice((2, 6, 12, 30, 60)) for _ in range(n)]
+    w = [rng.randrange(1, den) for den in c]
+    return ([rng.randrange(den - wd + 1) for den, wd in zip(c, w)], w, c,
+            [rng.choice((-1, 1)) for _ in range(n)])
+
+
+class TestFold:
+    """`_fold` against the Horner loop and the plain-Fraction sum, across
+    the length where it switches from the loop to binary splitting.  The
+    pair is the loop's unless the loop restarts its denominator where a
+    partial sum cancels to 0; the value is always the same."""
+
+    LENGTHS = sorted({*range(0, 9), _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF,
+                      2 * _LEAF + 1, 3 * _LEAF + 5, 777, 1500, 2048, 3000})
+
+    @staticmethod
+    def _check(t, w, c, s, lo, hi, acc_n=0, acc_d=1):
+        num, den = _fold(t, w, c, s, lo, hi, acc_n, acc_d)
+        assert den > 0
+        assert Fraction(num, den) == _fraction_fold(t, w, c, s, lo, hi, Fraction(acc_n, acc_d))
+        if _cancels_midway(t, w, c, s, lo, hi, acc_n, acc_d):
+            return False
+        assert (num, den) == _horner(t, w, c, s, lo, hi, acc_n, acc_d)
+        if not acc_n:
+            assert math.prod(c[lo:hi]) % den == 0
+        return True
+
+    @pytest.mark.parametrize("arrays", [_cantor_arrays, _column_arrays])
+    def test_lengths_up_to_3000(self, arrays):
+        rng = random.Random(61)
+        pairs = []
+        for n in self.LENGTHS:
+            t, w, c, s = arrays(rng, n)
+            acc_d = rng.randrange(1, 50)
+            pairs += [self._check(t, w, c, s, 0, n),
+                      self._check(t, w, c, s, 0, n, rng.randrange(-acc_d, acc_d + 1), acc_d),
+                      self._check(t, w, c, s, 1, max(n - 1, 1))]
+        assert sum(pairs) > 0.9 * len(pairs)  # most runs never cancel
+
+    def test_zero_runs(self):
+        rng = random.Random(67)
+        for arrays in (_cantor_arrays, _column_arrays):
+            for n in (_LEAF + 1, 2 * _LEAF + 1, 5 * _LEAF):
+                for zeros in ((0, n // 3), (n // 3, 2 * n // 3), (2 * n // 3, n),
+                              (1, n - 1), (0, n), (n - _LEAF, n), (n - _LEAF - 1, n)):
+                    t, w, c, s = arrays(rng, n)
+                    t[slice(*zeros)] = [0] * (zeros[1] - zeros[0])
+                    self._check(t, w, c, s, 0, n)
+                    self._check(t, w, c, s, 0, n, 1, 7)
+        # an all-zero run gives the loop's pair: 0 over the lowest c
+        c = [rng.randrange(2, 13) for _ in range(3 * _LEAF)]
+        zero = [0] * len(c)
+        assert _fold(zero, [1] * len(c), c, [1] * len(c), 5, len(c), 0, 1) == (0, c[5])
+        assert _fold(zero, [1] * len(c), c, [1] * len(c), 5, len(c), 3, 4) == (
+            3, 4 * math.prod(c[5:]))
+
+    def test_signs_of_one_sign(self):
+        rng = random.Random(71)
+        for sign in (1, -1):
+            t, w, c, _ = _column_arrays(rng, 4 * _LEAF + 3)
+            assert self._check(t, w, c, [sign] * len(t), 0, len(t))
+
+    def test_sum_that_cancels_to_zero_midway(self):
+        # Position k is set so that the sum from k on is 0: the loop
+        # restarts its denominator below k, the split does not, and both
+        # pairs are the value times a divisor of the product of every c.
+        rng = random.Random(73)
+        for n, k in ((3 * _LEAF, _LEAF + 7), (3 * _LEAF, 3 * _LEAF - 2), (3 * _LEAF, 0),
+                     (_LEAF, _LEAF // 2)):
+            t, w, c, s = _column_arrays(rng, n)
+            t[-1] = 1
+            after = _fraction_fold(t, w, c, s, k + 1, n, Fraction(0))
+            t[k], w[k], s[k] = abs(after.numerator), after.denominator, -1 if after > 0 else 1
+            assert _fraction_fold(t, w, c, s, k, n, Fraction(0)) == 0
+            assert self._check(t, w, c, s, 0, n) == (k == 0)
+            num, den = _fold(t, w, c, s, 0, n, 0, 1)
+            assert math.prod(c) % den == 0
+            assert _fold(t, w, c, s, 0, k, 0, 1) == _horner(t, w, c, s, 0, k, 0, 1)
 
 
 def _suffix_reference(t, w, c, s, split, k):
