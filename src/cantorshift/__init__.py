@@ -25,19 +25,12 @@ from .numbers import (
     DigitStream,
     RepresentedNumber,
     Tail,
-    canonicalize,
     cycle_tail,
-    cylinder,
-    decode,
     digit_at,
     digits_equal,
-    dual_representation,
     evaluate,
-    is_quasi_rational,
     make_stream,
     normalize_stream,
-    partial_digits,
-    quasi_partner,
     same_number,
     validate_number,
 )
@@ -66,13 +59,17 @@ from .systems import (
 
 __version__ = "0.1.0"
 
-# Names of `analysis` and `operators`, resolved on first use (PEP 562):
-# a process that never touches them, such as the CLI's `eval`, does not
-# compile those modules.  Each name is written once, here, with its module.
+# Names of `analysis`, `decoding` and `operators`, resolved on first use
+# (PEP 562): a process that never touches them, such as the CLI's `eval`,
+# does not compile those modules.  Each name is written once, here, with
+# its module.
 _LAZY = {
     **dict.fromkeys(("AffineMap", "ContinuityReport", "affine_on_cylinder", "continuity_at",
                      "graph_samples", "numeric_derivative", "point_image", "segment_table"),
                     "analysis"),
+    **dict.fromkeys(("canonicalize", "cylinder", "decode", "dual_representation",
+                     "is_quasi_rational", "partial_digits", "quasi_partner"),
+                    "decoding"),
     **dict.fromkeys(("PrefixSums", "ShiftVariant", "TheoremReport", "closed_form_value",
                      "compose_removals", "generalized_shift", "iterate_shift", "prefix_sums",
                      "shift", "verify_theorem_identities"),

@@ -27,16 +27,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import OutOfIntervalError
-from .numbers import (
-    _check_digits,
-    _digit_steps,
-    _digits,
-    _prefix_ints,
-    _representable_table,
-    cylinder,
-    dual_representation,
-    evaluate,
-)
+from .decoding import _digit_steps, _representable_table, cylinder, dual_representation
+from .numbers import _check_digits, _digits, _prefix_ints, evaluate
 from .operators import (
     ShiftVariant,
     _cylinder_map,

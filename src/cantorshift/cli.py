@@ -4,13 +4,18 @@ Subcommands: eval, decode, shift, itershift, gshift, cylinder, segments,
 graph, partner, verify.  Exit codes: 0 success, 1 validation or domain
 error (one machine-parsable "error: ..." line on stderr), 2 property
 suite failure (the minimized failing case as JSON on stdout).  Every JSON
-document is printed by `documents.dump_json`, as `json.dumps(doc,
+document is printed by `writers.dump_json`, as `json.dumps(doc,
 indent=2)` would print it.
 
 Each command is a process, and the package may be compiled from source on
-every start, so `operators`, `analysis` and `verify` are imported inside
-the commands that use them: `eval`, `decode`, `cylinder` and `partner`
-load none of them.
+every start, so a process loads a module only when its command uses it.
+This module loads the parser (`documents`) and evaluation (`numbers`);
+`decoding`, `writers`, `operators`, `analysis` and `verify` are imported
+inside the commands that use them.  `eval` loads none of them; `shift`,
+`itershift` and `gshift` load `operators` and `writers`; `cylinder`
+loads `decoding`; `decode` and `partner` load `decoding` and `writers`;
+`segments` and `graph` load `decoding`, `writers`, `operators` and
+`analysis`; and `verify` loads every module.
 """
 
 import argparse
@@ -21,7 +26,7 @@ from pathlib import Path
 
 from . import documents
 from .errors import ExpansionError
-from .numbers import cylinder, decode, evaluate, quasi_partner
+from .numbers import evaluate
 from .rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
 from .systems import MAX_TABLE_ROWS
 
@@ -87,7 +92,9 @@ def _variant(name):
 
 
 def _print_json(obj):
-    print(documents.dump_json(obj))
+    from .writers import dump_json
+
+    print(dump_json(obj))
 
 
 def _int_range(name, lo, hi=None, message=None):
@@ -123,31 +130,33 @@ def _cmd_eval(args):
 
 
 def _cmd_decode(args):
+    from . import decoding, writers
+
     system = _load_system(args.system)
     value = parse_rational(args.value, "value")
-    num = decode(system, value, args.depth)
-    _print_json(documents.number_to_doc(num))
+    num = decoding.decode(system, value, args.depth)
+    _print_json(writers.number_to_doc(num))
     return 0
 
 
 def _cmd_itershift(args):
-    from . import operators
+    from . import operators, writers
 
     num = _load_number(args.number)
     image = operators.iterate_shift(num, args.m)
-    _print_json({"number": documents.number_to_doc(image),
+    _print_json({"number": writers.number_to_doc(image),
                  "value": rational_str(evaluate(image))})
     return 0
 
 
 def _cmd_gshift(args):
-    from . import operators
+    from . import operators, writers
 
     num = _load_number(args.number)
     variant = _variant(args.variant)
     image = operators.generalized_shift(num, args.m, variant)
     _print_json({
-        "number": documents.number_to_doc(image),
+        "number": writers.number_to_doc(image),
         "surgery_value": rational_str(evaluate(image)),
         "closed_form_value": rational_str(operators.closed_form_value(num, args.m, variant)),
     })
@@ -155,8 +164,10 @@ def _cmd_gshift(args):
 
 
 def _cmd_cylinder(args):
+    from . import decoding
+
     system = _load_system(args.system)
-    interval = cylinder(system, args.digits)
+    interval = decoding.cylinder(system, args.digits)
     print(f"lo: {rational_str(interval.lo)}")
     print(f"hi: {rational_str(interval.hi)}")
     print(f"width: {rational_str(interval.width)}")
@@ -164,33 +175,35 @@ def _cmd_cylinder(args):
 
 
 def _cmd_segments(args):
-    from . import analysis
+    from . import analysis, writers
 
     system = _load_system(args.system)
     rows, d_lo, d_hi = analysis._segment_ints(system, args.m, _variant(args.variant))
     cells = [((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td)) for lo, hi, sn, sd, tn, td in rows]
-    sys.stdout.write(documents.emit_tsv(("lo", "hi", "slope", "intercept"),
-                                        cells, args.precision))
+    sys.stdout.write(writers.emit_tsv(("lo", "hi", "slope", "intercept"),
+                                      cells, args.precision))
     return 0
 
 
 def _cmd_graph(args):
-    from . import analysis
+    from . import analysis, writers
 
     system = _load_system(args.system)
     points, x_den = analysis._graph_ints(system, args.m, args.samples, _variant(args.variant))
     cells = [((x, x_den), (y, y_den)) for x, y, y_den in points]
-    sys.stdout.write(documents.emit_tsv(("x", "y"), cells, args.precision))
+    sys.stdout.write(writers.emit_tsv(("x", "y"), cells, args.precision))
     return 0
 
 
 def _cmd_partner(args):
+    from . import decoding, writers
+
     num = _load_number(args.number)
-    partner = quasi_partner(num)
+    partner = decoding.quasi_partner(num)
     if partner is None:
         print("none")
     else:
-        _print_json(documents.number_to_doc(partner))
+        _print_json(writers.number_to_doc(partner))
     return 0
 
 

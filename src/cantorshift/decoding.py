@@ -1,0 +1,256 @@
+"""Digit extraction: canonical decoding of a rational, cylinders of a
+digit prefix, and dual representations.
+
+Decoding extracts digits by the half-open cylinder convention (each
+cylinder contains its spatially lowest point; the representable
+supremum belongs to its topmost cylinder) and closes the stream when a
+residual value recurs at an aligned position, which yields the periodic
+tail exactly.  `_digit_steps` is the one digit step: it steps every
+residual at one position together, so a table of points decodes in one
+call per position.
+
+The module is apart from `numbers` so that a process which only
+evaluates, shifts or prints numbers does not compile it: the CLI's
+`eval`, `shift`, `itershift` and `gshift` do not load it.
+"""
+
+from fractions import Fraction
+from math import gcd
+from typing import NamedTuple, Optional
+
+from .errors import InexactDecodeError, OutOfIntervalError
+from .numbers import (
+    RepresentedNumber,
+    _check_digits,
+    _digits,
+    _prefix_ints,
+    _tail_period,
+    cycle_tail,
+    evaluate,
+    normalize_stream,
+)
+from .rationals import _shown
+from .systems import (
+    Interval,
+    _extreme_digits,
+    _max_digits,
+    _sign_variable_columns,
+    combined_cycle_len,
+    combined_prefix_len,
+    position_table,
+)
+
+__all__ = [
+    "decode",
+    "partial_digits",
+    "cylinder",
+    "DualInfo",
+    "dual_representation",
+    "quasi_partner",
+    "is_quasi_rational",
+    "canonicalize",
+]
+
+
+def _digit_steps(table, n, y_nums, y_dens):
+    """Extract the digit at position n from each residual
+    y_nums[k]/y_dens[k], returning lists (digits, next nums, next dens).
+    Every residual must lie in the representable interval of the system
+    shifted by n-1 positions.  The slot, its tail interval, sign and base
+    or pieces are read once per call.  A Cantor step keeps each
+    denominator, unreduced, and returns `y_dens` itself; a column step
+    returns reduced pairs."""
+    i = table.slot(n)
+    lo_num, lo_den, hi_num, hi_den = table.tails[i + 1]
+    s = table.signs[i]
+    digits, nums = [], []
+    if table.bases:
+        # Cantor: the digit is floor(q*y - lo) (ceil(lo - q*y) under a
+        # negative sign), clamped to 0..q-1, computed on numerators and
+        # denominators.
+        q = table.bases[i]
+        for k in range(len(y_nums)):
+            y_num, y_den = y_nums[k], y_dens[k]
+            d = (q * y_num * lo_den - lo_num * y_den) // (y_den * lo_den)
+            if s < 0:
+                d = -d
+            if not 0 <= d < q:
+                d = 0 if d < 0 else q - 1
+            y2_num = q * y_num - s * d * y_den
+            # the clamp moves a point past either end onto digit 0 or q-1,
+            # so the next residual may leave the interval; a column step
+            # needs no such check, since y in the piece s*t/c + (w/c)*[lo,
+            # hi] puts (y - s*t/c)*c/w in [lo, hi]
+            if not (lo_num * y_den <= y2_num * lo_den and y2_num * hi_den <= hi_num * y_den):
+                raise OutOfIntervalError(f"value has no digit at position {n}")
+            digits.append(d)
+            nums.append(y2_num)
+        return digits, nums, y_dens
+    # Column: the first piece (lo, hi, d, ...) with lo <= y < hi, all over
+    # the slot's denominator; y2 = (y - s*t/c) / (w/c).
+    pieces, piece_den = table.pieces[i], table.piece_dens[i]
+    dens = []
+    for k in range(len(y_nums)):
+        y_num, y_den = y_nums[k], y_dens[k]
+        scaled = y_num * piece_den
+        for lo, hi, d, t, w, c in pieces:
+            if lo * y_den <= scaled < hi * y_den:
+                break
+        else:
+            _, hi, d, t, w, c = table.tops[i]
+            if scaled != hi * y_den:
+                raise OutOfIntervalError(f"value has no digit at position {n}")
+        y2_num, y2_den = c * y_num - s * t * y_den, w * y_den
+        g = gcd(y2_num, y2_den)
+        y2_num, y2_den = y2_num // g, y2_den // g
+        digits.append(d)
+        nums.append(y2_num)
+        dens.append(y2_den)
+    return digits, nums, dens
+
+
+def _representable_table(system, y):
+    """The system's position table, once the rational y is known to lie in
+    its representable interval."""
+    table = position_table(system)
+    lo_num, lo_den, hi_num, hi_den = table.tail(0)
+    if not (lo_num * y.denominator <= y.numerator * lo_den
+            and y.numerator * hi_den <= hi_num * y.denominator):
+        iv = table.interval(0)
+        raise OutOfIntervalError(f"{_shown(y)} outside representable interval "
+                                 f"[{_shown(iv.lo)}, {_shown(iv.hi)}]")
+    return table
+
+
+def partial_digits(system, value, count):
+    """First `count` digits of the canonical expansion of `value`."""
+    y = Fraction(value)
+    table = _representable_table(system, y)
+    y_nums, y_dens = [y.numerator], [y.denominator]
+    digits = []
+    for n in range(1, count + 1):
+        d, y_nums, y_dens = _digit_steps(table, n, y_nums, y_dens)
+        digits += d
+    return tuple(digits)
+
+
+def decode(system, value, depth):
+    """Canonical representation of an in-interval rational.
+
+    Digits are extracted stepwise; the stream closes exactly when a
+    residual recurs at a position aligned with the system's period
+    (periodic tail) within `depth` extracted digits, else
+    InexactDecodeError is raised.  Residuals are compared as integer
+    pairs: Cantor steps keep the value's denominator and column steps
+    reduce, so equal pairs are equal residuals.
+    """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    y0 = Fraction(value)
+    table = _representable_table(system, y0)
+    pre, period = table.prefix_len, table.cycle_len
+    y_nums, y_dens = [y0.numerator], [y0.denominator]
+    digits = []
+    seen = {}
+    while True:
+        k = len(digits)
+        if k >= pre and (k - pre) % period == 0:
+            y = y_nums[0], y_dens[0]
+            if y in seen:
+                cut = seen[y]
+                return RepresentedNumber(
+                    system, normalize_stream(system, digits[:cut], cycle_tail(digits[cut:]))
+                )
+            seen[y] = k
+        if k >= depth:
+            raise InexactDecodeError(
+                f"no exact tail found within depth {depth} for value {_shown(y0)}"
+            )
+        d, y_nums, y_dens = _digit_steps(table, k + 1, y_nums, y_dens)
+        digits += d
+
+
+
+def cylinder(system, prefix_digits):
+    """Exact interval of all numbers whose expansion starts with the given
+    digits: fixed prefix value plus the scaled representable interval of
+    the shifted system."""
+    prefix_digits = tuple(prefix_digits)
+    _check_digits(system, 1, prefix_digits)
+    return _cylinder_interval(_prefix_ints(system, prefix_digits),
+                              position_table(system).tail(len(prefix_digits)))
+
+
+def _cylinder_interval(prefix, tail):
+    """Interval of a digit prefix's cylinder from the prefix's integer
+    (v, w, den) and the integer bounds of the residual interval after it."""
+    v, w, den = prefix
+    lo_num, lo_den, hi_num, hi_den = tail
+    return Interval(Fraction(v * lo_den + w * lo_num, den * lo_den),
+                    Fraction(v * hi_den + w * hi_num, den * hi_den))
+
+
+class DualInfo(NamedTuple):
+    partner: RepresentedNumber
+    position: int
+    side: str  # "beta" when the number carries the most-negative tail
+
+
+def dual_representation(num) -> Optional[DualInfo]:
+    """Detect the two-representation structure: a number has a dual
+    exactly when its digits beyond some position n follow the extreme
+    beta tail (max at member positions, 0 elsewhere) or the mirror gamma
+    tail.  The partner flips the digit at n toward the adjacent cylinder
+    and carries the opposite extreme tail; both evaluate equal.  The tails
+    come from the one rule `systems._extreme_digits`, read directly: a
+    position table would cost more than the rest of the call.
+
+    Sign-variable column systems are excluded: their cylinders may
+    overlap or leave gaps, so adjacent-cylinder duality is not available.
+    """
+    system = num.system
+    if _sign_variable_columns(system):
+        return None
+    # pre >= P and window >= L, so the digits at 1..pre + window also hold
+    # the partner's prefix and one period of its tail.
+    pre, window = _tail_period(num)
+    size = pre + window
+    digits = _digits(num, 1, size)
+    members = system.signs.membership.items(1, size)
+    # the tail digits of the most negative and most positive continuations
+    beta, gamma = _extreme_digits(_max_digits(system, 1, size), members)
+    for side, tail, other in (("beta", beta, gamma), ("gamma", gamma, beta)):
+        if digits[pre:] != tail[pre:]:
+            continue
+        flip = next((n for n in range(pre, 0, -1) if digits[n - 1] != tail[n - 1]), None)
+        if flip is None:
+            # the stream is the extreme tail from position 1: an interval
+            # endpoint with a unique representation
+            return None
+        step = 1 if members[flip - 1] else -1
+        if side == "gamma":
+            step = -step
+        partner = digits[:flip - 1] + [digits[flip - 1] + step] + other[flip:]
+        split = max(flip, combined_prefix_len(system))
+        stream = normalize_stream(system, partner[:split],
+                                  cycle_tail(partner[split:split + combined_cycle_len(system)]))
+        return DualInfo(RepresentedNumber(system, stream), flip, side)
+    return None
+
+
+def quasi_partner(num):
+    """The other exact representation of the same value, when one exists."""
+    info = dual_representation(num)
+    return info.partner if info is not None else None
+
+
+def is_quasi_rational(num):
+    return dual_representation(num) is not None
+
+
+def canonicalize(num):
+    """The representative decode() would produce for the number's value."""
+    system = num.system
+    _, period = _tail_period(num)
+    depth = len(num.digits.prefix) + combined_prefix_len(system) + 3 * period + 8
+    return decode(system, evaluate(num), depth)

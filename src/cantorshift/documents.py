@@ -1,13 +1,13 @@
-"""JSON documents for systems and numbers, and TSV emission.
+"""Parsing of the JSON documents for systems and numbers.
 
 Rationals cross this boundary as "p/q" strings with positive
 denominators.  Parse errors and validation failures name the first
-violated invariant together with its JSON path.
+violated invariant together with its JSON path.  Writing documents and
+TSV tables is `writers`' job, so a command that prints no document does
+not compile it.
 """
 
 import json
-from json.encoder import JSONEncoder, encode_basestring_ascii
-from math import gcd
 
 from .errors import DocumentError, ExpansionError
 from .numbers import (
@@ -17,7 +17,7 @@ from .numbers import (
     DigitStream,
     cycle_tail,
 )
-from .rationals import _pair_decimal, _pair_str, _parse_pair
+from .rationals import _parse_pair
 from .series import EventuallyPeriodicSeq
 from .systems import (
     CantorSystem,
@@ -29,14 +29,10 @@ from .systems import (
 )
 
 __all__ = [
-    "system_to_doc",
     "doc_to_system",
-    "number_to_doc",
     "doc_to_number",
     "parse_system",
     "parse_number",
-    "emit_tsv",
-    "dump_json",
 ]
 
 # Largest combined cycle length L (the lcm of the position and sign cycle
@@ -50,50 +46,6 @@ _NAMED_SIGNS = {
     "odd": SignPattern.odd,
     "even": SignPattern.even,
 }
-
-
-def _signs_to_doc(signs):
-    for name, ctor in _NAMED_SIGNS.items():
-        if signs == ctor():
-            return name
-    return {
-        "prefix": [bool(b) for b in signs.membership.prefix],
-        "cycle": [bool(b) for b in signs.membership.cycle],
-    }
-
-
-def _column_to_doc(col, rendered):
-    """The column's entries as "p/q" strings in lowest terms, in a new
-    list.  `rendered` maps each column already rendered to its strings,
-    so that equal columns are rendered once."""
-    strs = rendered.get(col)
-    if strs is None:
-        strs = rendered[col] = []
-        for _, weight, den in col.ints:
-            g = gcd(weight, den)
-            strs.append(_pair_str(weight // g, den // g))
-    return list(strs)
-
-
-def system_to_doc(system):
-    """The JSON document of a system.  A column system's columns are
-    written as "p/q" strings in lowest terms; each distinct column is
-    rendered once per call, and every position gets its own list."""
-    if isinstance(system, CantorSystem):
-        return {
-            "kind": "cantor",
-            "base": {"prefix": list(system.base.prefix), "cycle": list(system.base.cycle)},
-            "signs": _signs_to_doc(system.signs),
-        }
-    rendered = {}
-    return {
-        "kind": "qtilde",
-        "columns": {
-            "prefix": [_column_to_doc(col, rendered) for col in system.columns.prefix],
-            "cycle": [_column_to_doc(col, rendered) for col in system.columns.cycle],
-        },
-        "signs": _signs_to_doc(system.signs),
-    }
 
 
 def _expect_dict(obj, path):
@@ -224,18 +176,6 @@ def doc_to_system(obj, path="$"):
     return system
 
 
-def number_to_doc(num):
-    tail = num.digits.tail
-    if tail.kind == "cycle":
-        tail_doc = {"type": "cycle", "cycle": list(tail.cycle)}
-    else:
-        tail_doc = {"type": tail.kind}
-    return {
-        "system": system_to_doc(num.system),
-        "digits": {"prefix": list(num.digits.prefix), "tail": tail_doc},
-    }
-
-
 def doc_to_number(obj, path="$", load_file=None):
     system_obj = _get(obj, "system", path)
     if isinstance(system_obj, str):
@@ -286,91 +226,3 @@ def parse_system(text):
 def parse_number(text, load_file=None):
     """Parse and validate a number document from JSON text."""
     return doc_to_number(_loads(text), load_file=load_file)
-
-
-def emit_tsv(header, rows, precision=12):
-    """Tab-separated text: every column appears twice, once as "p/q" in
-    lowest terms and once as a decimal approximation padded to exactly
-    `precision` fraction digits.  Each cell is an integer pair (num, den)
-    tuple with den > 0, not necessarily reduced.  Each distinct cell is
-    reduced and rendered once per table, and its two strings are reused
-    in later rows: a tiling table repeats every inner endpoint, and a
-    slope column holds one value per digit.  10**precision is computed
-    once per table."""
-    if precision < 0:
-        raise ValueError("precision must be >= 0")
-    scale = 10**precision
-    names = list(header) + [f"{h}_dec" for h in header]
-    lines = ["\t".join(names)]
-    rendered = {}  # cell -> ("p/q", fixed decimal)
-    for row in rows:
-        exact = []
-        approx = []
-        for cell in row:
-            strs = rendered.get(cell)
-            if strs is None:
-                num, den = cell
-                g = gcd(num, den)
-                num //= g
-                den //= g
-                strs = rendered[cell] = (_pair_str(num, den),
-                                         _pair_decimal(num, den, precision, scale, True))
-            exact.append(strs[0])
-            approx.append(strs[1])
-        lines.append("\t".join(exact + approx))
-    return "\n".join(lines) + "\n"
-
-
-# The types of the items of a list that dump_json writes in one call.
-_SCALARS = frozenset((str, int, bool, float, type(None)))
-
-
-def dump_json(obj):
-    """`json.dumps(obj, indent=2)` of a JSON value: dicts with string
-    keys, lists, strings, numbers, booleans and None.  With an indent,
-    `json` encodes item by item in Python; here each list of scalars is
-    written in one C-level call, a list of strings by one join of their
-    encodings and any other by an encoder whose item separator holds the
-    line break, and only dicts and the other lists are walked.  This takes
-    about a quarter of json.dumps's time on a deep Cantor number and half
-    on a deep column number, whose columns are lists of their own."""
-    parts = []
-    _dump(obj, "\n", parts)
-    return "".join(parts)
-
-
-def _dump(obj, newline, parts):
-    """Append the pieces of `obj` at the indent of `newline` to `parts`."""
-    if isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            parts.append(f"{sep}{encode_basestring_ascii(key)}: ")
-            _dump(value, inner, parts)
-            sep = "," + inner
-        parts.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        kinds = set(map(type, obj))
-        if kinds == {str}:
-            parts.append(f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, obj))}"
-                         f"{newline}]")
-        elif kinds <= _SCALARS:
-            # one C call, with the line break in the item separator
-            items = JSONEncoder(separators=("," + inner, ": ")).encode(obj)[1:-1]
-            parts.append(f"[{inner}{items}{newline}]")
-        else:
-            sep = "[" + inner
-            for value in obj:
-                parts.append(sep)
-                _dump(value, inner, parts)
-                sep = "," + inner
-            parts.append(newline + "]")
-    else:
-        parts.append(json.dumps(obj))

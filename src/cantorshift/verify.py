@@ -10,19 +10,15 @@ from fractions import Fraction
 from math import prod
 
 from .analysis import _images_ints, _segment_ints, continuity_at
-from .documents import number_to_doc, system_to_doc
+from .decoding import canonicalize, decode, is_quasi_rational, quasi_partner
 from .errors import ExpansionError
 from .numbers import (
     RepresentedNumber,
     TAIL_ZEROS,
     DigitStream,
-    canonicalize,
-    decode,
     digit_at,
     evaluate,
-    is_quasi_rational,
     make_stream,
-    quasi_partner,
     same_number,
 )
 from .operators import (
@@ -57,6 +53,7 @@ from .systems import (
     combined_prefix_len,
     position_table,
 )
+from .writers import number_to_doc, system_to_doc
 
 __all__ = ["VerifyConfig", "SuiteResult", "SUITE_NAMES", "run_suite", "format_report"]
 

@@ -27,7 +27,7 @@ from cantorshift import (
     point_image,
     segment_table,
 )
-from cantorshift import analysis, numbers, operators, verify
+from cantorshift import analysis, decoding, numbers, operators, verify
 from cantorshift.analysis import AffineMap, _images_ints
 from cantorshift.operators import _deletion_map
 from cantorshift.systems import Interval, position_table
@@ -263,8 +263,8 @@ def _refuse_prefix_routes(monkeypatch):
 
     for module, name in ((analysis, "_cylinder_map"), (operators, "_cylinder_map"),
                          (analysis, "_prefix_ints"), (operators, "_prefix_ints"),
-                         (numbers, "_prefix_ints"),
-                         (numbers, "partial_digits"), (analysis, "point_image")):
+                         (numbers, "_prefix_ints"), (decoding, "_prefix_ints"),
+                         (decoding, "partial_digits"), (analysis, "point_image")):
         monkeypatch.setattr(module, name, refuse)
 
 

@@ -21,12 +21,13 @@ from cantorshift import (
     analysis,
     cli,
     cycle_tail,
+    decoding,
     evaluate,
     operators,
     verify,
 )
 from cantorshift.cli import run
-from cantorshift.documents import number_to_doc, parse_number, system_to_doc
+from cantorshift.documents import parse_number
 from cantorshift.numbers import normalize_stream
 from cantorshift.rationals import MAX_PRECISION, decimal_str, rational_str
 from cantorshift.sampling import (
@@ -37,6 +38,7 @@ from cantorshift.sampling import (
     rand_qtilde_system,
     rand_segment_system,
 )
+from cantorshift.writers import number_to_doc, system_to_doc
 from helpers import DEC, FACT, NEG, QT, cantor, mk, parse_long_int
 
 DATA = Path(__file__).parent / "data"
@@ -593,7 +595,7 @@ class TestErrors:
         def exhausted(*args):
             raise MemoryError
 
-        monkeypatch.setattr(cli, "cylinder", exhausted)
+        monkeypatch.setattr(decoding, "cylinder", exhausted)
         _, write = paths
         spath = write("s.json", system_to_doc(DEC))
         assert run(["cylinder", spath, "1"]) == 1
@@ -656,7 +658,7 @@ class TestErrors:
         def reached(*args):
             raise AssertionError("the command ran")
 
-        monkeypatch.setattr(cli, "decode", reached)
+        monkeypatch.setattr(decoding, "decode", reached)
         monkeypatch.setattr(verify, "run_suite", reached)
         tmp, write = paths
         write("s.json", system_to_doc(DEC))
@@ -686,7 +688,7 @@ class TestErrors:
             raise AssertionError("the command ran")
 
         for module, name in ((operators, "iterate_shift"), (analysis, "_segment_ints"),
-                             (analysis, "_graph_ints"), (cli, "cylinder")):
+                             (analysis, "_graph_ints"), (decoding, "cylinder")):
             monkeypatch.setattr(module, name, reached)
         tmp, write = paths
         write("s.json", system_to_doc(DEC))
@@ -764,30 +766,85 @@ print(json.dumps(steps))
 """
 
 
+def _cold_steps(commands):
+    """What `import cantorshift.cli` and then each command added to the
+    loaded modules, in one fresh interpreter: [exit code, new modules]."""
+    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(commands)],
+                          capture_output=True, text=True, env=_child_env(), timeout=60)
+    assert done.stderr == ""
+    return json.loads(done.stdout)
+
+
 def test_commands_load_only_their_modules(paths):
     # A fresh interpreter runs the commands in an order in which the set of
     # loaded modules only grows, and reports what each one added: a module
     # is compiled only by the first command that uses it, and no step loads
     # `dataclasses` or `inspect`.  Each step is compared with the modules
     # loaded before it, so one that a site-packages `.pth` file loads at
-    # start-up hides no regression.
+    # start-up hides no regression.  Two orders pin each command's set:
+    # `decode` loads the decoder and the writers, a shift command the
+    # writers only, and `cylinder` the decoder only.
     _, write = paths
     spath = write("s.json", system_to_doc(NEG))
     npath = write("n.json", _number_doc(NEG, (1, 2, 3)))
+    base = [f"cantorshift.{name}"
+            for name in ("cli", "documents", "errors", "numbers", "rationals", "series", "systems")]
     commands = [["eval", npath], ["decode", spath, "1/22"], ["cylinder", spath, "1"],
                 ["partner", npath], ["gshift", npath, "-m", "2"], ["segments", spath, "-m", "2"],
                 ["verify", "eq4", "--trials", "1", "--seed", "0"]]
-    done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(commands)],
-                          capture_output=True, text=True, env=_child_env(), timeout=60)
-    assert done.stderr == ""
-    base = ["cli", "documents", "errors", "numbers", "rationals", "series", "systems"]
-    assert json.loads(done.stdout) == [
-        [None, [f"cantorshift.{name}" for name in base]],
-        [0, []], [0, []], [0, []], [0, []],
+    assert _cold_steps(commands) == [
+        [None, base],
+        [0, []],
+        [0, ["cantorshift.decoding", "cantorshift.writers"]],
+        [0, []], [0, []],
         [0, ["cantorshift.operators"]],
         [0, ["cantorshift.analysis"]],
         [0, ["cantorshift.sampling", "cantorshift.verify"]],
     ]
+    commands = [["eval", npath], ["gshift", npath, "-m", "2"], ["shift", npath],
+                ["cylinder", spath, "1"], ["partner", npath], ["graph", spath, "-m", "2"]]
+    assert _cold_steps(commands) == [
+        [None, base],
+        [0, []],
+        [0, ["cantorshift.operators", "cantorshift.writers"]],
+        [0, []],
+        [0, ["cantorshift.decoding"]],
+        [0, []],
+        [0, ["cantorshift.analysis"]],
+    ]
+
+
+_LAZY_ROOT = """
+import json, sys
+import cantorshift
+
+def state():
+    loaded = sorted(name for name in sys.modules if name.startswith("cantorshift."))
+    public = [name for name in dir(cantorshift)
+              if not name.startswith("_") and f"cantorshift.{name}" not in loaded]
+    return [loaded, cantorshift.__all__, public]
+
+before = state()
+home = cantorshift.decode.__module__
+print(json.dumps([before, state(), home]))
+"""
+
+
+def test_package_loads_decoding_on_first_use():
+    # `import cantorshift` compiles neither the decoder nor the writers, and
+    # lists the decoder's names all the same; the first use of one loads
+    # its module and leaves `__all__` and the public names of `dir()` as
+    # they were.
+    done = subprocess.run([sys.executable, "-c", _LAZY_ROOT], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert done.stderr == ""
+    (loaded, names, public), after, home = json.loads(done.stdout)
+    assert "cantorshift.decoding" not in loaded and "cantorshift.writers" not in loaded
+    assert after == [sorted(loaded + ["cantorshift.decoding"]), names, public]
+    assert names == public == cantorshift.__all__
+    assert {"canonicalize", "cylinder", "decode", "dual_representation", "is_quasi_rational",
+            "partial_digits", "quasi_partner"} <= set(names)
+    assert home == "cantorshift.decoding"
 
 
 @pytest.mark.parametrize("module", ["cantorshift", "cantorshift.cli"])

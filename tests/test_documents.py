@@ -20,19 +20,12 @@ from cantorshift import (
     evaluate,
     rationals,
     systems,
+    writers,
 )
-from cantorshift.documents import (
-    doc_to_number,
-    doc_to_system,
-    dump_json,
-    emit_tsv,
-    number_to_doc,
-    parse_number,
-    parse_system,
-    system_to_doc,
-)
+from cantorshift.documents import doc_to_number, doc_to_system, parse_number, parse_system
 from cantorshift.rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
 from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
+from cantorshift.writers import dump_json, emit_tsv, number_to_doc, system_to_doc
 from helpers import DEC, NEG, QT, cantor, mk, parse_long_int
 
 
@@ -419,8 +412,8 @@ class TestEmitTsv:
         distinct = {cell for row in cells for cell in row}
         assert len(cells) == 1024 and len(distinct) == 1795
         rendered = []
-        pair_decimal = documents._pair_decimal
-        monkeypatch.setattr(documents, "_pair_decimal",
+        pair_decimal = writers._pair_decimal
+        monkeypatch.setattr(writers, "_pair_decimal",
                             lambda *args: rendered.append(args) or pair_decimal(*args))
         text = emit_tsv(("lo", "hi", "slope", "intercept"), cells, 12)
         assert len(rendered) == len(distinct)

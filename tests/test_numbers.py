@@ -31,9 +31,9 @@ from cantorshift import (
     quasi_partner,
     same_number,
 )
-from cantorshift import numbers
+from cantorshift import decoding, numbers
+from cantorshift.decoding import _digit_steps
 from cantorshift.numbers import (
-    _digit_steps,
     _digits,
     _prefix_ints,
     _stream_prefix,
@@ -545,8 +545,8 @@ class TestDuality:
         positions = []
         for t in range(9):
             beta, gamma = dual_pair(rng, rand_segment_system(rng, t % 3), rng.randrange(1, 4))
-            beta_info = numbers.dual_representation(beta)
-            gamma_info = numbers.dual_representation(gamma)
+            beta_info = decoding.dual_representation(beta)
+            gamma_info = decoding.dual_representation(gamma)
             assert (beta_info.partner, beta_info.side) == (gamma, "beta")
             assert (gamma_info.partner, gamma_info.side) == (beta, "gamma")
             assert beta_info.position == gamma_info.position

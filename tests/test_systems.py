@@ -24,9 +24,10 @@ from cantorshift import (
     validate,
 )
 from cantorshift import series
-from cantorshift.documents import doc_to_system, system_to_doc
+from cantorshift.documents import doc_to_system
 from cantorshift.sampling import rand_cantor_system, rand_qtilde_system, rand_segment_system
 from cantorshift.systems import combined_cycle_len, combined_prefix_len, periodic_from
+from cantorshift.writers import system_to_doc
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, digit_fractions, qtilde
 
 

@@ -14,8 +14,9 @@ from pathlib import Path
 import pytest
 
 from cantorshift import DigitRangeError, analysis, numbers, operators, verify
-from cantorshift.documents import doc_to_number, doc_to_system, number_to_doc, system_to_doc
+from cantorshift.documents import doc_to_number, doc_to_system
 from cantorshift.numbers import TAIL_ZEROS, DigitStream, RepresentedNumber
+from cantorshift.writers import number_to_doc, system_to_doc
 from helpers import DEC
 
 GOLDEN = Path(__file__).parent / "data" / "verify_failures_16_5.json"
