@@ -43,13 +43,11 @@ from .systems import (
     MAX_TABLE_ROWS,
     CantorSystem,
     Interval,
-    PositionTable,
     QTildeColumn,
     QTildeSystem,
     SignPattern,
     ValidationReport,
     base_interval,
-    position_table,
     remove_index,
     rho,
     shift_system,
@@ -62,13 +60,15 @@ __version__ = "0.1.0"
 # Names of `analysis`, `decoding` and `operators`, resolved on first use
 # (PEP 562): a process that never touches them, such as the CLI's `eval`,
 # does not compile those modules.  Each name is written once, here, with
-# its module.
+# its module.  The position table is `decoding`'s; `base_interval`, which
+# reads it, stays in `systems`.
 _LAZY = {
     **dict.fromkeys(("AffineMap", "ContinuityReport", "affine_on_cylinder", "continuity_at",
                      "graph_samples", "numeric_derivative", "point_image", "segment_table"),
                     "analysis"),
-    **dict.fromkeys(("canonicalize", "cylinder", "decode", "dual_representation",
-                     "is_quasi_rational", "partial_digits", "quasi_partner"),
+    **dict.fromkeys(("PositionTable", "canonicalize", "cylinder", "decode",
+                     "dual_representation", "is_quasi_rational", "partial_digits",
+                     "position_table", "quasi_partner"),
                     "decoding"),
     **dict.fromkeys(("PrefixSums", "ShiftVariant", "TheoremReport", "closed_form_value",
                      "compose_removals", "generalized_shift", "iterate_shift", "prefix_sums",

@@ -27,7 +27,13 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import OutOfIntervalError
-from .decoding import _digit_steps, _representable_table, cylinder, dual_representation
+from .decoding import (
+    _digit_steps,
+    _representable_table,
+    cylinder,
+    dual_representation,
+    position_table,
+)
 from .numbers import _check_digits, _digits, _prefix_ints, evaluate
 from .operators import (
     ShiftVariant,
@@ -36,7 +42,7 @@ from .operators import (
     _require_admissible,
     closed_form_value,
 )
-from .systems import MAX_TABLE_ROWS, Interval, position_table
+from .systems import MAX_TABLE_ROWS, Interval
 
 __all__ = [
     "AffineMap",

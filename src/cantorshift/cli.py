@@ -9,19 +9,23 @@ indent=2)` would print it.
 
 Each command is a process, and the package may be compiled from source on
 every start, so a process loads a module only when its command uses it.
-This module loads the parser (`documents`) and evaluation (`numbers`);
+This module loads the document parser (`documents`) and evaluation
+(`numbers`);
 `decoding`, `writers`, `operators`, `analysis` and `verify` are imported
 inside the commands that use them.  `eval` loads none of them; `shift`,
 `itershift` and `gshift` load `operators` and `writers`; `cylinder`
 loads `decoding`; `decode` and `partner` load `decoding` and `writers`;
 `segments` and `graph` load `decoding`, `writers`, `operators` and
-`analysis`; and `verify` loads every module.
+`analysis`; and `verify` loads every module.  For the same reason the
+argument parser holds only the subparser of the command the line names;
+help and usage errors that name no command get every subparser.
 """
 
 import argparse
 import os
 import re
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import documents
@@ -54,12 +58,15 @@ class _CliError(Exception):
     pass
 
 
+# argparse reads an argument that starts with "-" as an option unless it
+# looks like a negative number; "-p/q" is one too.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse reads an argument that starts with "-" as an option
-        # unless it looks like a negative number; "-p/q" is one too.
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         raise _CliError(message)
@@ -230,76 +237,75 @@ def _cmd_verify(args):
     return 0
 
 
-def _build_parser():
+def _arg(*names, **options):
+    """The arguments of one `add_argument` call."""
+    return names, options
+
+
+_PRECISION = _arg("--precision", type=_precision, default=12)
+_VARIANT = _arg("--variant", choices=("digit", "position"), default="digit")
+
+# name: (help line, defaults, argument, ...).  The defaults name the
+# command's handler; `shift` is `itershift` with m = 1.
+_COMMANDS = {
+    "eval": ("exact value of a number document", {"handler": _cmd_eval},
+             _arg("number", help="path to a number JSON document"), _PRECISION),
+    "decode": ("canonical digits of a rational", {"handler": _cmd_decode},
+               _arg("system", help="path to a system JSON document"),
+               _arg("value", help='rational "p/q"'),
+               _arg("--depth", type=_int_range("depth", 1, MAX_DECODE_DEPTH), default=32)),
+    "shift": ("drop the leading digit and position", {"handler": _cmd_itershift, "m": 1},
+              _arg("number")),
+    "itershift": ("drop the leading m digits and positions", {"handler": _cmd_itershift},
+                  _arg("number"), _arg("-m", type=_int_range("m", 0), required=True)),
+    "gshift": ("delete digit and position m", {"handler": _cmd_gshift},
+               _arg("number"), _arg("-m", type=_int_range("m", 1, MAX_GSHIFT_M), required=True),
+               _VARIANT),
+    "cylinder": ("exact interval of a digit prefix", {"handler": _cmd_cylinder},
+                 _arg("system"), _arg("digits", nargs="+", type=_int_range("digit", 0))),
+    "segments": ("piecewise-affine table as TSV", {"handler": _cmd_segments},
+                 _arg("system"), _arg("-m", type=_table_rank, required=True), _VARIANT,
+                 _PRECISION),
+    "graph": ("exact graph samples as TSV", {"handler": _cmd_graph},
+              _arg("system"), _arg("-m", type=_table_rank, required=True),
+              _arg("--samples", type=_int_range("samples", 2, MAX_TABLE_ROWS), default=2),
+              _VARIANT, _PRECISION),
+    "partner": ("dual representation, if any", {"handler": _cmd_partner}, _arg("number")),
+    "verify": ("run a seeded property suite", {"handler": _cmd_verify},
+               _arg("suite", help='a suite name, or "all" for every suite'),
+               _arg("--trials", type=_int_range("trials", 1, MAX_TRIALS), default=1000),
+               _arg("--seed", type=_seed, default=0),
+               _arg("--max-q", type=_int_range("max-q", 3, MAX_Q), default=12),
+               _arg("--max-prefix", type=_int_range("max-prefix", 0, MAX_PREFIX), default=12),
+               _arg("--max-m", type=_int_range("max-m", 1, MAX_M), default=8)),
+}
+
+
+# A process runs one command, and the other nine subparsers would about
+# double the time it takes to build its parser.  Each parser is built once
+# per process.
+@lru_cache(maxsize=None)
+def _parser(command=None):
+    """The parser of a command line that starts with `command`: the main
+    parser with that command's subparser, or with every subparser when
+    `command` is None, for help, a missing or an unknown command."""
     parser = _Parser(prog="cantorshift",
                      description="exact arithmetic for variable-alphabet numeral systems")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, help):
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(handler=handler)
-        return p
-
-    p = command("eval", _cmd_eval, "exact value of a number document")
-    p.add_argument("number", help="path to a number JSON document")
-    p.add_argument("--precision", type=_precision, default=12)
-
-    p = command("decode", _cmd_decode, "canonical digits of a rational")
-    p.add_argument("system", help="path to a system JSON document")
-    p.add_argument("value", help='rational "p/q"')
-    p.add_argument("--depth", type=_int_range("depth", 1, MAX_DECODE_DEPTH), default=32)
-
-    p = command("shift", _cmd_itershift, "drop the leading digit and position")
-    p.add_argument("number")
-    p.set_defaults(m=1)
-
-    p = command("itershift", _cmd_itershift, "drop the leading m digits and positions")
-    p.add_argument("number")
-    p.add_argument("-m", type=_int_range("m", 0), required=True)
-
-    p = command("gshift", _cmd_gshift, "delete digit and position m")
-    p.add_argument("number")
-    p.add_argument("-m", type=_int_range("m", 1, MAX_GSHIFT_M), required=True)
-    p.add_argument("--variant", choices=("digit", "position"), default="digit")
-
-    p = command("cylinder", _cmd_cylinder, "exact interval of a digit prefix")
-    p.add_argument("system")
-    p.add_argument("digits", nargs="+", type=_int_range("digit", 0))
-
-    p = command("segments", _cmd_segments, "piecewise-affine table as TSV")
-    p.add_argument("system")
-    p.add_argument("-m", type=_table_rank, required=True)
-    p.add_argument("--variant", choices=("digit", "position"), default="digit")
-    p.add_argument("--precision", type=_precision, default=12)
-
-    p = command("graph", _cmd_graph, "exact graph samples as TSV")
-    p.add_argument("system")
-    p.add_argument("-m", type=_table_rank, required=True)
-    p.add_argument("--samples", type=_int_range("samples", 2, MAX_TABLE_ROWS), default=2)
-    p.add_argument("--variant", choices=("digit", "position"), default="digit")
-    p.add_argument("--precision", type=_precision, default=12)
-
-    p = command("partner", _cmd_partner, "dual representation, if any")
-    p.add_argument("number")
-
-    p = command("verify", _cmd_verify, "run a seeded property suite")
-    p.add_argument("suite", help='a suite name, or "all" for every suite')
-    p.add_argument("--trials", type=_int_range("trials", 1, MAX_TRIALS), default=1000)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--max-q", type=_int_range("max-q", 3, MAX_Q), default=12)
-    p.add_argument("--max-prefix", type=_int_range("max-prefix", 0, MAX_PREFIX), default=12)
-    p.add_argument("--max-m", type=_int_range("max-m", 1, MAX_M), default=8)
+    for name in (_COMMANDS if command is None else (command,)):
+        help_line, defaults, *arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(**defaults)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
     return parser
-
-
-# The parser does not depend on the command line, so it is built once.
-_PARSER = _build_parser()
 
 
 def run(argv):
     """Execute one command line; returns the process exit code."""
     try:
-        args = _PARSER.parse_args(argv)
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        args = _parser(command).parse_args(argv)
         return args.handler(args)
     except (_CliError, ExpansionError, ValueError) as exc:
         # A file name or an argument may hold a line break; it is written

@@ -9,12 +9,17 @@ tail exactly.  `_digit_steps` is the one digit step: it steps every
 residual at one position together, so a table of points decodes in one
 call per position.
 
-The module is apart from `numbers` so that a process which only
-evaluates, shifts or prints numbers does not compile it: the CLI's
-`eval`, `shift`, `itershift` and `gshift` do not load it.
+The position table (`PositionTable`, `position_table`) holds each
+position's digit data and the residual interval after it, from the
+extreme digit streams of `_extreme_digits`; decoding, the tables in
+`analysis` and `verify` read it.  The module is apart from `numbers` and
+`systems` so that a process which only evaluates, shifts or prints
+numbers does not compile it: the CLI's `eval`, `shift`, `itershift` and
+`gshift` do not load it.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -30,17 +35,20 @@ from .numbers import (
     normalize_stream,
 )
 from .rationals import _shown
+from .series import _suffix_values
 from .systems import (
+    CantorSystem,
     Interval,
-    _extreme_digits,
+    _digit_arrays,
     _max_digits,
     _sign_variable_columns,
     combined_cycle_len,
     combined_prefix_len,
-    position_table,
 )
 
 __all__ = [
+    "PositionTable",
+    "position_table",
     "decode",
     "partial_digits",
     "cylinder",
@@ -50,6 +58,112 @@ __all__ = [
     "is_quasi_rational",
     "canonicalize",
 ]
+
+
+def _extreme_digits(max_digits, members):
+    """The most negative and most positive digits at positions with the
+    given max digits and sign memberships: the max digit at member
+    positions and 0 elsewhere, and the mirror image.  This greedy rule is
+    the one definition of the extreme streams, which the position table
+    and `dual_representation` read.  It gives the exact inf and sup on
+    Cantor and positive column systems; the exact hull of sign-variable
+    column systems will replace it here."""
+    return ([top if member else 0 for top, member in zip(max_digits, members)],
+            [0 if member else top for top, member in zip(max_digits, members)])
+
+
+class PositionTable(NamedTuple):
+    """Per-position data of a system for positions 1..P+L, where P is the
+    combined prefix length and L the combined cycle length; position
+    n > P reads slot P + (n - P - 1) mod L.
+
+    Every value is held as integers.  Slot i (position i + 1) holds the max
+    digit, the sign factor and, for Cantor systems, the base q; column
+    systems hold their column's `ints` (each digit's term_num, weight_num
+    and den) and the decode pieces (lo, hi, d, term_num, weight_num, den)
+    with lo and hi over the slot's `piece_dens` entry, sorted by (lo, hi, d),
+    with the piece owning the upper end in `tops`.  `tails[n]` is the
+    residual interval after position n (n = 0..P+L) as reduced
+    (lo_num, lo_den, hi_num, hi_den): the values after n of the two
+    extreme streams of `_extreme_digits`, folded by
+    `series._suffix_values`.  That rule is where the exact hull of
+    sign-variable column systems will enter.
+    """
+
+    prefix_len: int
+    cycle_len: int
+    max_digits: tuple
+    signs: tuple
+    tails: tuple
+    bases: tuple = ()
+    columns: tuple = ()
+    pieces: tuple = ()
+    piece_dens: tuple = ()
+    tops: tuple = ()
+
+    def slot(self, n):
+        """Slot index of 1-based position n."""
+        if n <= self.prefix_len + self.cycle_len:
+            return n - 1
+        return self.prefix_len + (n - self.prefix_len - 1) % self.cycle_len
+
+    def digit_ints(self, i, d):
+        """(term_num, weight_num, den) of digit d at slot i."""
+        if self.bases:
+            return d, 1, self.bases[i]
+        return self.columns[i][d]
+
+    def tail(self, n):
+        """Integer bounds of the residual interval after position n >= 0."""
+        return self.tails[self.slot(n) + 1 if n else 0]
+
+    def interval(self, n):
+        """Interval of residual values available after position n >= 0."""
+        lo_num, lo_den, hi_num, hi_den = self.tail(n)
+        return Interval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
+
+    @classmethod
+    def build(cls, system):
+        prefix_len = combined_prefix_len(system)
+        cycle_len = combined_cycle_len(system)
+        # The base or column sequence and the sign membership are read
+        # once each; everything else is derived from those two slices.
+        size = prefix_len + cycle_len
+        cantor = isinstance(system, CantorSystem)
+        data = (system.base if cantor else system.columns).items(1, size)
+        members = system.signs.membership.items(1, size)
+        max_digits = [q - 1 for q in data] if cantor else [len(col.ints) - 1 for col in data]
+        lows, highs = _extreme_digits(max_digits, members)
+        _, _, _, signs = low_arrays = _digit_arrays(system, data, members, lows)
+        lo_tails = _suffix_values(*low_arrays, prefix_len)
+        hi_tails = _suffix_values(*_digit_arrays(system, data, members, highs), prefix_len)
+        head = (prefix_len, cycle_len, tuple(max_digits), tuple(signs),
+                tuple(lo + hi for lo, hi in zip(lo_tails, hi_tails)))
+        if cantor:
+            return cls(*head, bases=tuple(data))
+        columns = tuple(col.ints for col in data)
+        # Digit d's piece is s*t/c + (w/c)*[lo, hi], held over the slot's
+        # denominator c*lo_den*hi_den.
+        pieces = tuple(
+            tuple(sorted((((s * t * lo_d + w * lo_n) * hi_d, (s * t * hi_d + w * hi_n) * lo_d,
+                           d, t, w, c)
+                          for d, (t, w, c) in enumerate(column)),
+                         key=lambda piece: piece[:3]))
+            for s, column, (lo_n, lo_d), (hi_n, hi_d)
+            in zip(signs, columns, lo_tails[1:], hi_tails[1:]))
+        piece_dens = tuple(column[0][2] * lo_d * hi_d
+                           for column, (_, lo_d), (_, hi_d)
+                           in zip(columns, lo_tails[1:], hi_tails[1:]))
+        tops = tuple(max(p, key=lambda piece: (piece[1], -piece[2])) for p in pieces)
+        return cls(*head, columns=columns, pieces=pieces, piece_dens=piece_dens, tops=tops)
+
+
+# Beyond 64 systems a table is rebuilt in O(P + L); a larger cache only
+# keeps more tables alive.
+@lru_cache(maxsize=64)
+def position_table(system):
+    """The system's PositionTable (built in O(P + L), cached)."""
+    return PositionTable.build(system)
 
 
 def _digit_steps(table, n, y_nums, y_dens):
@@ -202,8 +316,8 @@ def dual_representation(num) -> Optional[DualInfo]:
     beta tail (max at member positions, 0 elsewhere) or the mirror gamma
     tail.  The partner flips the digit at n toward the adjacent cylinder
     and carries the opposite extreme tail; both evaluate equal.  The tails
-    come from the one rule `systems._extreme_digits`, read directly: a
-    position table would cost more than the rest of the call.
+    come from the one rule `_extreme_digits`, read directly: a position
+    table would cost more than the rest of the call.
 
     Sign-variable column systems are excluded: their cylinders may
     overlap or leave gaps, so adjacent-cylinder duality is not available.

@@ -123,7 +123,7 @@ def dual_pair(rng, system, n):
     Returns (most-negative-tail side, most-positive-tail side).
     """
     # The extreme tails below spell the greedy rule out again, apart from
-    # systems._extreme_digits, so that the pairs stay an independent
+    # decoding._extreme_digits, so that the pairs stay an independent
     # oracle for dual_representation.
     member = system.signs.member(n)
     lead = [rng.randrange(0, system.max_digit(k) + 1) for k in range(1, n)]

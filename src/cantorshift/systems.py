@@ -18,7 +18,10 @@ the column's integers, for callers outside the package and for the tests'
 reference routes.  Per-position data of a whole range of positions is
 read in slices, through `EventuallyPeriodicSeq.items`.  A system stores
 its combined prefix length P and combined cycle length L when it is
-built, and every periodicity question reads them.
+built, and every periodicity question reads them.  The position table,
+which decoding and the tables build from those slices, lives in
+`decoding`, so a process that only evaluates or shifts does not compile
+it; `base_interval` reads it from there.
 """
 
 from fractions import Fraction
@@ -30,7 +33,7 @@ from typing import NamedTuple
 
 from .errors import DigitRangeError
 from .rationals import _clip, _int_str, _pair_str
-from .series import EventuallyPeriodicSeq, _suffix_values, _Value
+from .series import EventuallyPeriodicSeq, _Value
 
 __all__ = [
     "MAX_TABLE_ROWS",
@@ -45,8 +48,6 @@ __all__ = [
     "sign_factor",
     "validate",
     "base_interval",
-    "PositionTable",
-    "position_table",
     "remove_index",
     "shift_system",
     "combined_prefix_len",
@@ -355,18 +356,6 @@ def _max_digits(system, first, count):
     return [q - 1 for q in system.base.items(first, count)]
 
 
-def _extreme_digits(max_digits, members):
-    """The most negative and most positive digits at positions with the
-    given max digits and sign memberships: the max digit at member
-    positions and 0 elsewhere, and the mirror image.  This greedy rule is
-    the one definition of the extreme streams, which the position table
-    and `dual_representation` read.  It gives the exact inf and sup on
-    Cantor and positive column systems; the exact hull of sign-variable
-    column systems will replace it here."""
-    return ([top if member else 0 for top, member in zip(max_digits, members)],
-            [0 if member else top for top, member in zip(max_digits, members)])
-
-
 def _sign_variable_columns(system):
     """True for a column system with a member sign position.  Its digit
     weights differ within a column, so its cylinders may overlap or leave
@@ -399,107 +388,15 @@ def _position_arrays(system, digits, first=1):
                          system.signs.membership.items(first, size), digits)
 
 
-class PositionTable(NamedTuple):
-    """Per-position data of a system for positions 1..P+L, where P is the
-    combined prefix length and L the combined cycle length; position
-    n > P reads slot P + (n - P - 1) mod L.
-
-    Every value is held as integers.  Slot i (position i + 1) holds the max
-    digit, the sign factor and, for Cantor systems, the base q; column
-    systems hold their column's `ints` (each digit's term_num, weight_num
-    and den) and the decode pieces (lo, hi, d, term_num, weight_num, den)
-    with lo and hi over the slot's `piece_dens` entry, sorted by (lo, hi, d),
-    with the piece owning the upper end in `tops`.  `tails[n]` is the
-    residual interval after position n (n = 0..P+L) as reduced
-    (lo_num, lo_den, hi_num, hi_den): the values after n of the two
-    extreme streams of `_extreme_digits`, folded by
-    `series._suffix_values`.  That rule is where the exact hull of
-    sign-variable column systems will enter.
-    """
-
-    prefix_len: int
-    cycle_len: int
-    max_digits: tuple
-    signs: tuple
-    tails: tuple
-    bases: tuple = ()
-    columns: tuple = ()
-    pieces: tuple = ()
-    piece_dens: tuple = ()
-    tops: tuple = ()
-
-    def slot(self, n):
-        """Slot index of 1-based position n."""
-        if n <= self.prefix_len + self.cycle_len:
-            return n - 1
-        return self.prefix_len + (n - self.prefix_len - 1) % self.cycle_len
-
-    def digit_ints(self, i, d):
-        """(term_num, weight_num, den) of digit d at slot i."""
-        if self.bases:
-            return d, 1, self.bases[i]
-        return self.columns[i][d]
-
-    def tail(self, n):
-        """Integer bounds of the residual interval after position n >= 0."""
-        return self.tails[self.slot(n) + 1 if n else 0]
-
-    def interval(self, n):
-        """Interval of residual values available after position n >= 0."""
-        lo_num, lo_den, hi_num, hi_den = self.tail(n)
-        return Interval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
-
-    @classmethod
-    def build(cls, system):
-        prefix_len = combined_prefix_len(system)
-        cycle_len = combined_cycle_len(system)
-        # The base or column sequence and the sign membership are read
-        # once each; everything else is derived from those two slices.
-        size = prefix_len + cycle_len
-        cantor = isinstance(system, CantorSystem)
-        data = (system.base if cantor else system.columns).items(1, size)
-        members = system.signs.membership.items(1, size)
-        max_digits = [q - 1 for q in data] if cantor else [len(col.ints) - 1 for col in data]
-        lows, highs = _extreme_digits(max_digits, members)
-        _, _, _, signs = low_arrays = _digit_arrays(system, data, members, lows)
-        lo_tails = _suffix_values(*low_arrays, prefix_len)
-        hi_tails = _suffix_values(*_digit_arrays(system, data, members, highs), prefix_len)
-        head = (prefix_len, cycle_len, tuple(max_digits), tuple(signs),
-                tuple(lo + hi for lo, hi in zip(lo_tails, hi_tails)))
-        if cantor:
-            return cls(*head, bases=tuple(data))
-        columns = tuple(col.ints for col in data)
-        # Digit d's piece is s*t/c + (w/c)*[lo, hi], held over the slot's
-        # denominator c*lo_den*hi_den.
-        pieces = tuple(
-            tuple(sorted((((s * t * lo_d + w * lo_n) * hi_d, (s * t * hi_d + w * hi_n) * lo_d,
-                           d, t, w, c)
-                          for d, (t, w, c) in enumerate(column)),
-                         key=lambda piece: piece[:3]))
-            for s, column, (lo_n, lo_d), (hi_n, hi_d)
-            in zip(signs, columns, lo_tails[1:], hi_tails[1:]))
-        piece_dens = tuple(column[0][2] * lo_d * hi_d
-                           for column, (_, lo_d), (_, hi_d)
-                           in zip(columns, lo_tails[1:], hi_tails[1:]))
-        tops = tuple(max(p, key=lambda piece: (piece[1], -piece[2])) for p in pieces)
-        return cls(*head, columns=columns, pieces=pieces, piece_dens=piece_dens, tops=tops)
-
-
-# Beyond 64 systems a table is rebuilt in O(P + L); a larger cache only
-# keeps more tables alive.
-@lru_cache(maxsize=64)
-def position_table(system):
-    """The system's PositionTable (built in O(P + L), cached)."""
-    return PositionTable.build(system)
-
-
 @lru_cache(maxsize=4096)
 def base_interval(system):
     """Exact values of the two extreme digit streams of
-    `_extreme_digits` (the max digit at member positions and 0 elsewhere,
-    and the mirror image), read from the position table.  They are the
-    infimum and supremum on Cantor and positive column systems; the exact
-    hull of sign-variable column systems will change that one rule."""
+    `decoding._extreme_digits` (the max digit at member positions and 0
+    elsewhere, and the mirror image), read from the position table.  They
+    are the infimum and supremum on Cantor and positive column systems; the
+    exact hull of sign-variable column systems will change that one rule."""
+    from .decoding import position_table
+
     return position_table(system).interval(0)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import prod
 
 from .analysis import _images_ints, _segment_ints, continuity_at
-from .decoding import canonicalize, decode, is_quasi_rational, quasi_partner
+from .decoding import canonicalize, decode, is_quasi_rational, position_table, quasi_partner
 from .errors import ExpansionError
 from .numbers import (
     RepresentedNumber,
@@ -51,7 +51,6 @@ from .systems import (
     base_interval,
     combined_cycle_len,
     combined_prefix_len,
-    position_table,
 )
 from .writers import number_to_doc, system_to_doc
 

@@ -30,7 +30,7 @@ from cantorshift import (
 from cantorshift import analysis, decoding, numbers, operators, verify
 from cantorshift.analysis import AffineMap, _images_ints
 from cantorshift.operators import _deletion_map
-from cantorshift.systems import Interval, position_table
+from cantorshift.decoding import position_table
 from cantorshift.verify import _segments_ok
 from cantorshift.sampling import (
     rand_cantor_system,

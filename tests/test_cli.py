@@ -739,6 +739,40 @@ class TestErrors:
         assert capsys.readouterr().err == ""
 
 
+COMMANDS = ["eval", "decode", "shift", "itershift", "gshift", "cylinder", "segments", "graph",
+            "partner", "verify"]
+
+
+class TestParser:
+    # A command line that starts with a command name is parsed by a parser
+    # with that command's subparser only; what it prints must be what the
+    # parser with every subparser prints.
+    @pytest.mark.parametrize("argv", [["--help"]] + [[name, "--help"] for name in COMMANDS],
+                             ids=["main"] + COMMANDS)
+    def test_help_is_the_full_parsers(self, argv, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as full:
+            cli._parser().parse_args(argv)
+        expected = capsys.readouterr()
+        assert expected.out.startswith("usage: cantorshift") and expected.err == ""
+        monkeypatch.setattr(sys, "argv", ["cantorshift", *argv])
+        with pytest.raises(SystemExit) as done:
+            cli.main()
+        assert done.value.code == full.value.code == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch' (choose from "
+                     + ", ".join(f"'{name}'" for name in COMMANDS) + ")"),
+    ], ids=["bare", "nosuch"])
+    def test_usage_error_is_one_line(self, argv, message, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["cantorshift", *argv])
+        with pytest.raises(SystemExit) as done:
+            cli.main()
+        assert done.value.code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _child_env():
     """The environment of a fresh interpreter that imports this checkout's
     package first."""
@@ -748,31 +782,54 @@ def _child_env():
 
 
 _COLD_START = """
-import contextlib, io, json, sys
+import argparse, contextlib, io, json, sys
 
 def loaded():
     return {name for name in sys.modules
             if name.startswith("cantorshift.") or name in ("dataclasses", "inspect")}
 
+built = []
+add_parser = argparse._SubParsersAction.add_parser
+
+def recording_add_parser(self, name, **kwargs):
+    built.append(name)
+    return add_parser(self, name, **kwargs)
+
+argparse._SubParsersAction.add_parser = recording_add_parser
 before = loaded()
 import cantorshift.cli as cli
 steps = [[None, sorted(loaded() - before)]]
+subparsers = [built[:]]
+stderr = [""]
+table = [name for name in ("PositionTable", "position_table")
+         if hasattr(sys.modules["cantorshift.systems"], name)]
 for argv in json.loads(sys.argv[1]):
     before = loaded()
-    with contextlib.redirect_stdout(io.StringIO()):
+    del built[:]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     steps.append([code, sorted(loaded() - before)])
-print(json.dumps(steps))
+    subparsers.append(built[:])
+    stderr.append(err.getvalue())
+print(json.dumps({"steps": steps, "subparsers": subparsers, "stderr": stderr,
+                  "systems_table": table}))
 """
 
 
-def _cold_steps(commands):
-    """What `import cantorshift.cli` and then each command added to the
-    loaded modules, in one fresh interpreter: [exit code, new modules]."""
+def _cold_start(commands):
+    """What `import cantorshift.cli` and then each command did in one fresh
+    interpreter: "steps" holds [exit code, new modules], "subparsers" the
+    subparsers built and "stderr" what was written there, per step;
+    "systems_table" lists the position table's names that
+    `cantorshift.systems` binds after the import.  A step that succeeds
+    writes nothing to stderr."""
     done = subprocess.run([sys.executable, "-c", _COLD_START, json.dumps(commands)],
                           capture_output=True, text=True, env=_child_env(), timeout=60)
     assert done.stderr == ""
-    return json.loads(done.stdout)
+    cold = json.loads(done.stdout)
+    assert all(err == "" for (code, _), err in zip(cold["steps"], cold["stderr"]) if not code)
+    return cold
 
 
 def test_commands_load_only_their_modules(paths):
@@ -792,7 +849,7 @@ def test_commands_load_only_their_modules(paths):
     commands = [["eval", npath], ["decode", spath, "1/22"], ["cylinder", spath, "1"],
                 ["partner", npath], ["gshift", npath, "-m", "2"], ["segments", spath, "-m", "2"],
                 ["verify", "eq4", "--trials", "1", "--seed", "0"]]
-    assert _cold_steps(commands) == [
+    assert _cold_start(commands)["steps"] == [
         [None, base],
         [0, []],
         [0, ["cantorshift.decoding", "cantorshift.writers"]],
@@ -803,7 +860,7 @@ def test_commands_load_only_their_modules(paths):
     ]
     commands = [["eval", npath], ["gshift", npath, "-m", "2"], ["shift", npath],
                 ["cylinder", spath, "1"], ["partner", npath], ["graph", spath, "-m", "2"]]
-    assert _cold_steps(commands) == [
+    assert _cold_start(commands)["steps"] == [
         [None, base],
         [0, []],
         [0, ["cantorshift.operators", "cantorshift.writers"]],
@@ -812,6 +869,19 @@ def test_commands_load_only_their_modules(paths):
         [0, []],
         [0, ["cantorshift.analysis"]],
     ]
+
+
+def test_command_builds_only_its_parser(paths):
+    # The import builds no parser and leaves the position table out of
+    # `systems`; each command builds its own subparser once, and a command
+    # line that names no command builds them all, for the usage error.
+    _, write = paths
+    npath = write("n.json", _number_doc(NEG, (1, 2, 3)))
+    cold = _cold_start([["eval", npath], ["eval", npath], ["shift", npath], ["nosuch"], []])
+    assert [code for code, _ in cold["steps"]] == [None, 0, 0, 0, 1, 1]
+    assert cold["subparsers"] == [[], ["eval"], [], ["shift"], COMMANDS, []]
+    assert [err.count("error:") for err in cold["stderr"]] == [0, 0, 0, 0, 1, 1]
+    assert cold["systems_table"] == []
 
 
 _LAZY_ROOT = """
@@ -842,8 +912,8 @@ def test_package_loads_decoding_on_first_use():
     assert "cantorshift.decoding" not in loaded and "cantorshift.writers" not in loaded
     assert after == [sorted(loaded + ["cantorshift.decoding"]), names, public]
     assert names == public == cantorshift.__all__
-    assert {"canonicalize", "cylinder", "decode", "dual_representation", "is_quasi_rational",
-            "partial_digits", "quasi_partner"} <= set(names)
+    assert {"PositionTable", "canonicalize", "cylinder", "decode", "dual_representation",
+            "is_quasi_rational", "partial_digits", "position_table", "quasi_partner"} <= set(names)
     assert home == "cantorshift.decoding"
 
 

@@ -32,7 +32,7 @@ from cantorshift import (
     same_number,
 )
 from cantorshift import decoding, numbers
-from cantorshift.decoding import _digit_steps
+from cantorshift.decoding import PositionTable, _digit_steps, position_table
 from cantorshift.numbers import (
     _digits,
     _prefix_ints,
@@ -48,12 +48,10 @@ from cantorshift.sampling import (
     rand_stream,
 )
 from cantorshift.systems import (
-    PositionTable,
     _position_arrays,
     combined_cycle_len,
     combined_prefix_len,
     periodic_from,
-    position_table,
     sign_factor,
 )
 from helpers import ALT, DEC, FACT, NEG, QT, cantor, digit_fractions, mk, qtilde
