@@ -28,7 +28,7 @@ from .systems import (
     combined_prefix_len,
     periodic_from,
 )
-from .series import _fold, _normalize, _periodic_sum, _slice, _Value
+from .series import _affine, _compose, _normalize, _periodic_sum, _slice, _Value
 
 __all__ = [
     "Tail",
@@ -169,36 +169,23 @@ def _term_arrays(num):
     return (*_position_arrays(num.system, _digits(num, 1, total)), split)
 
 
-def _array_prefix(t, w, c, s):
-    """(v, w, den) of the positions of the arrays: the signed sum of
-    s_n*term_n*w_1...w_{n-1} is v/den and the product w_1...w_k is w/den,
-    with den the product of the positions' denominators.  Long prefixes
-    are summed by binary splitting in `series._fold`."""
-    num, den = _fold(t, w, c, s, 0, len(t), 0, 1)
-    full = prod(c)  # the fold's den omits positions after its last restart, so divides it
-    return num * (full // den), prod(w), full
-
-
-def _join(a, b):
-    """(v, w, den) of prefix a followed by prefix b."""
-    v1, w1, d1 = a
-    v2, w2, d2 = b
-    return v1 * d2 + w1 * v2, w1 * w2, d1 * d2
-
-
 def _prefix_ints(system, digits):
-    """Integer (v, w, den) of a finite digit prefix at positions 1..k: its
-    signed value is v/den and its weight product w/den."""
-    return _array_prefix(*_position_arrays(system, digits))
+    """Integer (v, w, den) of a finite digit prefix at positions 1..k, the
+    map `series._affine` of its positions: its signed value is v/den, its
+    weight product w/den, and den the product of the positions'
+    denominators."""
+    return _affine(*_position_arrays(system, digits), 0, len(digits))
 
 
 def _stream_prefix(num, m):
     """Integer (v, w, den) of the digits of a valid number at positions
-    1..m.  Past the position where digits and system start to repeat, k
-    whole periods contribute a geometric block sum and a k-th power of the
-    period's weight, so the work is O(start + period + log k), not O(m).
-    The sum of all periods is total = block / (1 - r) for the period's
-    weight r, and k of them sum to total * (1 - r^k)."""
+    1..m: the maps of the digits before the position where digits and
+    system start to repeat, of k whole periods past it and of the
+    positions left, joined by `series._compose`.  The k periods are a
+    geometric block sum and a k-th power of the period's weight, so the
+    work is O(start + period + log k), not O(m).  The sum of all periods
+    is total = block / (1 - r) for the period's weight r, reduced before
+    the power, and k of them sum to total * (1 - r^k)."""
     system = num.system
     start, period = _tail_period(num)
     k, r = divmod(max(m - start, 0), period)
@@ -212,8 +199,7 @@ def _stream_prefix(num, m):
     g = gcd(r_num, r_den)
     r_num, r_den = (r_num // g) ** k, (r_den // g) ** k
     periods = (total_num * (r_den - r_num), total_den * r_num, total_den * r_den)
-    rest = _array_prefix(*(a[:r] for a in block))
-    return _join(_join(head, periods), rest)
+    return _compose(_compose(head, periods), _affine(*block, 0, r))
 
 
 def _evaluate(num):

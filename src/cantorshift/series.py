@@ -2,17 +2,20 @@
 
 Every value the package handles is rational, and every infinite sum in
 scope reduces to a finite explicit part plus a geometrically contracting
-periodic tail, so exact closed forms exist.  The one summation kernel
-(`_fold`, `_periodic_sum`) takes each position's term and weight as
-integers over one denominator, works on integer numerators over one
-running denominator, and leaves the single reduction to a `Fraction` to
-its caller.  Runs of up to `_LEAF` positions fold by a Horner loop,
+periodic tail, so exact closed forms exist.  The one summation primitive
+is the affine map x -> (a + b*x)/d of a run of positions (`_affine`):
+each position's term and weight are integers over its one denominator,
+a/d is the run's signed value, b/d its weight product and d the product
+of its denominators, and the caller makes the single reduction to a
+`Fraction`.  Runs of up to `_LEAF` positions are summed by a Horner loop,
 whose cost is quadratic in the run's length; longer runs are
-binary-split (`_split`) into balanced products, which cost less.
-`_suffix_values` folds the same arrays into the value after every
-position, reduced at each step.  The public `geometric_block_sum` and
-`periodic_tail_sum` work on `Fraction`s and are the tests' independent
-reference.  `_Value` is the base of the immutable value types.
+binary-split into halves joined by `_compose`, the one composition
+formula.  `_periodic_sum` applies the explicit part's map to the fixed
+point of the period's map.  `_suffix_values` folds the same arrays into
+the value after every position, reduced at each step.  The public
+`geometric_block_sum` and `periodic_tail_sum` work on `Fraction`s and
+are the tests' independent reference.  `_Value` is the base of the
+immutable value types.
 """
 
 from fractions import Fraction
@@ -190,58 +193,21 @@ def periodic_tail_sum(term_fn, start, period):
     return geometric_block_sum(block, ratio)
 
 
-# Longest run that _fold sums by its Horner loop, and the leaf size of
-# _split.  Leaves of 16 to 64 positions summed 1500 to 20000 Cantor
-# positions equally fast; 128 was slower.  At 64 every run of the verify
-# suites takes the loop.
+# Longest run that _affine sums by its Horner loop.  Leaves of 16 to 64
+# positions summed 1500 to 20000 Cantor positions equally fast; 128 was
+# slower.  At 64 every run of the verify suites takes the loop.
 _LEAF = 64
 
 
-def _fold(t, w, c, s, lo, hi, acc_n, acc_d):
-    """Unreduced (num, den) of the backward Horner fold
-    acc <- s_k*t_k/c_k + (w_k/c_k)*acc over positions hi-1 down to lo,
-    starting from acc = acc_n/acc_d.  Position k's term t_k and weight w_k
-    are integers over its one denominator c_k > 0, so each step is integer
-    arithmetic and the caller reduces once.  While acc is 0 its denominator
-    restarts at 1, so a run of zero terms does not grow it.
-
-    Each Horner step multiplies a numerator as long as all the positions
-    after it, so a run longer than _LEAF positions is binary-split
-    instead (`_split`), at a cost subquadratic in its length.  Its
-    trailing zero terms are dropped first when acc is 0, so the pair is
-    the loop's, with den the product of c_lo..c_j for the last nonzero
-    term j, unless a partial sum cancels to 0 between lo and j, where the
-    loop restarts its denominator and the split does not: the value is
-    the same, and den still divides the product of every c_k."""
-    if hi - lo > _LEAF:
-        if not acc_n:
-            top = hi
-            while top > lo and not t[top - 1]:
-                top -= 1
-            if top == lo:
-                return 0, c[lo]
-            if top - lo > _LEAF:
-                return _split(t, w, c, s, lo, top)[::2]
-            hi = top
-        else:
-            a, b, d = _split(t, w, c, s, lo, hi)
-            return a * acc_d + b * acc_n, d * acc_d
-    for k in range(hi - 1, lo - 1, -1):
-        if acc_n:
-            acc_n = s[k] * t[k] * acc_d + w[k] * acc_n
-            acc_d *= c[k]
-        else:
-            acc_n, acc_d = s[k] * t[k], c[k]
-    return acc_n, acc_d
-
-
-def _split(t, w, c, s, lo, hi):
-    """The affine map x -> (a + b*x)/d of positions lo..hi-1, as integers
-    (a, b, d): the fold of those positions starting from acc = x.  Runs of
-    at most _LEAF positions fold by the loop of `_fold`, with no restart;
-    a longer run composes the map f1 of its lower half with the map f2 of
-    its upper half, f1(f2(x)) = (a1*d2 + b1*a2 + b1*b2*x) / (d1*d2), so
-    the two products of each level are of equal size."""
+def _affine(t, w, c, s, lo, hi):
+    """The affine map x -> (a + b*x)/d of positions lo..hi-1 as integers
+    (a, b, d): the backward Horner fold acc <- s_k*t_k/c_k + (w_k/c_k)*acc
+    from acc = x.  Position k's term t_k and weight w_k are integers over
+    its one denominator c_k > 0, so a/d is the run's signed value, b/d its
+    weight product and d the product of every c_k; the caller reduces
+    once.  Each Horner step multiplies a numerator as long as all the
+    positions after it, so a run longer than _LEAF is binary-split into
+    halves joined by `_compose`, whose products are of equal size."""
     if hi - lo <= _LEAF:
         a, d = 0, 1
         for k in range(hi - 1, lo - 1, -1):
@@ -249,27 +215,32 @@ def _split(t, w, c, s, lo, hi):
             d *= c[k]
         return a, prod(w[lo:hi]), d
     mid = (lo + hi) // 2
-    a1, b1, d1 = _split(t, w, c, s, lo, mid)
-    a2, b2, d2 = _split(t, w, c, s, mid, hi)
+    return _compose(_affine(t, w, c, s, lo, mid), _affine(t, w, c, s, mid, hi))
+
+
+def _compose(f, g):
+    """The map f(g(x)) of two affine maps as (a, b, d) integers: the map
+    of f's run followed by g's."""
+    a1, b1, d1 = f
+    a2, b2, d2 = g
     return a1 * d2 + b1 * a2, b1 * b2, d1 * d2
 
 
 def _periodic_sum(t, w, c, s, split):
     """Unreduced (num, den) of the sum with positions [0, split) explicit
     and [split, n) one full period that repeats forever, each repetition
-    scaled by the product of the period's weights.  Arrays as for _fold."""
+    scaled by the product of the period's weights.  Arrays as for
+    _affine.  The tail is the fixed point pa/(pd - pb) of the period's
+    map, which exists when its ratio pb/pd lies in [0, 1) or its sum pa is
+    0, and the explicit part's map applied to it is the sum."""
     n = len(t)
     if not 0 <= split <= n:
         raise ValueError("split out of range")
-    tail_n, tail_d = 0, 1
-    if split < n:
-        block_n, block_d = _fold(t, w, c, s, split, n, 0, 1)
-        if block_n != 0:
-            rn, rd = prod(w[split:]), prod(c[split:])
-            if rn < 0 or rn >= rd:
-                raise DivergentSeriesError("tail ratio outside [0, 1)")
-            tail_n, tail_d = block_n * rd, block_d * (rd - rn)
-    return _fold(t, w, c, s, 0, split, tail_n, tail_d)
+    pa, pb, pd = _affine(t, w, c, s, split, n)
+    if pa and not 0 <= pb < pd:
+        raise DivergentSeriesError("tail ratio outside [0, 1)")
+    num, _, den = _compose(_affine(t, w, c, s, 0, split), (pa, 0, pd - pb if pa else 1))
+    return num, den
 
 
 def _suffix_values(t, w, c, s, split):

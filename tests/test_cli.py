@@ -194,6 +194,18 @@ class TestOperators:
         assert doc["closed_form_value"] == "7/8"
         assert doc["number"]["digits"]["prefix"] == [1, 3]
 
+    def test_gshift_at_the_largest_position(self, paths, capsys):
+        # a short periodic signed Cantor number, deleted at m = 2**16: the
+        # surgery image's prefix holds every digit below m, the closed form
+        # sums them as whole periods
+        _, write = paths
+        system = cantor((3, 5), (4, 7), SignPattern.explicit([True], [False, True]))
+        path = write("n.json", _number_doc(system, (1, 2, 0), {"type": "cycle", "cycle": [6, 3]}))
+        assert run(["gshift", path, "-m", str(cli.MAX_GSHIFT_M)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["surgery_value"]) > 10000
+        assert doc["surgery_value"] == doc["closed_form_value"]
+
     def test_shift_and_itershift(self, paths, capsys):
         _, write = paths
         path = write("n.json", _number_doc(DEC, (1, 2, 3, 4, 5)))

@@ -209,6 +209,19 @@ class TestClosedForm:
                 surgery = evaluate(generalized_shift(num, m, variant))
                 assert surgery == closed_form_value(num, m, variant)
 
+    @pytest.mark.parametrize("tail_kind", ["cycle", "max"])
+    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
+    def test_positions_far_past_the_repeat_start(self, make, tail_kind):
+        # m lies hundreds to thousands of whole periods past the position
+        # where digits and system repeat, so the closed form takes the
+        # periods as one power of the period's map
+        rng = random.Random(37)
+        for _ in range(8):
+            system = make(rng, signs="explicit")
+            num = rand_number(rng, system, max_prefix=4, tail_kinds=(tail_kind,))
+            for m in (257, 1000, 4099):
+                assert closed_form_value(num, m) == evaluate(generalized_shift(num, m))
+
     def test_sign_case_coverage(self):
         rng = random.Random(99)
         for case in ((False, False), (False, True), (True, False), (True, True)):

@@ -10,7 +10,7 @@ from cantorshift import (
     geometric_block_sum,
     periodic_tail_sum,
 )
-from cantorshift.series import _LEAF, _fold, _periodic_sum, _suffix_values
+from cantorshift.series import _LEAF, _affine, _compose, _periodic_sum, _suffix_values
 
 
 class TestTermAt:
@@ -287,35 +287,15 @@ class TestIntegerKernel:
                 assert den > 0
                 assert Fraction(num, den) == _reference_periodic(terms, weights, s, split)
 
-    def test_zero_runs_keep_the_denominator_small(self):
-        # the denominator restarts while the running sum is 0, so trailing
-        # zero terms leave it at the nonzero term's own
-        t, w, c, s = [1] + [0] * 50, [1] * 51, [3] * 51, [1] * 51
-        assert _periodic_sum(t, w, c, s, 51) == (1, 3)
-        assert _periodic_sum([0] * 20, [1] * 20, [5] * 20, [1] * 20, 20) == (0, 5)
 
-
-def _horner(t, w, c, s, lo, hi, acc_n, acc_d):
-    """The Horner loop that `_fold` ran for runs of every length before
-    long runs were binary-split, kept here as the reference pair."""
+def _horner(t, w, c, s, lo, hi):
+    """The plain Horner loop over positions hi-1 down to lo from 0, with
+    no restart: the reference (a, d) of `_affine`."""
+    a, d = 0, 1
     for k in range(hi - 1, lo - 1, -1):
-        if acc_n:
-            acc_n = s[k] * t[k] * acc_d + w[k] * acc_n
-            acc_d *= c[k]
-        else:
-            acc_n, acc_d = s[k] * t[k], c[k]
-    return acc_n, acc_d
-
-
-def _cancels_midway(t, w, c, s, lo, hi, acc_n, acc_d):
-    """Whether the Horner loop's sum turns 0 after it was nonzero and a
-    position is left, where the loop restarts its denominator."""
-    for k in range(hi - 1, lo, -1):
-        was = acc_n
-        acc_n, acc_d = _horner(t, w, c, s, k, k + 1, acc_n, acc_d)
-        if was and not acc_n:
-            return True
-    return False
+        a = s[k] * t[k] * d + w[k] * a
+        d *= c[k]
+    return a, d
 
 
 def _fraction_fold(t, w, c, s, lo, hi, acc):
@@ -345,37 +325,40 @@ def _column_arrays(rng, n):
 
 
 class TestFold:
-    """`_fold` against the Horner loop and the plain-Fraction sum, across
+    """`_affine` against the Horner loop and the plain-Fraction sum, across
     the length where it switches from the loop to binary splitting.  The
-    pair is the loop's unless the loop restarts its denominator where a
-    partial sum cancels to 0; the value is always the same."""
+    map is the loop's exactly at every length: (a, d) is the loop's pair,
+    b the product of the weights and d the product of the denominators."""
 
     LENGTHS = sorted({*range(0, 9), _LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF,
                       2 * _LEAF + 1, 3 * _LEAF + 5, 777, 1500, 2048, 3000})
 
     @staticmethod
-    def _check(t, w, c, s, lo, hi, acc_n=0, acc_d=1):
-        num, den = _fold(t, w, c, s, lo, hi, acc_n, acc_d)
-        assert den > 0
-        assert Fraction(num, den) == _fraction_fold(t, w, c, s, lo, hi, Fraction(acc_n, acc_d))
-        if _cancels_midway(t, w, c, s, lo, hi, acc_n, acc_d):
-            return False
-        assert (num, den) == _horner(t, w, c, s, lo, hi, acc_n, acc_d)
-        if not acc_n:
-            assert math.prod(c[lo:hi]) % den == 0
-        return True
+    def _check(t, w, c, s, lo, hi, x=Fraction(0)):
+        a, b, d = _affine(t, w, c, s, lo, hi)
+        assert (a, d) == _horner(t, w, c, s, lo, hi)
+        assert b == math.prod(w[lo:hi]) and d == math.prod(c[lo:hi])
+        assert (a + b * x) / d == _fraction_fold(t, w, c, s, lo, hi, x)
 
     @pytest.mark.parametrize("arrays", [_cantor_arrays, _column_arrays])
     def test_lengths_up_to_3000(self, arrays):
         rng = random.Random(61)
-        pairs = []
         for n in self.LENGTHS:
             t, w, c, s = arrays(rng, n)
-            acc_d = rng.randrange(1, 50)
-            pairs += [self._check(t, w, c, s, 0, n),
-                      self._check(t, w, c, s, 0, n, rng.randrange(-acc_d, acc_d + 1), acc_d),
-                      self._check(t, w, c, s, 1, max(n - 1, 1))]
-        assert sum(pairs) > 0.9 * len(pairs)  # most runs never cancel
+            x_d = rng.randrange(1, 50)
+            self._check(t, w, c, s, 0, n)
+            self._check(t, w, c, s, 0, n, Fraction(rng.randrange(-x_d, x_d + 1), x_d))
+            self._check(t, w, c, s, 1, max(n - 1, 1))
+
+    @pytest.mark.parametrize("arrays", [_cantor_arrays, _column_arrays])
+    def test_compose_at_random_cut_points(self, arrays):
+        rng = random.Random(79)
+        for n in self.LENGTHS:
+            t, w, c, s = arrays(rng, n)
+            for _ in range(3):
+                lo, mid, hi = sorted(rng.randrange(n + 1) for _ in range(3))
+                assert _compose(_affine(t, w, c, s, lo, mid),
+                                _affine(t, w, c, s, mid, hi)) == _affine(t, w, c, s, lo, hi)
 
     def test_zero_runs(self):
         rng = random.Random(67)
@@ -386,24 +369,17 @@ class TestFold:
                     t, w, c, s = arrays(rng, n)
                     t[slice(*zeros)] = [0] * (zeros[1] - zeros[0])
                     self._check(t, w, c, s, 0, n)
-                    self._check(t, w, c, s, 0, n, 1, 7)
-        # an all-zero run gives the loop's pair: 0 over the lowest c
-        c = [rng.randrange(2, 13) for _ in range(3 * _LEAF)]
-        zero = [0] * len(c)
-        assert _fold(zero, [1] * len(c), c, [1] * len(c), 5, len(c), 0, 1) == (0, c[5])
-        assert _fold(zero, [1] * len(c), c, [1] * len(c), 5, len(c), 3, 4) == (
-            3, 4 * math.prod(c[5:]))
+                    self._check(t, w, c, s, 0, n, Fraction(1, 7))
 
     def test_signs_of_one_sign(self):
         rng = random.Random(71)
         for sign in (1, -1):
             t, w, c, _ = _column_arrays(rng, 4 * _LEAF + 3)
-            assert self._check(t, w, c, [sign] * len(t), 0, len(t))
+            self._check(t, w, c, [sign] * len(t), 0, len(t))
 
     def test_sum_that_cancels_to_zero_midway(self):
-        # Position k is set so that the sum from k on is 0: the loop
-        # restarts its denominator below k, the split does not, and both
-        # pairs are the value times a divisor of the product of every c.
+        # Position k is set so that the sum from k on is 0: the map is
+        # still the loop's, over the product of every c.
         rng = random.Random(73)
         for n, k in ((3 * _LEAF, _LEAF + 7), (3 * _LEAF, 3 * _LEAF - 2), (3 * _LEAF, 0),
                      (_LEAF, _LEAF // 2)):
@@ -412,10 +388,8 @@ class TestFold:
             after = _fraction_fold(t, w, c, s, k + 1, n, Fraction(0))
             t[k], w[k], s[k] = abs(after.numerator), after.denominator, -1 if after > 0 else 1
             assert _fraction_fold(t, w, c, s, k, n, Fraction(0)) == 0
-            assert self._check(t, w, c, s, 0, n) == (k == 0)
-            num, den = _fold(t, w, c, s, 0, n, 0, 1)
-            assert math.prod(c) % den == 0
-            assert _fold(t, w, c, s, 0, k, 0, 1) == _horner(t, w, c, s, 0, k, 0, 1)
+            self._check(t, w, c, s, 0, n)
+            self._check(t, w, c, s, k, n)
 
 
 def _suffix_reference(t, w, c, s, split, k):
