@@ -10,8 +10,10 @@ residual at one position together, so a table of points decodes in one
 call per position.
 
 The position table (`PositionTable`, `position_table`) holds each
-position's digit data and the residual interval after it, from the
-extreme digit streams of `_extreme_digits`; decoding, the tables in
+position's digit data and its two extreme digits, from the one rule
+`_extreme_digits`, and the residual interval at position 0; the interval
+after any later position is rolled forward from it on demand, so a
+reader pays only for the positions it reads.  Decoding, the tables in
 `analysis` and `verify` read it.  The module is apart from `numbers` and
 `systems` so that a process which only evaluates, shifts or prints
 numbers does not compile it: the CLI's `eval`, `shift`, `itershift` and
@@ -35,12 +37,11 @@ from .numbers import (
     normalize_stream,
 )
 from .rationals import _shown
-from .series import _suffix_values
+from .series import _affine, _periodic_sum
 from .systems import (
     CantorSystem,
     Interval,
     _digit_arrays,
-    _max_digits,
     _sign_variable_columns,
     combined_cycle_len,
     combined_prefix_len,
@@ -60,46 +61,115 @@ __all__ = [
 ]
 
 
-def _extreme_digits(max_digits, members):
-    """The most negative and most positive digits at positions with the
-    given max digits and sign memberships: the max digit at member
-    positions and 0 elsewhere, and the mirror image.  This greedy rule is
-    the one definition of the extreme streams, which the position table
-    and `dual_representation` read.  It gives the exact inf and sup on
-    Cantor and positive column systems; the exact hull of sign-variable
-    column systems will replace it here."""
-    return ([top if member else 0 for top, member in zip(max_digits, members)],
-            [0 if member else top for top, member in zip(max_digits, members)])
+def _extreme_digits(system, data, members):
+    """The digits of the most negative and the most positive streams at
+    positions 1..len(data), whose bases or columns are `data` and sign
+    memberships `members`, at least the system's P + L.  This is the one
+    rule for the extreme digits, which the position table and
+    `dual_representation` read.
+
+    The ends of the residual interval after each position obey
+    lo_{n-1} = min_d (s_n*t_d + w_d*lo_n)/c_n and
+    hi_{n-1} = max_d (s_n*t_d + w_d*hi_n)/c_n, and an extreme digit
+    attains the min or the max.  Where a position's digits share one
+    weight (Cantor systems), or every tail lies in [0, 1] (positive column
+    systems), s_n*t_d + w_d*x is monotone in d, so the min is the max digit
+    at member positions and 0 elsewhere, whatever the tail, and the max
+    its mirror image.  On a sign-variable column system the choice depends
+    on the tail after the position: `data` then holds the system's P + L
+    slots (a member among them makes the system sign-variable), and
+    `_hull_digits` improves the greedy digits by policy iteration."""
+    cantor = isinstance(system, CantorSystem)
+    tops = [q - 1 for q in data] if cantor else [len(col.ints) - 1 for col in data]
+    lows = [top if member else 0 for top, member in zip(tops, members)]
+    highs = [0 if member else top for top, member in zip(tops, members)]
+    if cantor or not any(members):
+        return lows, highs
+    columns = [col.ints for col in data]
+    signs = [-1 if member else 1 for member in members]
+    prefix_len = combined_prefix_len(system)
+    return (_hull_digits(columns, signs, prefix_len, lows, min),
+            _hull_digits(columns, signs, prefix_len, highs, max))
 
 
-class PositionTable(NamedTuple):
+def _hull_digits(columns, signs, prefix_len, digits, pick):
+    """The digits of one end of the exact hull of a column system whose
+    slots have the columns' `ints` and the signs, P = prefix_len, by
+    policy iteration from `digits`, with pick = min (lo) or max (hi).
+
+    Each round fixes one digit per cycle slot, solves the composed cycle
+    map x = (a + b*x)/d for its fixed point a/(d - b), the tail after
+    position P, and walks the slots backwards from it: a cycle slot keeps
+    its digit to roll the tail, and marks the digit that the pick prefers
+    strictly at the tail after it; a prefix slot takes its pick and rolls
+    with it.  A round that marks no cycle slot is the last, and its prefix
+    picks are exact.  Every map is a monotone contraction, so each
+    switching round moves the fixed point strictly toward the end and the
+    rounds stop."""
+    size = len(digits)
+    while True:
+        a, b, d = _affine(*zip(*(column[k] for column, k in zip(columns, digits))),
+                          signs, prefix_len, size)
+        num, den = a, d - b
+        better = list(digits)
+        for i in range(size - 1, -1, -1):
+            s, column = signs[i], columns[i]
+            # the digits' values at slot i over their common c*den
+            values = [s * t * den + w * num for t, w, _ in column]
+            best = pick(values)
+            if values[digits[i]] != best:
+                better[i] = values.index(best)
+            t, w, c = column[digits[i] if i >= prefix_len else better[i]]
+            num, den = s * t * den + w * num, c * den
+        if better[prefix_len:] == digits[prefix_len:]:
+            return better
+        digits = better
+
+
+class PositionTable:
     """Per-position data of a system for positions 1..P+L, where P is the
     combined prefix length and L the combined cycle length; position
     n > P reads slot P + (n - P - 1) mod L.
 
-    Every value is held as integers.  Slot i (position i + 1) holds the max
-    digit, the sign factor and, for Cantor systems, the base q; column
-    systems hold their column's `ints` (each digit's term_num, weight_num
-    and den) and the decode pieces (lo, hi, d, term_num, weight_num, den)
-    with lo and hi over the slot's `piece_dens` entry, sorted by (lo, hi, d),
-    with the piece owning the upper end in `tops`.  `tails[n]` is the
-    residual interval after position n (n = 0..P+L) as reduced
-    (lo_num, lo_den, hi_num, hi_den): the values after n of the two
-    extreme streams of `_extreme_digits`, folded by
-    `series._suffix_values`.  That rule is where the exact hull of
-    sign-variable column systems will enter.
+    Slot i (position i + 1) holds, as integers, the max digit, the sign
+    factor, the base q (`bases`) or the column's `ints` (`columns`: each
+    digit's term_num, weight_num and den), and the digits of the two
+    extreme streams of `_extreme_digits` (`lows`, `highs`).  Only the
+    residual interval at position 0 is summed, by `series._periodic_sum`;
+    `tail(n)` rolls it forward along the two streams,
+    x_n = (c_n*x_{n-1} - s_n*t_n)/w_n, up to n's slot, and keeps what it
+    rolled.  A column slot's decode pieces are built on first use.
     """
 
-    prefix_len: int
-    cycle_len: int
-    max_digits: tuple
-    signs: tuple
-    tails: tuple
-    bases: tuple = ()
-    columns: tuple = ()
-    pieces: tuple = ()
-    piece_dens: tuple = ()
-    tops: tuple = ()
+    __slots__ = ("prefix_len", "cycle_len", "max_digits", "signs", "bases", "columns",
+                 "lows", "highs", "_tails", "_pieces")
+
+    @classmethod
+    def build(cls, system):
+        table = object.__new__(cls)
+        table.prefix_len = prefix_len = combined_prefix_len(system)
+        table.cycle_len = combined_cycle_len(system)
+        # The base or column sequence and the sign membership are read
+        # once each; everything else is derived from those two slices.
+        size = prefix_len + table.cycle_len
+        cantor = isinstance(system, CantorSystem)
+        data = (system.base if cantor else system.columns).items(1, size)
+        members = system.signs.membership.items(1, size)
+        if cantor:
+            table.bases, table.columns = tuple(data), ()
+            table.max_digits = tuple(q - 1 for q in data)
+        else:
+            table.bases, table.columns = (), tuple(col.ints for col in data)
+            table.max_digits = tuple(len(ints) - 1 for ints in table.columns)
+        table.lows, table.highs = map(tuple, _extreme_digits(system, data, members))
+        ends = ()
+        for digits in table.lows, table.highs:
+            *_, signs = arrays = _digit_arrays(system, data, members, digits)
+            num, den = _periodic_sum(*arrays, prefix_len)
+            g = gcd(num, den)
+            ends += (num // g, den // g)
+        table.signs, table._tails, table._pieces = tuple(signs), [ends], {}
+        return table
 
     def slot(self, n):
         """Slot index of 1-based position n."""
@@ -114,55 +184,54 @@ class PositionTable(NamedTuple):
         return self.columns[i][d]
 
     def tail(self, n):
-        """Integer bounds of the residual interval after position n >= 0."""
-        return self.tails[self.slot(n) + 1 if n else 0]
+        """Integer bounds (lo_num, lo_den, hi_num, hi_den) of the residual
+        interval after position n >= 0.  A Cantor digit has weight 1, so a
+        Cantor roll keeps tail(0)'s denominators and takes no gcd; a column
+        roll reduces."""
+        k = self.slot(n) + 1 if n else 0
+        tails = self._tails
+        while len(tails) <= k:
+            i = len(tails) - 1  # the slot rolled past
+            lo_num, lo_den, hi_num, hi_den = tails[i]
+            s, lo, hi = self.signs[i], self.lows[i], self.highs[i]
+            if self.bases:
+                q = self.bases[i]
+                tails.append((q * lo_num - s * lo * lo_den, lo_den,
+                              q * hi_num - s * hi * hi_den, hi_den))
+                continue
+            (t_lo, w_lo, c), (t_hi, w_hi, _) = self.columns[i][lo], self.columns[i][hi]
+            lo_num, lo_den = c * lo_num - s * t_lo * lo_den, w_lo * lo_den
+            hi_num, hi_den = c * hi_num - s * t_hi * hi_den, w_hi * hi_den
+            g, h = gcd(lo_num, lo_den), gcd(hi_num, hi_den)
+            tails.append((lo_num // g, lo_den // g, hi_num // h, hi_den // h))
+        return tails[k]
 
     def interval(self, n):
         """Interval of residual values available after position n >= 0."""
         lo_num, lo_den, hi_num, hi_den = self.tail(n)
         return Interval(Fraction(lo_num, lo_den), Fraction(hi_num, hi_den))
 
-    @classmethod
-    def build(cls, system):
-        prefix_len = combined_prefix_len(system)
-        cycle_len = combined_cycle_len(system)
-        # The base or column sequence and the sign membership are read
-        # once each; everything else is derived from those two slices.
-        size = prefix_len + cycle_len
-        cantor = isinstance(system, CantorSystem)
-        data = (system.base if cantor else system.columns).items(1, size)
-        members = system.signs.membership.items(1, size)
-        max_digits = [q - 1 for q in data] if cantor else [len(col.ints) - 1 for col in data]
-        lows, highs = _extreme_digits(max_digits, members)
-        _, _, _, signs = low_arrays = _digit_arrays(system, data, members, lows)
-        lo_tails = _suffix_values(*low_arrays, prefix_len)
-        hi_tails = _suffix_values(*_digit_arrays(system, data, members, highs), prefix_len)
-        head = (prefix_len, cycle_len, tuple(max_digits), tuple(signs),
-                tuple(lo + hi for lo, hi in zip(lo_tails, hi_tails)))
-        if cantor:
-            return cls(*head, bases=tuple(data))
-        columns = tuple(col.ints for col in data)
-        # Digit d's piece is s*t/c + (w/c)*[lo, hi], held over the slot's
-        # denominator c*lo_den*hi_den.
-        pieces = tuple(
-            tuple(sorted((((s * t * lo_d + w * lo_n) * hi_d, (s * t * hi_d + w * hi_n) * lo_d,
-                           d, t, w, c)
-                          for d, (t, w, c) in enumerate(column)),
-                         key=lambda piece: piece[:3]))
-            for s, column, (lo_n, lo_d), (hi_n, hi_d)
-            in zip(signs, columns, lo_tails[1:], hi_tails[1:]))
-        piece_dens = tuple(column[0][2] * lo_d * hi_d
-                           for column, (_, lo_d), (_, hi_d)
-                           in zip(columns, lo_tails[1:], hi_tails[1:]))
-        tops = tuple(max(p, key=lambda piece: (piece[1], -piece[2])) for p in pieces)
-        return cls(*head, columns=columns, pieces=pieces, piece_dens=piece_dens, tops=tops)
+    def pieces(self, i):
+        """Column slot i's decode pieces, built on first use, as (pieces,
+        den, top): digit d's piece s*t/c + (w/c)*[lo, hi] over the tail after
+        the slot is (lo_num, hi_num, d, t, w, c), both ends over den, sorted
+        by (lo_num, hi_num, d); top is the piece that owns the upper end."""
+        if i not in self._pieces:
+            lo_n, lo_d, hi_n, hi_d = self.tail(i + 1)
+            s, column = self.signs[i], self.columns[i]
+            pieces = sorted((((s * t * lo_d + w * lo_n) * hi_d, (s * t * hi_d + w * hi_n) * lo_d,
+                              d, t, w, c) for d, (t, w, c) in enumerate(column)),
+                            key=lambda piece: piece[:3])
+            self._pieces[i] = (pieces, column[0][2] * lo_d * hi_d,
+                               max(pieces, key=lambda piece: (piece[1], -piece[2])))
+        return self._pieces[i]
 
 
-# Beyond 64 systems a table is rebuilt in O(P + L); a larger cache only
-# keeps more tables alive.
+# Beyond 64 systems a table is rebuilt; a larger cache only keeps more
+# tables alive.
 @lru_cache(maxsize=64)
 def position_table(system):
-    """The system's PositionTable (built in O(P + L), cached)."""
+    """The system's PositionTable (cached)."""
     return PositionTable.build(system)
 
 
@@ -175,7 +244,9 @@ def _digit_steps(table, n, y_nums, y_dens):
     denominator, unreduced, and returns `y_dens` itself; a column step
     returns reduced pairs."""
     i = table.slot(n)
-    lo_num, lo_den, hi_num, hi_den = table.tails[i + 1]
+    # an interval rolled already is read without a call
+    tails = table._tails
+    lo_num, lo_den, hi_num, hi_den = tails[i + 1] if i + 1 < len(tails) else table.tail(n)
     s = table.signs[i]
     digits, nums = [], []
     if table.bases:
@@ -202,7 +273,7 @@ def _digit_steps(table, n, y_nums, y_dens):
         return digits, nums, y_dens
     # Column: the first piece (lo, hi, d, ...) with lo <= y < hi, all over
     # the slot's denominator; y2 = (y - s*t/c) / (w/c).
-    pieces, piece_den = table.pieces[i], table.piece_dens[i]
+    pieces, piece_den, top = table.pieces(i)
     dens = []
     for k in range(len(y_nums)):
         y_num, y_den = y_nums[k], y_dens[k]
@@ -211,7 +282,7 @@ def _digit_steps(table, n, y_nums, y_dens):
             if lo * y_den <= scaled < hi * y_den:
                 break
         else:
-            _, hi, d, t, w, c = table.tops[i]
+            _, hi, d, t, w, c = top
             if scaled != hi * y_den:
                 raise OutOfIntervalError(f"value has no digit at position {n}")
         y2_num, y2_den = c * y_num - s * t * y_den, w * y_den
@@ -284,22 +355,14 @@ def decode(system, value, depth):
         digits += d
 
 
-
 def cylinder(system, prefix_digits):
     """Exact interval of all numbers whose expansion starts with the given
     digits: fixed prefix value plus the scaled representable interval of
-    the shifted system."""
+    the shifted system, the residual interval after the prefix."""
     prefix_digits = tuple(prefix_digits)
     _check_digits(system, 1, prefix_digits)
-    return _cylinder_interval(_prefix_ints(system, prefix_digits),
-                              position_table(system).tail(len(prefix_digits)))
-
-
-def _cylinder_interval(prefix, tail):
-    """Interval of a digit prefix's cylinder from the prefix's integer
-    (v, w, den) and the integer bounds of the residual interval after it."""
-    v, w, den = prefix
-    lo_num, lo_den, hi_num, hi_den = tail
+    v, w, den = _prefix_ints(system, prefix_digits)
+    lo_num, lo_den, hi_num, hi_den = position_table(system).tail(len(prefix_digits))
     return Interval(Fraction(v * lo_den + w * lo_num, den * lo_den),
                     Fraction(v * hi_den + w * hi_num, den * hi_den))
 
@@ -332,7 +395,8 @@ def dual_representation(num) -> Optional[DualInfo]:
     digits = _digits(num, 1, size)
     members = system.signs.membership.items(1, size)
     # the tail digits of the most negative and most positive continuations
-    beta, gamma = _extreme_digits(_max_digits(system, 1, size), members)
+    data = (system.base if isinstance(system, CantorSystem) else system.columns).items(1, size)
+    beta, gamma = _extreme_digits(system, data, members)
     for side, tail, other in (("beta", beta, gamma), ("gamma", gamma, beta)):
         if digits[pre:] != tail[pre:]:
             continue

@@ -239,9 +239,10 @@ def normalize_stream(system, prefix, tail):
     prefix, cyc = _slice(prefix, cycle, 1, start), _slice(prefix, cycle, start + 1, period)
     if cyc != _max_digits(system, start + 1, period):
         return DigitStream(tuple(prefix), cycle_tail(cyc))
-    while prefix and prefix[-1] == system.max_digit(len(prefix)):
-        prefix.pop()
-    return DigitStream(tuple(prefix), TAIL_MAX)
+    tops = _max_digits(system, 1, start)
+    while start and prefix[start - 1] == tops[start - 1]:
+        start -= 1
+    return DigitStream(tuple(prefix[:start]), TAIL_MAX)
 
 
 def make_stream(system, fn, preperiod, period):

@@ -11,15 +11,14 @@ of its denominators, and the caller makes the single reduction to a
 whose cost is quadratic in the run's length; longer runs are
 binary-split into halves joined by `_compose`, the one composition
 formula.  `_periodic_sum` applies the explicit part's map to the fixed
-point of the period's map.  `_suffix_values` folds the same arrays into
-the value after every position, reduced at each step.  The public
-`geometric_block_sum` and `periodic_tail_sum` work on `Fraction`s and
-are the tests' independent reference.  `_Value` is the base of the
-immutable value types.
+point of the period's map; the position table sums only its interval at
+position 0 with it.  The public `geometric_block_sum` and
+`periodic_tail_sum` work on `Fraction`s and are the tests' independent
+reference.  `_Value` is the base of the immutable value types.
 """
 
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 from operator import attrgetter
 
 from .errors import DivergentSeriesError
@@ -242,20 +241,3 @@ def _periodic_sum(t, w, c, s, split):
     num, _, den = _compose(_affine(t, w, c, s, 0, split), (pa, 0, pd - pb if pa else 1))
     return num, den
 
-
-def _suffix_values(t, w, c, s, split):
-    """Reduced (num, den) of the sum from each position k = 0..n on, for
-    the series of `_periodic_sum`: positions [0, split) explicit and
-    [split, n) one full period that repeats forever, so entry n equals
-    entry split.  Each step reduces by a gcd: the unreduced fold grows by
-    every denominator it passes, and a decode that compares against these
-    bounds was measured 4x slower without the reduction."""
-    num, den = _periodic_sum(t[split:], w[split:], c[split:], s[split:], 0)
-    g = gcd(num, den)
-    values = [(num // g, den // g)]
-    for k in range(len(t) - 1, -1, -1):
-        num, den = values[-1]
-        num, den = s[k] * t[k] * den + w[k] * num, c[k] * den
-        g = gcd(num, den)
-        values.append((num // g, den // g))
-    return values[::-1]

@@ -359,7 +359,10 @@ def _max_digits(system, first, count):
 def _sign_variable_columns(system):
     """True for a column system with a member sign position.  Its digit
     weights differ within a column, so its cylinders may overlap or leave
-    gaps, and the greedy extreme streams need not be its inf and sup."""
+    gaps, and its extreme digits depend on the tails after them: the
+    greedy streams (max digit at member positions, 0 elsewhere) need not
+    be its inf and sup, and `decoding._extreme_digits` finds them by policy
+    iteration."""
     return isinstance(system, QTildeSystem) and system.signs.has_members()
 
 
@@ -390,11 +393,10 @@ def _position_arrays(system, digits, first=1):
 
 @lru_cache(maxsize=4096)
 def base_interval(system):
-    """Exact values of the two extreme digit streams of
-    `decoding._extreme_digits` (the max digit at member positions and 0
-    elsewhere, and the mirror image), read from the position table.  They
-    are the infimum and supremum on Cantor and positive column systems; the
-    exact hull of sign-variable column systems will change that one rule."""
+    """The exact hull [inf, sup] of the values of the system's numbers: the
+    values of the two extreme digit streams of `decoding._extreme_digits`,
+    the position table's interval at position 0, which rolls no later
+    interval."""
     from .decoding import position_table
 
     return position_table(system).interval(0)

@@ -11,6 +11,7 @@ import pytest
 import cantorshift
 
 from cantorshift import (
+    CantorSystem,
     DigitStream,
     EventuallyPeriodicSeq,
     OutOfIntervalError,
@@ -27,7 +28,7 @@ from cantorshift import (
     verify,
 )
 from cantorshift.cli import run
-from cantorshift.documents import parse_number
+from cantorshift.documents import doc_to_system, parse_number
 from cantorshift.numbers import normalize_stream
 from cantorshift.rationals import MAX_PRECISION, decimal_str, rational_str
 from cantorshift.sampling import (
@@ -184,6 +185,33 @@ class TestDecode:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestDeepDocument:
+    """A signed Cantor system with a 4096-base cycle, the longest the
+    document bounds allow: `decode` and `cylinder` roll the residual
+    interval only as far as they read it, one position past tail(0)."""
+
+    def test_decode_and_cylinder_roll_one_position(self, paths, capsys):
+        rng = random.Random(4096)
+        _, write = paths
+        doc = {"kind": "cantor",
+               "base": {"prefix": [], "cycle": [rng.randrange(1000, 2000) for _ in range(4096)]},
+               "signs": "odd"}
+        path = write("deep.json", doc)
+        system = doc_to_system(doc)
+        for argv, code, err in (
+                (["decode", path, "0", "--depth", "1"], 1,
+                 "error: no exact tail found within depth 1 for value 0/1\n"),
+                (["cylinder", path, "0"], 0, "")):
+            decoding.position_table.cache_clear()
+            assert run(argv) == code
+            captured = capsys.readouterr()
+            assert captured.err == err
+            # the command's table, from the cache: tail(0) and tail(1)
+            assert len(decoding.position_table(system)._tails) <= 2
+        lo, hi, width = captured.out.splitlines()
+        assert lo.startswith("lo: -") and hi.startswith("hi: ") and width.startswith("width: ")
+
+
 class TestOperators:
     def test_gshift_reports_both_values(self, paths, capsys):
         _, write = paths
@@ -205,6 +233,22 @@ class TestOperators:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["surgery_value"]) > 10000
         assert doc["surgery_value"] == doc["closed_form_value"]
+
+    def test_gshift_of_a_max_tail_reads_max_digits_in_bulk(self, paths, capsys, monkeypatch):
+        # the image's prefix holds the 65,535 digits below m, and the max
+        # digits its max tail repeats are trimmed off one slice of the
+        # system's max digits, not looked up one position at a time
+        _, write = paths
+        system = cantor((3, 5), (4, 7), SignPattern.explicit([True], [False, True]))
+        path = write("n.json", _number_doc(system, (1, 2, 0), {"type": "max"}))
+        calls = []
+        max_digit = CantorSystem.max_digit
+        monkeypatch.setattr(CantorSystem, "max_digit",
+                            lambda self, n: calls.append(n) or max_digit(self, n))
+        assert run(["gshift", path, "-m", str(cli.MAX_GSHIFT_M)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["surgery_value"] == doc["closed_form_value"]
+        assert len(calls) < 10
 
     def test_shift_and_itershift(self, paths, capsys):
         _, write = paths

@@ -28,6 +28,7 @@ from cantorshift import (
     evaluate,
     is_quasi_rational,
     normalize_stream,
+    partial_digits,
     quasi_partner,
     same_number,
 )
@@ -437,6 +438,42 @@ class TestCylinder:
             assert cylinder(system, digits).width == expected
 
 
+class TestLazyTails:
+    """A reader rolls the residual intervals only as deep as it reads them:
+    a table holds tail(0) and each interval rolled since."""
+
+    MAKERS = [lambda rng: rand_cantor_system(rng, signs="any"),
+              lambda rng: rand_qtilde_system(rng, signs="none"),
+              *(lambda rng, f=f: rand_segment_system(rng, f) for f in range(4))]
+
+    def test_cylinder_and_partial_digits_roll_to_their_length(self):
+        rng = random.Random(59)
+        for case in range(120):
+            system = self.MAKERS[case % len(self.MAKERS)](rng)
+            k = rng.randrange(0, 9)
+            digits = [rng.randrange(0, system.max_digit(n) + 1) for n in range(1, k + 1)]
+            position_table.cache_clear()
+            cylinder(system, digits)
+            assert len(position_table(system)._tails) <= k + 1
+            interval = base_interval(system)
+            y = interval.lo + interval.width * Fraction(rng.randrange(0, 241), 240)
+            position_table.cache_clear()
+            try:
+                partial_digits(system, y, k)
+            except OutOfIntervalError:  # a sign-variable column system's gap
+                pass
+            assert len(position_table(system)._tails) <= k + 1
+
+    def test_base_interval_rolls_none(self):
+        rng = random.Random(61)
+        for case in range(60):
+            system = self.MAKERS[case % len(self.MAKERS)](rng)
+            position_table.cache_clear()
+            base_interval.cache_clear()
+            base_interval(system)
+            assert len(position_table(system)._tails) == 1
+
+
 class TestPrefixValue:
     """_prefix_ints and _stream_prefix against a plain-Fraction loop over
     the digits."""
@@ -728,3 +765,25 @@ class TestNormalizeStream:
             outcomes.add(same)
             assert (forms[0] == forms[1]) == same
         assert kinds == {"zeros", "max", "cycle"} and outcomes == {True, False}
+
+    def test_max_tail_trim_equals_the_digit_by_digit_loop(self):
+        # The prefix digits that a max tail repeats are trimmed off one slice
+        # of max digits; the loop below pops them one lookup at a time.
+        def popped(system, prefix):
+            prefix = list(prefix)
+            while prefix and prefix[-1] == system.max_digit(len(prefix)):
+                prefix.pop()
+            return tuple(prefix)
+
+        rng = random.Random(71)
+        trimmed = 0
+        for case in range(600):
+            system = self.MAKERS[case % len(self.MAKERS)](rng)
+            x = rand_stream(rng, system, max_prefix=6, tail_kinds=("max",))
+            prefix = list(x.prefix)
+            prefix += [system.max_digit(n) for n in range(len(prefix) + 1,
+                                                          len(prefix) + rng.randrange(0, 4) + 1)]
+            expected = popped(system, prefix)
+            trimmed += len(expected) < len(prefix)
+            assert normalize_stream(system, prefix, TAIL_MAX) == DigitStream(expected, TAIL_MAX)
+        assert trimmed > 200

@@ -24,4 +24,4 @@ def test_library_example():
             checked += 1
         else:
             exec(code, namespace)
-    assert checked == 3
+    assert checked == 4

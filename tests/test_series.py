@@ -10,7 +10,7 @@ from cantorshift import (
     geometric_block_sum,
     periodic_tail_sum,
 )
-from cantorshift.series import _LEAF, _affine, _compose, _periodic_sum, _suffix_values
+from cantorshift.series import _LEAF, _affine, _compose, _periodic_sum
 
 
 class TestTermAt:
@@ -391,38 +391,3 @@ class TestFold:
             self._check(t, w, c, s, 0, n)
             self._check(t, w, c, s, k, n)
 
-
-def _suffix_reference(t, w, c, s, split, k):
-    """The sum from position k on of the series whose positions [split, n)
-    repeat forever, term by term with Fractions: the explicit positions
-    before split, then periodic_tail_sum over the repeating part."""
-    n = len(t)
-
-    def at(j):  # array index of 0-based position j of the unrolled series
-        return j if j < n else split + (j - split) % (n - split)
-
-    def term(j):  # 1-based position j, scaled by the weights from k on
-        lead = Fraction(1)
-        for i in range(k, j - 1):
-            lead *= Fraction(w[at(i)], c[at(i)])
-        return s[at(j - 1)] * Fraction(t[at(j - 1)], c[at(j - 1)]) * lead
-
-    start = max(k, split)
-    head = sum((term(j) for j in range(k + 1, start + 1)), Fraction(0))
-    return head + periodic_tail_sum(term, start + 1, n - split)
-
-
-class TestSuffixValues:
-    """The reduced value after every position, against periodic_tail_sum."""
-
-    def test_matches_periodic_tail_sum(self):
-        rng = random.Random(29)
-        for _ in range(150):
-            n = rng.randrange(1, 9)
-            t, w, c, s = _random_int_workload(rng, n)
-            split = rng.randrange(0, n)
-            values = _suffix_values(t, w, c, s, split)
-            assert len(values) == n + 1 and values[n] == values[split]
-            for k, (num, den) in enumerate(values):
-                assert den > 0 and math.gcd(num, den) == 1
-                assert Fraction(num, den) == _suffix_reference(t, w, c, s, split, k)
