@@ -5,7 +5,9 @@ graph, partner, verify.  Exit codes: 0 success, 1 validation or domain
 error (one machine-parsable "error: ..." line on stderr), 2 property
 suite failure (the minimized failing case as JSON on stdout).  Every JSON
 document is printed by `writers.dump_json`, as `json.dumps(doc,
-indent=2)` would print it.
+indent=2)` would print it.  `segments` and `graph` hand their integer
+rows to `writers.segments_tsv` and `writers.graph_tsv`, which print them
+line by line with no per-cell `Fraction` or tuple.
 
 Each command is a process, and the package may be compiled from source on
 every start, so a process loads a module only when its command uses it.
@@ -186,9 +188,7 @@ def _cmd_segments(args):
 
     system = _load_system(args.system)
     rows, d_lo, d_hi = analysis._segment_ints(system, args.m, _variant(args.variant))
-    cells = [((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td)) for lo, hi, sn, sd, tn, td in rows]
-    sys.stdout.write(writers.emit_tsv(("lo", "hi", "slope", "intercept"),
-                                      cells, args.precision))
+    sys.stdout.write(writers.segments_tsv(rows, d_lo, d_hi, args.precision))
     return 0
 
 
@@ -197,8 +197,7 @@ def _cmd_graph(args):
 
     system = _load_system(args.system)
     points, x_den = analysis._graph_ints(system, args.m, args.samples, _variant(args.variant))
-    cells = [((x, x_den), (y, y_den)) for x, y, y_den in points]
-    sys.stdout.write(writers.emit_tsv(("x", "y"), cells, args.precision))
+    sys.stdout.write(writers.graph_tsv(points, x_den, args.precision))
     return 0
 
 

@@ -132,6 +132,19 @@ def _parse_column(obj, path, literals=None, columns=None):
     return column
 
 
+def _parse_columns(objs, path, literals, columns):
+    """The tuple of columns of the JSON arrays `objs`, the entries at
+    path[0], path[1], ...  A column's path is built only to name an
+    error: on one, the columns are parsed again, each with its path, up
+    to the first bad one."""
+    try:
+        return tuple([_parse_column(c, path, literals, columns) for c in objs])
+    except DocumentError:
+        for i, c in enumerate(objs):
+            _parse_column(c, f"{path}[{i}]")
+        raise
+
+
 def doc_to_system(obj, path="$"):
     kind = _get(obj, "kind", path)
     signs = _parse_signs(_get(obj, "signs", path), f"{path}.signs")
@@ -152,10 +165,8 @@ def doc_to_system(obj, path="$"):
         columns = {}
         system = QTildeSystem(
             EventuallyPeriodicSeq(
-                tuple(_parse_column(c, f"{path}.columns.prefix[{i}]", literals, columns)
-                      for i, c in enumerate(prefix)),
-                tuple(_parse_column(c, f"{path}.columns.cycle[{i}]", literals, columns)
-                      for i, c in enumerate(cycle)),
+                _parse_columns(prefix, f"{path}.columns.prefix", literals, columns),
+                _parse_columns(cycle, f"{path}.columns.cycle", literals, columns),
             ),
             signs,
         )

@@ -134,17 +134,17 @@ def _pair_str(num, den):
 def _pair_decimal(num, den, precision, scale, fixed):
     """`decimal_str` of the integer pair num/den, den > 0 and not
     necessarily reduced, with scale = 10**precision computed by the
-    caller, so that a table computes it once."""
+    caller, so that a table computes it once.  |num/den| * scale rounded
+    half away from zero is floor(|num|*scale/den + 1/2), one floor
+    division; a result of one piece is rendered by one str()."""
     neg = num < 0
-    scaled, rem = divmod(abs(num) * scale, den)
-    if 2 * rem >= den:
-        scaled += 1
+    scaled = (2 * (-num if neg else num) * scale + den) // (2 * den)
     digits = str(scaled) if scaled < _PIECE_BOUND else _int_str(scaled)
-    digits = digits.rjust(precision + 1, "0")
-    whole, frac = digits[: len(digits) - precision], digits[len(digits) - precision:]
-    if not fixed:
-        frac = frac.rstrip("0")
-    text = whole if not frac else f"{whole}.{frac}"
-    if neg and scaled != 0:
-        text = "-" + text
-    return text
+    if precision:
+        if len(digits) <= precision:
+            digits = digits.zfill(precision + 1)
+        whole, frac = digits[:-precision], digits[-precision:]
+        if not fixed:
+            frac = frac.rstrip("0")
+        digits = f"{whole}.{frac}" if frac else whole
+    return "-" + digits if neg and scaled else digits

@@ -1,5 +1,6 @@
 """Writing: JSON documents of systems and numbers, the one JSON printer
-(`dump_json`), and TSV tables.
+(`dump_json`), and the TSV tables of `segments` and `graph`, written
+straight from their integer rows (`segments_tsv`, `graph_tsv`).
 
 Rationals are written as "p/q" strings in lowest terms, the form the
 parser in `documents` reads back.  The module is apart from `documents`
@@ -15,7 +16,7 @@ from .documents import _NAMED_SIGNS
 from .rationals import _pair_decimal, _pair_str
 from .systems import CantorSystem
 
-__all__ = ["system_to_doc", "number_to_doc", "emit_tsv", "dump_json"]
+__all__ = ["system_to_doc", "number_to_doc", "segments_tsv", "graph_tsv", "dump_json"]
 
 
 def _signs_to_doc(signs):
@@ -78,37 +79,74 @@ def number_to_doc(num):
     }
 
 
-def emit_tsv(header, rows, precision=12):
-    """Tab-separated text: every column appears twice, once as "p/q" in
-    lowest terms and once as a decimal approximation padded to exactly
-    `precision` fraction digits.  Each cell is an integer pair (num, den)
-    tuple with den > 0, not necessarily reduced.  Each distinct cell is
-    reduced and rendered once per table, and its two strings are reused
-    in later rows: a tiling table repeats every inner endpoint, and a
-    slope column holds one value per digit.  10**precision is computed
-    once per table."""
+def _render_pair(num, den, precision, scale):
+    """The two TSV strings of the integer pair num/den, den > 0 and not
+    necessarily reduced: "p/q" in lowest terms and the decimal padded to
+    exactly `precision` fraction digits, with scale = 10**precision."""
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return _pair_str(num, den), _pair_decimal(num, den, precision, scale, True)
+
+
+def segments_tsv(rows, d_lo, d_hi, precision=12):
+    """The TSV of a segment table: the integer rows (lo, hi, sn, sd, tn,
+    td) of `analysis._segment_ints` are the cells lo/d_lo, hi/d_hi, sn/sd
+    and tn/td.  Every column appears twice, once as "p/q" in lowest terms
+    and once as a decimal padded to exactly `precision` fraction digits.
+    Each distinct cell is rendered once per table and reused in later rows:
+    a tiling table repeats every inner endpoint, and the slope column holds
+    one value per digit.  The ends are looked up by numerator (one memo
+    serves both when d_lo == d_hi), slopes and intercepts by pair."""
     if precision < 0:
         raise ValueError("precision must be >= 0")
     scale = 10**precision
-    names = list(header) + [f"{h}_dec" for h in header]
-    lines = ["\t".join(names)]
-    rendered = {}  # cell -> ("p/q", fixed decimal)
-    for row in rows:
-        exact = []
-        approx = []
-        for cell in row:
-            strs = rendered.get(cell)
-            if strs is None:
-                num, den = cell
-                g = gcd(num, den)
-                num //= g
-                den //= g
-                strs = rendered[cell] = (_pair_str(num, den),
-                                         _pair_decimal(num, den, precision, scale, True))
-            exact.append(strs[0])
-            approx.append(strs[1])
-        lines.append("\t".join(exact + approx))
-    return "\n".join(lines) + "\n"
+    render = _render_pair
+    los = {}
+    his = los if d_hi == d_lo else {}
+    maps = {}
+    lines = ["lo\thi\tslope\tintercept\tlo_dec\thi_dec\tslope_dec\tintercept_dec"]
+    for lo, hi, sn, sd, tn, td in rows:
+        a = los.get(lo)
+        if a is None:
+            a = los[lo] = render(lo, d_lo, precision, scale)
+        b = his.get(hi)
+        if b is None:
+            b = his[hi] = render(hi, d_hi, precision, scale)
+        s = maps.get((sn, sd))
+        if s is None:
+            s = maps[sn, sd] = render(sn, sd, precision, scale)
+        t = maps.get((tn, td))
+        if t is None:
+            t = maps[tn, td] = render(tn, td, precision, scale)
+        lines.append(f"{a[0]}\t{b[0]}\t{s[0]}\t{t[0]}\t{a[1]}\t{b[1]}\t{s[1]}\t{t[1]}")
+    lines.append("")
+    return "\n".join(lines)
+
+
+def graph_tsv(points, x_den, precision=12):
+    """The TSV of graph samples: the integer points (x, y, y_den) of
+    `analysis._graph_ints` are the cells x/x_den and y/y_den, each written
+    as "p/q" and as a padded decimal, as in `segments_tsv`.  Each distinct
+    image is rendered once per table, looked up by pair: cylinders that
+    differ only in the deleted digit share their images.  The sample
+    points are distinct where cylinders tile, so each x is rendered as it
+    comes."""
+    if precision < 0:
+        raise ValueError("precision must be >= 0")
+    scale = 10**precision
+    render = _render_pair
+    ys = {}
+    lines = ["x\ty\tx_dec\ty_dec"]
+    for x, y, y_den in points:
+        a = render(x, x_den, precision, scale)
+        b = ys.get((y, y_den))
+        if b is None:
+            b = ys[y, y_den] = render(y, y_den, precision, scale)
+        lines.append(f"{a[0]}\t{b[0]}\t{a[1]}\t{b[1]}")
+    lines.append("")
+    return "\n".join(lines)
 
 
 # The types of the items of a list that dump_json writes in one call.

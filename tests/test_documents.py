@@ -24,8 +24,9 @@ from cantorshift import (
 )
 from cantorshift.documents import doc_to_number, doc_to_system, parse_number, parse_system
 from cantorshift.rationals import MAX_PRECISION, decimal_str, parse_rational, rational_str
-from cantorshift.sampling import rand_cantor_system, rand_number, rand_qtilde_system
-from cantorshift.writers import dump_json, emit_tsv, number_to_doc, system_to_doc
+from cantorshift.sampling import (rand_cantor_system, rand_number, rand_qtilde_system,
+                                  rand_segment_system)
+from cantorshift.writers import dump_json, graph_tsv, number_to_doc, segments_tsv, system_to_doc
 from helpers import DEC, NEG, QT, cantor, mk, parse_long_int
 
 
@@ -340,6 +341,33 @@ class TestDocumentMemos:
         assert str(exc.value) == (f"bad rational literal '3/-4' at $.columns.{region}[{index}][1]: "
                                   "denominator must be positive")
 
+    def test_bad_entry_in_the_last_of_800_columns(self):
+        # A column's path is built only on an error, and still names it.
+        rng = random.Random(163)
+        prefix = [rng.choice((["1/4", "3/4"], ["1/6", "1/3", "1/2"])) for _ in range(800)]
+        for j in range(len(prefix[799])):
+            columns = [list(c) for c in prefix]
+            columns[799][j] = "1/-3"
+            with pytest.raises(DocumentError) as exc:
+                doc_to_system(_column_doc(columns, [["1/2", "1/2"]]))
+            assert str(exc.value) == (f"bad rational literal '1/-3' at "
+                                      f"$.columns.prefix[799][{j}]: denominator must be positive")
+
+    @pytest.mark.parametrize("region, bad, message", [
+        ("cycle", "1/2", "expected an array at $.columns.cycle[0]"),
+        ("cycle", [], "column must be nonempty at $.columns.cycle[0]"),
+        ("cycle", ["1/2", "x"], "bad rational literal 'x' at $.columns.cycle[0][1]"),
+        ("prefix", {}, "expected an array at $.columns.prefix[799]"),
+        ("prefix", [], "column must be nonempty at $.columns.prefix[799]"),
+    ])
+    def test_bad_column_named_by_its_path(self, region, bad, message):
+        columns = {"prefix": [["1/4", "3/4"]] * 799 + [["1/2", "1/2"]],
+                   "cycle": [["1/2", "1/2"], ["1/3", "2/3"]]}
+        columns[region][-1 if region == "prefix" else 0] = bad
+        with pytest.raises(DocumentError) as exc:
+            doc_to_system(_column_doc(columns["prefix"], columns["cycle"]))
+        assert str(exc.value) == message
+
     def test_each_distinct_literal_parsed_and_column_built_once(self, monkeypatch):
         rng = random.Random(151)
         distinct = [["1/4", "3/4"], ["1/6", "1/3", "1/2"], ["2/8", "6/8"], ["1/2", " 1/2 "],
@@ -360,25 +388,58 @@ class TestDocumentMemos:
         assert system == doc_to_system(_column_doc(prefix, cycle))
 
 
+_SEGMENT_HEADER = ("lo", "hi", "slope", "intercept")
+_GRAPH_HEADER = ("x", "y")
+
+
+def _reference_table(header, rows, precision):
+    """The TSV of rows of Fractions, each cell by `_reference_cells`."""
+    lines = ["\t".join(header + tuple(f"{h}_dec" for h in header))]
+    for row in rows:
+        cells = [_reference_cells(x, precision) for x in row]
+        lines.append("\t".join([exact for exact, _ in cells] + [approx for _, approx in cells]))
+    return "\n".join(lines) + "\n"
+
+
+def _segment_fractions(rows, d_lo, d_hi):
+    return [(Fraction(lo, d_lo), Fraction(hi, d_hi), Fraction(sn, sd), Fraction(tn, td))
+            for lo, hi, sn, sd, tn, td in rows]
+
+
+def _graph_fractions(points, x_den):
+    return [(Fraction(x, x_den), Fraction(y, y_den)) for x, y, y_den in points]
+
+
 class TestEmitTsv:
+    """`segments_tsv` and `graph_tsv` write a table's integer rows as one
+    line each: every column as "p/q" in lowest terms, then every column as
+    a decimal padded to exactly `precision` fraction digits."""
+
     def test_header_and_dual_columns(self):
-        text = emit_tsv(("lo", "hi"), [((1, 4), (1, 2))], precision=3)
-        lines = text.splitlines()
-        assert lines[0].split("\t") == ["lo", "hi", "lo_dec", "hi_dec"]
-        assert lines[1].split("\t") == ["1/4", "1/2", "0.250", "0.500"]
+        lines = segments_tsv([(1, 2, 1, 4, 0, 1)], 4, 4, precision=3).splitlines()
+        assert lines[0].split("\t") == ["lo", "hi", "slope", "intercept",
+                                        "lo_dec", "hi_dec", "slope_dec", "intercept_dec"]
+        assert lines[1].split("\t") == ["1/4", "1/2", "1/4", "0/1",
+                                        "0.250", "0.500", "0.250", "0.000"]
+        assert graph_tsv([(1, 1, 2)], 4, precision=3).splitlines() == [
+            "x\ty\tx_dec\ty_dec", "1/4\t1/2\t0.250\t0.500"]
 
     def test_int_and_fraction_cells(self):
-        text = emit_tsv(("x", "y"), [((3, 1), (-1, 3)), ((6, 4), (0, 1))], precision=2)
+        text = graph_tsv([(12, -1, 3), (6, 0, 1)], 4, precision=2)
         assert text.splitlines()[1:] == ["3/1\t-1/3\t3.00\t-0.33", "3/2\t0/1\t1.50\t0.00"]
+        text = segments_tsv([(12, 6, -1, 3, 0, 5)], 4, 4, precision=2)
+        assert text.splitlines()[1] == "3/1\t3/2\t-1/3\t0/1\t3.00\t1.50\t-0.33\t0.00"
 
     def test_empty_rows_keep_header(self):
-        text = emit_tsv(("x", "y"), [])
-        assert text == "x\ty\tx_dec\ty_dec\n"
+        assert graph_tsv([], 1) == "x\ty\tx_dec\ty_dec\n"
+        assert segments_tsv([], 1, 3) == (
+            "lo\thi\tslope\tintercept\tlo_dec\thi_dec\tslope_dec\tintercept_dec\n")
 
     def test_repeated_cells_match_per_cell_rendering(self):
         # Each table draws its cells from a few values, each written as a
         # random multiple, so cells repeat and a value comes both unreduced
-        # and reduced ((2, 8) and (1, 4)).
+        # and reduced ((2, 8) and (1, 4)); the ends share one or two
+        # denominators.
         rng = random.Random(157)
         cells = repeated = 0
         for t in range(300):
@@ -388,18 +449,25 @@ class TestEmitTsv:
             values += [(0, 1), (1, tiny), (-1, tiny)]
             if t == 0:
                 values.append((-(7**6000), 3))  # 5071 digits
-            width = rng.randrange(1, 5)
-            rows = [tuple((k * n, k * d) for n, d in rng.choices(values, k=width)
-                          for k in [rng.choice((1, 1, 2, 4))])
-                    for _ in range(rng.randrange(0, 12))]
-            header = tuple(f"c{i}" for i in range(width))
-            expected = ["\t".join(header + tuple(f"{h}_dec" for h in header))]
-            for row in rows:
-                xs = [Fraction(n, d) for n, d in row]
-                expected.append("\t".join([rational_str(x) for x in xs]
-                                          + [decimal_str(x, precision, fixed=True) for x in xs]))
-            assert emit_tsv(header, rows, precision) == "\n".join(expected) + "\n"
-            flat = [cell for row in rows for cell in row]
+
+            def pair():
+                (n, d), k = rng.choice(values), rng.choice((1, 1, 2, 4))
+                return k * n, k * d
+
+            d_lo = rng.choice((1, 3, 8, tiny))
+            d_hi = d_lo if rng.random() < 0.5 else rng.choice((2, 3, tiny))
+            ends = [rng.randrange(-2 * tiny, 2 * tiny) for _ in range(3)] + [0, 1, -1]
+            count = rng.randrange(0, 12)
+            rows = [(rng.choice(ends), rng.choice(ends), *pair(), *pair()) for _ in range(count)]
+            x_den = rng.choice((1, 6, tiny))
+            points = [(rng.choice(ends), *pair()) for _ in range(count)]
+            assert segments_tsv(rows, d_lo, d_hi, precision) == _reference_table(
+                _SEGMENT_HEADER, _segment_fractions(rows, d_lo, d_hi), precision)
+            assert graph_tsv(points, x_den, precision) == _reference_table(
+                _GRAPH_HEADER, _graph_fractions(points, x_den), precision)
+            flat = [cell for lo, hi, sn, sd, tn, td in rows
+                    for cell in ((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td))]
+            flat += [cell for x, y, y_den in points for cell in ((x, x_den), (y, y_den))]
             cells += len(flat)
             repeated += len(flat) - len(set(flat))
         assert repeated > cells // 3
@@ -408,19 +476,16 @@ class TestEmitTsv:
         # On a tiling table one row's hi is the next row's lo, and the slope
         # column holds one value per digit: 1795 distinct cells of 4096.
         rows, d_lo, d_hi = analysis._segment_ints(cantor((), (4,)), 5)
-        cells = [((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td)) for lo, hi, sn, sd, tn, td in rows]
-        distinct = {cell for row in cells for cell in row}
-        assert len(cells) == 1024 and len(distinct) == 1795
+        distinct = {cell for lo, hi, sn, sd, tn, td in rows
+                    for cell in ((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td))}
+        assert len(rows) == 1024 and len(distinct) == 1795
         rendered = []
-        pair_decimal = writers._pair_decimal
-        monkeypatch.setattr(writers, "_pair_decimal",
-                            lambda *args: rendered.append(args) or pair_decimal(*args))
-        text = emit_tsv(("lo", "hi", "slope", "intercept"), cells, 12)
-        assert len(rendered) == len(distinct)
-        assert text.splitlines()[1:] == [
-            "\t".join([rational_str(Fraction(*c)) for c in row]
-                      + [decimal_str(Fraction(*c), 12, fixed=True) for c in row])
-            for row in cells]
+        render = writers._render_pair
+        monkeypatch.setattr(writers, "_render_pair",
+                            lambda *args: rendered.append(args[:2]) or render(*args))
+        text = segments_tsv(rows, d_lo, d_hi, 12)
+        assert sorted(rendered) == sorted(distinct)
+        assert text == _reference_table(_SEGMENT_HEADER, _segment_fractions(rows, d_lo, d_hi), 12)
 
 
 def _long_str(n):
@@ -447,15 +512,23 @@ def _reference_cells(x, precision):
 
 
 class TestPairRenderer:
-    """emit_tsv renders integer pairs; rational_str and decimal_str render
-    Fractions through the same routines.  Both must equal the plain-Fraction
-    reference, whatever common factor the pair carries."""
+    """The table writers render integer pairs through `_render_pair`;
+    rational_str and decimal_str render Fractions through the same
+    routines.  All must equal the plain-Fraction reference, whatever common
+    factor the pair carries."""
 
     @staticmethod
     def _check(num, den, precision):
         x = Fraction(num, den)
         exact, approx = _reference_cells(x, precision)
-        assert emit_tsv(("v",), [((num, den),)], precision) == f"v\tv_dec\n{exact}\t{approx}\n"
+        assert writers._render_pair(num, den, precision, 10**precision) == (exact, approx)
+        # the ends over one denominator share a memo, over two they do not
+        for row, d_hi in (((num, num, num, den, num, den), den),
+                          ((num, 2 * num, 2 * num, 2 * den, num, den), 2 * den)):
+            assert segments_tsv([row], den, d_hi, precision).splitlines()[1] == "\t".join(
+                [exact] * 4 + [approx] * 4)
+        assert graph_tsv([(num, num, den)], den, precision).splitlines()[1] == (
+            f"{exact}\t{exact}\t{approx}\t{approx}")
         assert rational_str(x) == exact
         assert decimal_str(x, precision, fixed=True) == approx
 
@@ -473,10 +546,10 @@ class TestPairRenderer:
                 for sign in (1, -1):
                     for k in (1, 3):
                         self._check(k * sign * (2 * a + 1), k * 2 * 10**precision, precision)
-        text = emit_tsv(("x", "y"), [((1, 8), (-3, 24)), ((-5, 2), (10, 4))], precision=2)
+        text = graph_tsv([(1, -3, 24), (-20, 10, 4)], 8, precision=2)
         assert text.splitlines()[1:] == ["1/8\t-1/8\t0.13\t-0.13",
                                          "-5/2\t5/2\t-2.50\t2.50"]
-        text = emit_tsv(("x", "y"), [((1, 2), (-3, 2))], precision=0)
+        text = graph_tsv([(1, -3, 2)], 2, precision=0)
         assert text.splitlines()[1] == "1/2\t-3/2\t1\t-2"
 
     @pytest.mark.parametrize("precision", [0, 16, MAX_PRECISION])
@@ -515,13 +588,98 @@ class TestPairRenderer:
                 assert rationals._pair_decimal(num, den, precision, scale, True) == approx
                 assert decimal_str(x, precision, fixed=True) == approx
                 assert decimal_str(x, precision) == _trimmed(approx)
-                assert emit_tsv(("v",), [((num, den),)], precision) == (
-                    f"v\tv_dec\n{exact}\t{approx}\n")
+                assert writers._render_pair(num, den, precision, scale) == (exact, approx)
+                assert graph_tsv([(num, num, den)], den, precision).splitlines()[1] == (
+                    f"{exact}\t{exact}\t{approx}\t{approx}")
 
 
 def _trimmed(fixed):
     """A fixed decimal with its trailing fraction zeros and point dropped."""
     return fixed.rstrip("0").rstrip(".") if "." in fixed else fixed
+
+
+# Values past str()'s one-piece bound: one piece, the bound itself, 761
+# digits, and past the 4300-digit limit.
+_BIG = (2**1993 - 1, 2**1993, 7**900, 7**6000)
+
+
+def _rand_cell(rng, den, scale):
+    """A numerator over `den`: a small value, a value of many pieces, or,
+    where den > 2*scale, a negative value that rounds to zero."""
+    kind = rng.randrange(3)
+    if kind == 2 and den > 2 * scale:
+        return -rng.randrange(1, (den - 1) // (2 * scale) + 1)
+    if kind == 1:
+        return rng.choice((1, -1)) * rng.choice(_BIG)
+    return rng.randrange(-3 * den, 3 * den + 1)
+
+
+class TestTableWriters:
+    """`segments_tsv` and `graph_tsv` against the plain-Fraction route of
+    `_reference_cells`, on random integer rows and on seeded tables."""
+
+    def test_random_rows_match_the_fraction_route(self):
+        rng = random.Random(193)
+        for t in range(48):
+            precision = (0, 1, 12, 40)[t % 4]
+            scale = 10**precision
+
+            def den():
+                return rng.choice((1, rng.randrange(2, 50), scale * rng.randrange(3, 9), 3**401,
+                                   2**1993 + 1))
+
+            def pair():
+                d = den()
+                return _rand_cell(rng, d, scale), d
+
+            d_lo = den()
+            d_hi = d_lo if t % 3 else den()
+            # a few values per column, so that cells repeat
+            los = [_rand_cell(rng, d_lo, scale) for _ in range(3)]
+            his = [_rand_cell(rng, d_hi, scale) for _ in range(3)]
+            maps = [pair() for _ in range(4)]
+            rows = [(rng.choice(los), rng.choice(his), *rng.choice(maps), *rng.choice(maps))
+                    for _ in range(rng.randrange(1, 8))]
+            assert segments_tsv(rows, d_lo, d_hi, precision) == _reference_table(
+                _SEGMENT_HEADER, _segment_fractions(rows, d_lo, d_hi), precision)
+            points = [(_rand_cell(rng, d_lo, scale), *rng.choice(maps))
+                      for _ in range(rng.randrange(1, 8))]
+            assert graph_tsv(points, d_lo, precision) == _reference_table(
+                _GRAPH_HEADER, _graph_fractions(points, d_lo), precision)
+
+    def test_tables_of_seeded_systems(self):
+        # Rank-2 tables of 200 seeded systems: 9 have ends over two
+        # denominators, and most graphs repeat an image.
+        unequal = repeated = 0
+        for t in range(200):
+            system = rand_segment_system(random.Random(t), t % 4)
+            rows, d_lo, d_hi = analysis._segment_ints(system, 2)
+            table = [(iv.lo, iv.hi, f.slope, f.intercept)
+                     for iv, f in analysis.segment_table(system, 2)]
+            points, x_den = analysis._graph_ints(system, 2, 3)
+            samples = analysis.graph_samples(system, 2, 3)
+            unequal += d_lo != d_hi
+            repeated += len({(y, y_den) for _, y, y_den in points}) < len(points)
+            for precision in (0, 40):
+                assert segments_tsv(rows, d_lo, d_hi, precision) == _reference_table(
+                    _SEGMENT_HEADER, table, precision)
+                assert graph_tsv(points, x_den, precision) == _reference_table(
+                    _GRAPH_HEADER, samples, precision)
+        assert unequal == 9 and repeated > 100
+
+    def test_graph_renders_each_distinct_image_once(self, monkeypatch):
+        # Deleting the second digit in base 4 maps the four cylinders that
+        # differ only in it onto the same images: 12 distinct of 48.
+        points, x_den = analysis._graph_ints(cantor((), (4,)), 2, 3)
+        images = {(y, y_den) for _, y, y_den in points}
+        assert len(points) == 48 and len(images) == 12
+        rendered = []
+        render = writers._render_pair
+        monkeypatch.setattr(writers, "_render_pair",
+                            lambda *args: rendered.append(args[:2]) or render(*args))
+        text = graph_tsv(points, x_den, 12)
+        assert sorted(rendered) == sorted([(x, x_den) for x, _, _ in points] + list(images))
+        assert text == _reference_table(_GRAPH_HEADER, _graph_fractions(points, x_den), 12)
 
 
 # Strings with what JSON escapes: quotes, backslashes, control and
