@@ -156,7 +156,9 @@ def _cylinder_rows(system, m, variant):
     A position has one denominator c_n for all its digits, so every rank-m
     prefix has the denominator den_m = c_1...c_m, and every cylinder ends
     in the same residual interval tail(m) = [lo/lo_den, hi/hi_den]; hence
-    d_lo = den_m*lo_den and d_hi = den_m*hi_den.  The map is
+    d_lo = den_m*lo_den and d_hi = den_m*hi_den.  A row's ends are its
+    prefix map v + w*x applied to the two ends of tail(m), with weight
+    w > 0; the table's tail(m) is ordered, so every row is.  The map is
     `_deletion_map`'s, unreduced.  The prefixes are walked one level at a
     time: a node holds the signed value v and weight product w of its
     digit prefix over den, the product of its positions' denominators, and
@@ -176,12 +178,8 @@ def _cylinder_rows(system, m, variant):
     for v, w in nodes:
         for t, wd, c in digits:
             v_m, w_m = v * c + s * t * w, w * wd
-            lo, hi = v_m * lo_den + w_m * lo_num, v_m * hi_den + w_m * hi_num
-            if lo * hi_den > hi * lo_den:
-                raise ValueError("interval endpoints out of order: "
-                                 f"{Fraction(lo, den * c * lo_den)} > "
-                                 f"{Fraction(hi, den * c * hi_den)}")
-            rows.append((lo, hi, *_deletion_map(v, w, den, t, wd, c, s, variant)))
+            rows.append((v_m * lo_den + w_m * lo_num, v_m * hi_den + w_m * hi_num,
+                         *_deletion_map(v, w, den, t, wd, c, s, variant)))
     den_m = den * digits[0][2]
     return rows, den_m * lo_den, den_m * hi_den
 

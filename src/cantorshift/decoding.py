@@ -137,8 +137,9 @@ class PositionTable:
     extreme streams of `_extreme_digits` (`lows`, `highs`).  Only the
     residual interval at position 0 is summed, by `series._periodic_sum`;
     `tail(n)` rolls it forward along the two streams,
-    x_n = (c_n*x_{n-1} - s_n*t_n)/w_n, up to n's slot, and keeps what it
-    rolled.  A column slot's decode pieces are built on first use.
+    x_n = (c_n*x_{n-1} - s_n*t_n)/w_n, up to n's slot, reduces each end and
+    keeps what it rolled.  A column slot's decode pieces are built on first
+    use.
     """
 
     __slots__ = ("prefix_len", "cycle_len", "max_digits", "signs", "bases", "columns",
@@ -185,21 +186,16 @@ class PositionTable:
 
     def tail(self, n):
         """Integer bounds (lo_num, lo_den, hi_num, hi_den) of the residual
-        interval after position n >= 0.  A Cantor digit has weight 1, so a
-        Cantor roll keeps tail(0)'s denominators and takes no gcd; a column
-        roll reduces."""
+        interval after position n >= 0, each end reduced, with positive
+        denominators."""
         k = self.slot(n) + 1 if n else 0
         tails = self._tails
         while len(tails) <= k:
             i = len(tails) - 1  # the slot rolled past
             lo_num, lo_den, hi_num, hi_den = tails[i]
-            s, lo, hi = self.signs[i], self.lows[i], self.highs[i]
-            if self.bases:
-                q = self.bases[i]
-                tails.append((q * lo_num - s * lo * lo_den, lo_den,
-                              q * hi_num - s * hi * hi_den, hi_den))
-                continue
-            (t_lo, w_lo, c), (t_hi, w_hi, _) = self.columns[i][lo], self.columns[i][hi]
+            s = self.signs[i]
+            t_lo, w_lo, c = self.digit_ints(i, self.lows[i])
+            t_hi, w_hi, _ = self.digit_ints(i, self.highs[i])
             lo_num, lo_den = c * lo_num - s * t_lo * lo_den, w_lo * lo_den
             hi_num, hi_den = c * hi_num - s * t_hi * hi_den, w_hi * hi_den
             g, h = gcd(lo_num, lo_den), gcd(hi_num, hi_den)

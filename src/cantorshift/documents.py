@@ -94,37 +94,27 @@ def _parse_signs(obj, path):
     return SignPattern.explicit(prefix, cycle)
 
 
-def _parse_column(obj, path, literals=None, columns=None):
+def _parse_column(obj, path, literals, columns):
     """The column of the JSON array `obj` at `path`.  `literals` maps each
     "p/q" string already parsed in this document to its integer pair, and
     `columns` each pair tuple already built to its column, so that a
     document parses each distinct literal and builds each distinct column
     once.  Only string literals are remembered: a JSON number or boolean
     is parsed at every occurrence, so `true` is refused even where `1` was
-    accepted."""
+    accepted.  An error names `path` only: `_parse_columns` names the
+    column and the entry."""
     items = _expect_list(obj, path)
     if not items:
         raise DocumentError(f"column must be nonempty at {path}")
-    if literals is None:
-        literals = {}
-    if columns is None:
-        columns = {}
     pairs = []
-    try:
-        for v in items:
-            if type(v) is str:
-                pair = literals.get(v)
-                if pair is None:
-                    pair = literals[v] = _parse_pair(v, path)
-            else:
-                pair = _parse_pair(v, path)
-            pairs.append(pair)
-    except DocumentError:
-        # Parse again with each entry's path, built only now, to name the
-        # first bad entry.
-        for i, v in enumerate(items):
-            _parse_pair(v, f"{path}[{i}]")
-        raise
+    for v in items:
+        if type(v) is str:
+            pair = literals.get(v)
+            if pair is None:
+                pair = literals[v] = _parse_pair(v, path)
+        else:
+            pair = _parse_pair(v, path)
+        pairs.append(pair)
     pairs = tuple(pairs)
     column = columns.get(pairs)
     if column is None:
@@ -134,14 +124,19 @@ def _parse_column(obj, path, literals=None, columns=None):
 
 def _parse_columns(objs, path, literals, columns):
     """The tuple of columns of the JSON arrays `objs`, the entries at
-    path[0], path[1], ...  A column's path is built only to name an
-    error: on one, the columns are parsed again, each with its path, up
-    to the first bad one."""
+    path[0], path[1], ...  A path is built only to name an error: on one,
+    the columns are checked again, each with its path and each entry with
+    its own, up to the first bad one."""
     try:
         return tuple([_parse_column(c, path, literals, columns) for c in objs])
     except DocumentError:
         for i, c in enumerate(objs):
-            _parse_column(c, f"{path}[{i}]")
+            where = f"{path}[{i}]"
+            items = _expect_list(c, where)
+            if not items:
+                raise DocumentError(f"column must be nonempty at {where}")
+            for j, v in enumerate(items):
+                _parse_pair(v, f"{where}[{j}]")
         raise
 
 

@@ -20,8 +20,9 @@ rather than a stream; they live in `decoding`.
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import AlignmentError, DigitRangeError
+from .errors import AlignmentError
 from .systems import (
+    _check_digit,
     _max_digits,
     _position_arrays,
     combined_cycle_len,
@@ -94,14 +95,6 @@ class RepresentedNumber(_Value):
 def digit_at(num, n):
     """Digit at 1-based position n."""
     return _digits(num, n, 1)[0]
-
-
-def _check_digit(system, n, d):
-    # a bool is an int, but not a digit
-    if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= system.max_digit(n):
-        raise DigitRangeError(
-            f"digit {d!r} outside alphabet 0..{system.max_digit(n)} at position {n}"
-        )
 
 
 def _check_digits(system, first, digits):

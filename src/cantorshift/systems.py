@@ -15,10 +15,12 @@ column is held as those integers alone, from the document parser up; its
 `entries` are a `Fraction` view derived from them.  `term_value` and
 `digit_weight` give the same values as `Fraction`s, read from the base or
 the column's integers, for callers outside the package and for the tests'
-reference routes.  Per-position data of a whole range of positions is
-read in slices, through `EventuallyPeriodicSeq.items`.  A system stores
-its combined prefix length P and combined cycle length L when it is
-built, and every periodicity question reads them.  The position table,
+reference routes.  They and `digit_ints` refuse a digit outside the
+position's alphabet through `_check_digit`, the one alphabet check,
+which `numbers` also reads.  Per-position data of a whole range of
+positions is read in slices, through `EventuallyPeriodicSeq.items`.  A
+system stores its combined prefix length P and combined cycle length L
+when it is built, and every periodicity question reads them.  The position table,
 which decoding and the tables build from those slices, lives in
 `decoding`, so a process that only evaluates or shifts does not compile
 it; `base_interval` reads it from there.
@@ -129,6 +131,16 @@ def _store(system, seq, signs):
         object.__setattr__(system, name, value)
 
 
+def _check_digit(system, n, d):
+    """Raise DigitRangeError unless d is a digit of the alphabet at
+    position n: the one alphabet check of the package."""
+    # a bool is an int, but not a digit
+    if isinstance(d, bool) or not isinstance(d, int) or not 0 <= d <= system.max_digit(n):
+        raise DigitRangeError(
+            f"digit {d!r} outside alphabet 0..{system.max_digit(n)} at position {n}"
+        )
+
+
 class CantorSystem(_Value):
     __slots__ = ("base", "signs", "_prefix_len", "_cycle_len")
     _fields = __slots__[:2]
@@ -145,13 +157,16 @@ class CantorSystem(_Value):
         return self.base.at(n) - 1
 
     def term_value(self, n, d):
+        _check_digit(self, n, d)
         return Fraction(d, self.base.at(n))
 
     def digit_weight(self, n, d):
+        _check_digit(self, n, d)
         return Fraction(1, self.base.at(n))
 
     def digit_ints(self, n, d):
         """(term_num, weight_num, den) of digit d at position n."""
+        _check_digit(self, n, d)
         return d, 1, self.base.at(n)
 
 
@@ -240,23 +255,19 @@ class QTildeSystem(_Value):
         return self.columns.at(n).max_digit
 
     def term_value(self, n, d):
-        return self.columns.at(n).cumulative(d)
+        _check_digit(self, n, d)
+        term, _, den = self.columns.at(n).ints[d]
+        return Fraction(term, den)
 
     def digit_weight(self, n, d):
-        _, weight, den = self._column(n, d).ints[d]
+        _check_digit(self, n, d)
+        _, weight, den = self.columns.at(n).ints[d]
         return Fraction(weight, den)
 
     def digit_ints(self, n, d):
         """(term_num, weight_num, den) of digit d at position n."""
-        return self._column(n, d).ints[d]
-
-    def _column(self, n, d):
-        """The column at position n, once digit d is known to be in its
-        alphabet."""
-        col = self.columns.at(n)
-        if not 0 <= d <= col.max_digit:
-            raise DigitRangeError(f"digit {d} outside column alphabet 0..{col.max_digit}")
-        return col
+        _check_digit(self, n, d)
+        return self.columns.at(n).ints[d]
 
 
 class Interval(_Value):

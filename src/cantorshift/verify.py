@@ -388,11 +388,11 @@ def _segments_ok(system, m, expected_count):
     (4-j)/4*lo + j/4*hi of every row lie over the one denominator
     4*d_lo*d_hi.  The tiling is checked by its ends alone: the first row
     starts at the interval's lo, the last ends at its hi, and each row
-    ends where the next starts.  Every row has lo <= hi (the table
-    refuses one that does not), so the widths then sum to the interval's
-    and every point lies inside it.  The slopes of all rows are checked
-    first; then the points of every row are decoded in one batch by the
-    integer core of point_image."""
+    ends where the next starts.  Every row has lo <= hi, since every
+    residual interval of the position table is ordered, so the widths
+    then sum to the interval's and every point lies inside it.  The
+    slopes of all rows are checked first; then the points of every row
+    are decoded in one batch by the integer core of point_image."""
     rows, d_lo, d_hi = _segment_ints(system, m)
     if len(rows) != expected_count:
         return False

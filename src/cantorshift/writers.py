@@ -95,17 +95,18 @@ def segments_tsv(rows, d_lo, d_hi, precision=12):
     td) of `analysis._segment_ints` are the cells lo/d_lo, hi/d_hi, sn/sd
     and tn/td.  Every column appears twice, once as "p/q" in lowest terms
     and once as a decimal padded to exactly `precision` fraction digits.
-    Each distinct cell is rendered once per table and reused in later rows:
-    a tiling table repeats every inner endpoint, and the slope column holds
-    one value per digit.  The ends are looked up by numerator (one memo
-    serves both when d_lo == d_hi), slopes and intercepts by pair."""
+    Each distinct end and slope is rendered once per table and reused in
+    later rows: a tiling table repeats every inner endpoint, and the slope
+    column holds one value per digit.  The ends are looked up by numerator
+    (one memo serves both when d_lo == d_hi), slopes by pair.  Intercepts
+    are rendered per row, since they rarely repeat."""
     if precision < 0:
         raise ValueError("precision must be >= 0")
     scale = 10**precision
     render = _render_pair
     los = {}
     his = los if d_hi == d_lo else {}
-    maps = {}
+    slopes = {}
     lines = ["lo\thi\tslope\tintercept\tlo_dec\thi_dec\tslope_dec\tintercept_dec"]
     for lo, hi, sn, sd, tn, td in rows:
         a = los.get(lo)
@@ -114,12 +115,10 @@ def segments_tsv(rows, d_lo, d_hi, precision=12):
         b = his.get(hi)
         if b is None:
             b = his[hi] = render(hi, d_hi, precision, scale)
-        s = maps.get((sn, sd))
+        s = slopes.get((sn, sd))
         if s is None:
-            s = maps[sn, sd] = render(sn, sd, precision, scale)
-        t = maps.get((tn, td))
-        if t is None:
-            t = maps[tn, td] = render(tn, td, precision, scale)
+            s = slopes[sn, sd] = render(sn, sd, precision, scale)
+        t = render(tn, td, precision, scale)
         lines.append(f"{a[0]}\t{b[0]}\t{s[0]}\t{t[0]}\t{a[1]}\t{b[1]}\t{s[1]}\t{t[1]}")
     lines.append("")
     return "\n".join(lines)

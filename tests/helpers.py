@@ -56,3 +56,29 @@ def parse_long_int(text):
         piece = digits[i:i + 1000]
         value = value * 10 ** len(piece) + int(piece)
     return -value if text.startswith("-") else value
+
+
+_DEC_DOC = {"kind": "cantor", "base": {"prefix": [], "cycle": [10]}, "signs": "none"}
+
+# (id, "system" or "number", document, exact DocumentError message) of
+# refusals the parser names by their JSON path
+DOCUMENT_ERRORS = [
+    ("unknown-sign-pattern", "system", {**_DEC_DOC, "signs": "sometimes"},
+     "unknown sign pattern 'sometimes' at $.signs"),
+    ("non-boolean-sign", "system", {**_DEC_DOC, "signs": {"prefix": [True, 1], "cycle": [False]}},
+     "expected a boolean at $.signs.prefix[1]"),
+    ("empty-sign-cycle", "system", {**_DEC_DOC, "signs": {"prefix": [True], "cycle": []}},
+     "sign cycle must be nonempty at $.signs.cycle"),
+    ("empty-columns-cycle", "system",
+     {"kind": "qtilde", "columns": {"prefix": [["1/2", "1/2"]], "cycle": []}, "signs": "none"},
+     "columns cycle must be nonempty at $.columns.cycle"),
+    ("unknown-kind", "system", {**_DEC_DOC, "kind": "dyadic"},
+     "unknown system kind 'dyadic' at $.kind"),
+    ("empty-digit-cycle", "number",
+     {"system": _DEC_DOC, "digits": {"prefix": [1], "tail": {"type": "cycle", "cycle": []}}},
+     "cycle must be nonempty at $.digits.tail.cycle"),
+    ("nested-unknown-kind", "number",
+     {"system": {**_DEC_DOC, "kind": "dyadic"},
+      "digits": {"prefix": [1], "tail": {"type": "zeros"}}},
+     "unknown system kind 'dyadic' at $.system.kind"),
+]

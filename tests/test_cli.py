@@ -40,7 +40,7 @@ from cantorshift.sampling import (
     rand_segment_system,
 )
 from cantorshift.writers import number_to_doc, system_to_doc
-from helpers import DEC, FACT, NEG, QT, cantor, mk, parse_long_int
+from helpers import DEC, DOCUMENT_ERRORS, FACT, NEG, QT, cantor, mk, parse_long_int
 
 DATA = Path(__file__).parent / "data"
 
@@ -590,6 +590,17 @@ class TestErrors:
         assert captured.out == ""
         assert captured.err.splitlines() == [
             f"error: column entry not in (0, 1): {shown} at $.columns.cycle[0][0]"]
+
+    @pytest.mark.parametrize("kind, doc, message", [case[1:] for case in DOCUMENT_ERRORS],
+                             ids=[case[0] for case in DOCUMENT_ERRORS])
+    def test_document_error_is_one_line(self, paths, capsys, kind, doc, message):
+        _, write = paths
+        path = write("bad.json", doc)
+        argv = ["segments", path, "-m", "1"] if kind == "system" else ["eval", path]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_deeply_nested_json(self, tmp_path, capsys):
         path = tmp_path / "deep.json"

@@ -27,7 +27,7 @@ from cantorshift.rationals import MAX_PRECISION, decimal_str, parse_rational, ra
 from cantorshift.sampling import (rand_cantor_system, rand_number, rand_qtilde_system,
                                   rand_segment_system)
 from cantorshift.writers import dump_json, graph_tsv, number_to_doc, segments_tsv, system_to_doc
-from helpers import DEC, NEG, QT, cantor, mk, parse_long_int
+from helpers import DEC, DOCUMENT_ERRORS, NEG, QT, cantor, mk, parse_long_int
 
 
 class TestParseSystem:
@@ -70,6 +70,23 @@ class TestParseSystem:
                "signs": {"prefix": [True], "cycle": [False, True]}}
         system = doc_to_system(doc)
         assert system.signs.member(1) and not system.signs.member(2)
+
+
+class TestDocumentErrorMessages:
+    @pytest.mark.parametrize("kind, doc, message", [case[1:] for case in DOCUMENT_ERRORS],
+                             ids=[case[0] for case in DOCUMENT_ERRORS])
+    def test_exact_message(self, kind, doc, message):
+        parse = parse_system if kind == "system" else parse_number
+        with pytest.raises(DocumentError) as info:
+            parse(json.dumps(doc))
+        assert str(info.value) == message
+
+    def test_system_file_reference_without_a_loader(self):
+        text = json.dumps({"system": "sys.json",
+                           "digits": {"prefix": [5], "tail": {"type": "zeros"}}})
+        with pytest.raises(DocumentError) as info:
+            parse_number(text)
+        assert str(info.value) == "system file references are not allowed at $.system"
 
 
 class TestParseNumber:
@@ -218,7 +235,7 @@ class TestColumnParser:
 
     @staticmethod
     def _check(items):
-        parsed = documents._parse_column(items, "$")
+        parsed = documents._parse_column(items, "$", {}, {})
         reference = QTildeColumn(tuple(parse_rational(v) for v in items))
         assert parsed.ints == reference.ints
         assert parsed == reference and hash(parsed) == hash(reference)
@@ -317,7 +334,7 @@ class TestDocumentMemos:
                 continue  # entries outside (0, 1), or a cycle that does not contract
             reference = QTildeSystem(EventuallyPeriodicSeq(
                 tuple(QTildeColumn(tuple(parse_rational(v) for v in c)) for c in prefix),
-                tuple(documents._parse_column(c, "$") for c in cycle)), SignPattern.none())
+                tuple(documents._parse_column(c, "$", {}, {}) for c in cycle)), SignPattern.none())
             assert system == reference and hash(system) == hash(reference)
             doc = system_to_doc(system)
             assert doc == system_to_doc(reference)
@@ -474,17 +491,19 @@ class TestEmitTsv:
 
     def test_each_distinct_cell_rendered_once(self, monkeypatch):
         # On a tiling table one row's hi is the next row's lo, and the slope
-        # column holds one value per digit: 1795 distinct cells of 4096.
+        # column holds one value per digit: 1025 distinct ends and 1 slope
+        # are rendered once each, and the 1024 intercepts once per row.
         rows, d_lo, d_hi = analysis._segment_ints(cantor((), (4,)), 5)
-        distinct = {cell for lo, hi, sn, sd, tn, td in rows
-                    for cell in ((lo, d_lo), (hi, d_hi), (sn, sd), (tn, td))}
-        assert len(rows) == 1024 and len(distinct) == 1795
+        ends = {cell for lo, hi, *_ in rows for cell in ((lo, d_lo), (hi, d_hi))}
+        slopes = {(sn, sd) for _, _, sn, sd, _, _ in rows}
+        intercepts = [(tn, td) for *_, tn, td in rows]
+        assert len(rows) == 1024 and (len(ends), len(slopes)) == (1025, 1)
         rendered = []
         render = writers._render_pair
         monkeypatch.setattr(writers, "_render_pair",
                             lambda *args: rendered.append(args[:2]) or render(*args))
         text = segments_tsv(rows, d_lo, d_hi, 12)
-        assert sorted(rendered) == sorted(distinct)
+        assert sorted(rendered) == sorted([*ends, *slopes, *intercepts])
         assert text == _reference_table(_SEGMENT_HEADER, _segment_fractions(rows, d_lo, d_hi), 12)
 
 

@@ -21,7 +21,7 @@ from cantorshift import (
     sign_factor,
     validate,
 )
-from cantorshift import series
+from cantorshift import analysis, series
 from cantorshift.decoding import PositionTable, _hull_digits, decode, position_table
 from cantorshift.documents import doc_to_system
 from cantorshift.sampling import (
@@ -289,6 +289,25 @@ class TestColumnCumulative:
             col.cumulative(2)
 
 
+class TestDigitAccessors:
+    """Both kinds' per-position accessors refuse a digit outside the
+    alphabet, bools included, with one message."""
+
+    SYSTEMS = {"cantor": cantor((2,), (3,)),
+               "column": qtilde([(Fraction(1, 2),) * 2], [(Fraction(1, 3),) * 3])}
+
+    @pytest.mark.parametrize("accessor", ["term_value", "digit_weight", "digit_ints"])
+    @pytest.mark.parametrize("kind", sorted(SYSTEMS))
+    @pytest.mark.parametrize("digit", [-1, 3, True], ids=["minus-one", "max-plus-one", "bool"])
+    def test_digit_outside_alphabet(self, kind, accessor, digit):
+        from cantorshift import DigitRangeError
+
+        system = self.SYSTEMS[kind]
+        with pytest.raises(DigitRangeError) as info:
+            getattr(system, accessor)(2, digit)
+        assert str(info.value) == f"digit {digit!r} outside alphabet 0..2 at position 2"
+
+
 class TestBaseInterval:
     def test_decimal(self):
         assert base_interval(DEC) == Interval(0, 1)
@@ -517,12 +536,28 @@ class TestPositionTable:
                 assert lo_den > 0 and hi_den > 0
                 assert Fraction(lo_num, lo_den) == _folded_tail(system, table.lows, n)
                 assert Fraction(hi_num, hi_den) == _folded_tail(system, table.highs, n)
-                if table.bases:
-                    # a Cantor roll keeps tail(0)'s denominators
-                    assert (lo_den, hi_den) == (table.tail(0)[1], table.tail(0)[3])
-                else:
-                    # a column roll reduces, which keeps decoding fast
-                    assert math.gcd(lo_num, lo_den) == math.gcd(hi_num, hi_den) == 1
+                # every roll reduces, which keeps decoding fast
+                assert math.gcd(lo_num, lo_den) == math.gcd(hi_num, hi_den) == 1
+
+    @pytest.mark.parametrize("make", [
+        *(MAKERS[name] for name in sorted(MAKERS)),
+        lambda rng: rand_qtilde_system(rng, 8, sign_pattern=rand_member_sign_pattern(rng))],
+        ids=[*sorted(MAKERS), "rand_qtilde-signed"])
+    def test_every_tail_is_ordered_and_reduced(self, make):
+        # The segment table's rows are prefix maps of positive weight
+        # applied to tail(m), so they are ordered because every tail is.
+        rng = random.Random(59)
+        for _ in range(30):
+            system = make(rng)
+            table = PositionTable.build(system)
+            for n in range(table.prefix_len + 2 * table.cycle_len + 1):
+                lo_num, lo_den, hi_num, hi_den = table.tail(n)
+                assert lo_den > 0 and hi_den > 0
+                assert math.gcd(lo_num, lo_den) == math.gcd(hi_num, hi_den) == 1
+                assert lo_num * hi_den <= hi_num * lo_den
+            for m in (1, 2):
+                rows, d_lo, d_hi = analysis._segment_ints(system, m)
+                assert all(lo * d_hi <= hi * d_lo for lo, hi, *_ in rows)
 
     @pytest.mark.parametrize("name", sorted(MAKERS))
     def test_out_of_order_reads_give_the_same_tails(self, name):
