@@ -18,7 +18,7 @@ core, `_images_ints`, decodes a list of points of one table together;
 `point_image` passes a list of one.
 
 Tables are built, sorted and sampled in integers (`_segment_ints`,
-`_graph_ints`): every rank-m cylinder's ends share one denominator per
+`_row_samples`): every rank-m cylinder's ends share one denominator per
 end, so `Fraction` appears only in the public wrappers.
 """
 
@@ -245,18 +245,14 @@ def numeric_derivative(system, m, num, step, variant=ShiftVariant.DIGIT):
     return (upper - lower) / (2 * step)
 
 
-def _graph_ints(system, m, samples_per_cylinder, variant=ShiftVariant.DIGIT):
-    """`graph_samples` in integers: (points, x_den), one point
-    (x_num, y_num, y_den) per sample, sorted stably by x_num.  With S
-    samples per cylinder, the j-th sample of [lo/d_lo, hi/d_hi] is
+def _row_samples(rows, d_lo, d_hi, samples):
+    """(points, x_den), one point (x_num, y_num, y_den) per sample in row
+    order: the j-th of S = samples in [lo/d_lo, hi/d_hi] is
     ((S+1-j)*lo*d_hi + j*hi*d_lo) / x_den over the shared
     x_den = (S+1)*d_lo*d_hi, and its image slope*x + intercept is over
-    slope_den*x_den*intercept_den."""
-    if samples_per_cylinder < 2:
-        raise ValueError("need at least 2 samples per cylinder")
-    _check_table_size(system, m, samples_per_cylinder)
-    rows, d_lo, d_hi = _segment_ints(system, m, variant)
-    k = samples_per_cylinder + 1
+    slope_den*x_den*intercept_den.  `graph` and the `segments` suite
+    sample by it."""
+    k = samples + 1
     x_den = k * d_lo * d_hi
     points = []
     for lo, hi, sn, sd, tn, td in rows:
@@ -265,6 +261,15 @@ def _graph_ints(system, m, samples_per_cylinder, variant=ShiftVariant.DIGIT):
         for j in range(1, k):
             x = start + j * step
             points.append((x, sn * x * td + y_off, y_den))
+    return points, x_den
+
+
+def _graph_ints(system, m, samples_per_cylinder, variant=ShiftVariant.DIGIT):
+    """`graph_samples` in integers: `_row_samples` sorted stably by x_num."""
+    if samples_per_cylinder < 2:
+        raise ValueError("need at least 2 samples per cylinder")
+    _check_table_size(system, m, samples_per_cylinder)
+    points, x_den = _row_samples(*_segment_ints(system, m, variant), samples_per_cylinder)
     points.sort(key=itemgetter(0))
     return points, x_den
 

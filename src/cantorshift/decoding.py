@@ -376,7 +376,8 @@ def dual_representation(num) -> Optional[DualInfo]:
     tail.  The partner flips the digit at n toward the adjacent cylinder
     and carries the opposite extreme tail; both evaluate equal.  The tails
     come from the one rule `_extreme_digits`, read directly: a position
-    table would cost more than the rest of the call.
+    table would cost more than the rest of the call.  The partner is
+    normalized over the number's own (pre, window) from `_tail_period`.
 
     Sign-variable column systems are excluded: their cylinders may
     overlap or leave gaps, so adjacent-cylinder duality is not available.
@@ -385,7 +386,7 @@ def dual_representation(num) -> Optional[DualInfo]:
     if _sign_variable_columns(system):
         return None
     # pre >= P and window >= L, so the digits at 1..pre + window also hold
-    # the partner's prefix and one period of its tail.
+    # the partner's prefix (flip <= pre) and one period of its tail.
     pre, window = _tail_period(num)
     size = pre + window
     digits = _digits(num, 1, size)
@@ -405,9 +406,7 @@ def dual_representation(num) -> Optional[DualInfo]:
         if side == "gamma":
             step = -step
         partner = digits[:flip - 1] + [digits[flip - 1] + step] + other[flip:]
-        split = max(flip, combined_prefix_len(system))
-        stream = normalize_stream(system, partner[:split],
-                                  cycle_tail(partner[split:split + combined_cycle_len(system)]))
+        stream = normalize_stream(system, partner[:pre], cycle_tail(partner[pre:]))
         return DualInfo(RepresentedNumber(system, stream), flip, side)
     return None
 

@@ -11,7 +11,7 @@ system repeat together, and `normalize_stream` the one normal form of a
 stream over its system.  Evaluation is exact rational arithmetic through
 `series`.  Digits are read as slices of positions (`_digits`), the way
 `EventuallyPeriodicSeq.items` reads a system; `digit_at` reads one
-position through it.
+position through it, and `_digit_pair` as the pair `series` re-indexes.
 
 Decoding, cylinders and dual representations read digits off a value
 rather than a stream; they live in `decoding`.
@@ -146,7 +146,8 @@ def _tail_period(num):
     (max(prefix length, P), L).  This is the stream as written, not the
     shortest joint period: a number built directly may carry a longer
     cycle or prefix than its digits need, while `normalize_stream` gives
-    the shortest that fits the system."""
+    the shortest that fits the system.  Sums, `_digit_pair`'s max tails,
+    dual partners and decode depths are read over it."""
     system, stream = num.system, num.digits
     if stream.tail.kind == "cycle":
         return len(stream.prefix), len(stream.tail.cycle)
@@ -247,21 +248,23 @@ def make_stream(system, fn, preperiod, period):
 
 
 
-def _digit_seq(num):
-    """The number's digits as one normalized (prefix, cycle) sequence, the
-    form `EventuallyPeriodicSeq` holds, read once over its start and
-    period."""
+def _digit_pair(num):
+    """The digits as the unnormalized (prefix, cycle) pair that
+    `series._shifted`/`_removed` re-index: a zeros or cycle tail as
+    written, a max tail written out over `_tail_period`."""
+    stream = num.digits
+    if stream.tail.kind != "max":
+        return stream.prefix, stream.tail.cycle or (0,)
     start, period = _tail_period(num)
     digits = _digits(num, 1, start + period)
-    return _normalize(digits[:start], digits[start:])
+    return digits[:start], digits[start:]
 
 
 def digits_equal(a, b):
     """Semantic equality of two digit streams over their systems: same
-    digit at every position.  The systems may differ.  Each side reads
-    its start plus its period once, as a normalized sequence, and two
-    normalized sequences are equal exactly when their digits are."""
-    return _digit_seq(a) == _digit_seq(b)
+    digit at every position.  The systems may differ.  Two normalized
+    `_digit_pair`s are equal exactly when their digits are."""
+    return _normalize(*_digit_pair(a)) == _normalize(*_digit_pair(b))
 
 
 def same_number(a, b):

@@ -27,10 +27,10 @@ from typing import NamedTuple
 
 from .errors import ExpansionError, VariantError
 from .numbers import (
+    _digit_pair,
     _digits,
     _prefix_ints,
     _stream_prefix,
-    _tail_period,
     RepresentedNumber,
     cycle_tail,
     digit_at,
@@ -38,6 +38,7 @@ from .numbers import (
     normalize_stream,
     same_number,
 )
+from .series import _removed, _shifted
 from .systems import (
     CantorSystem,
     SignPattern,
@@ -83,9 +84,9 @@ def shift(num):
 
 
 def iterate_shift(num, m):
-    """Drop the first m digits and system positions.  The image's stream is
-    built over the number's own period (`numbers._tail_period`), which the
-    shifted system shares.
+    """Drop the first m digits and system positions: the digits are
+    re-indexed by `series._shifted`, the rule `shift_system` applies to
+    the system, and normalized over the shifted system.
 
     The value satisfies the exact decomposition
     x = (prefix digits, zero tail) + value(shifted) * prod_{j<=m} w_j.
@@ -93,17 +94,14 @@ def iterate_shift(num, m):
     if m < 0:
         raise ValueError("shift count must be >= 0")
     system2 = shift_system(num.system, m)
-    start, period = _tail_period(num)
-    pre = max(start - m, 0)
-    digits = _digits(num, m + 1, pre + period)
-    return RepresentedNumber(system2,
-                             normalize_stream(system2, digits[:pre], cycle_tail(digits[pre:])))
+    prefix, cycle = _shifted(*_digit_pair(num), m)
+    return RepresentedNumber(system2, normalize_stream(system2, prefix, cycle_tail(cycle)))
 
 
 def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
-    """Delete digit and position m.  The image's stream is built over the
-    number's own period (`numbers._tail_period`), which the new system
-    shares past the deleted position."""
+    """Delete digit and position m: the digits are re-indexed by
+    `series._removed`, the rule `remove_index` applies to the system, and
+    normalized over the new system."""
     if m < 1:
         raise ValueError("positions are 1-based")
     system = num.system
@@ -113,13 +111,8 @@ def generalized_shift(num, m, variant=ShiftVariant.DIGIT):
         system2 = CantorSystem(system.base.removed(m), SignPattern.odd())
     else:
         system2 = remove_index(system, m)
-    # Past max(m - 1, start) the moved digits and the remaining positions
-    # of the system repeat with the number's period, whatever its tail.
-    start, period = _tail_period(num)
-    pre = max(m - 1, start)
-    digits = _digits(num, 1, m - 1) + _digits(num, m + 1, pre + period - m + 1)
-    return RepresentedNumber(system2,
-                             normalize_stream(system2, digits[:pre], cycle_tail(digits[pre:])))
+    prefix, cycle = _removed(*_digit_pair(num), m)
+    return RepresentedNumber(system2, normalize_stream(system2, prefix, cycle_tail(cycle)))
 
 
 def _deletion_map(v, w, den, t, wd, c, s, variant):

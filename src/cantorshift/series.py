@@ -144,24 +144,31 @@ class EventuallyPeriodicSeq(_Value):
         return _slice(self.prefix, self.cycle, first, count)
 
     def shifted(self, m):
-        """Sequence whose position n holds this sequence's position n+m."""
-        if m < 0:
-            raise ValueError("shift must be >= 0")
-        if m == 0:
-            return self
-        preperiod = max(len(self.prefix) - m, 0)
-        return EventuallyPeriodicSeq(self.items(m + 1, preperiod),
-                                     self.items(m + 1 + preperiod, len(self.cycle)))
+        """Sequence whose position n holds position n+m, by `_shifted`."""
+        return EventuallyPeriodicSeq(*_shifted(self.prefix, self.cycle, m))
 
     def removed(self, m):
-        """Sequence with position m deleted (later positions move down)."""
-        if m < 1:
-            raise ValueError("positions are 1-based")
-        preperiod = max(m - 1, len(self.prefix))
-        return EventuallyPeriodicSeq(
-            self.items(1, m - 1) + self.items(m + 1, preperiod - m + 1),
-            self.items(preperiod + 2, len(self.cycle)),
-        )
+        """Sequence without position m (later ones move down), by `_removed`."""
+        return EventuallyPeriodicSeq(*_removed(self.prefix, self.cycle, m))
+
+
+def _shifted(prefix, cycle, m):
+    """The sequence prefix, cycle, cycle, ... without its first m items, as
+    an unnormalized (prefix, cycle) pair; systems and digits shift by it."""
+    if m < 0:
+        raise ValueError("shift must be >= 0")
+    pre = max(len(prefix) - m, 0)
+    return _slice(prefix, cycle, m + 1, pre), _slice(prefix, cycle, m + 1 + pre, len(cycle))
+
+
+def _removed(prefix, cycle, m):
+    """The same sequence without its item m, as an unnormalized pair: the
+    items before m, then `_shifted` by m; systems and digits lose m by it."""
+    if m < 1:
+        raise ValueError("positions are 1-based")
+    head = _slice(prefix, cycle, 1, m - 1)
+    rest, tail = _shifted(prefix, cycle, m)
+    return head + rest, tail
 
 
 def geometric_block_sum(block_sum, ratio):

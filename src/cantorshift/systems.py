@@ -233,8 +233,8 @@ class QTildeColumn(_Value):
         return len(self.ints) - 1
 
     def cumulative(self, i):
-        if not 0 <= i <= self.max_digit:
-            raise DigitRangeError(f"digit {i} outside column alphabet 0..{self.max_digit}")
+        if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i <= self.max_digit:
+            raise DigitRangeError(f"digit {i!r} outside column alphabet 0..{self.max_digit}")
         term, _, den = self.ints[i]
         return Fraction(term, den)
 

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 from math import prod
 
-from .analysis import _images_ints, _segment_ints, continuity_at
+from .analysis import _images_ints, _row_samples, _segment_ints, continuity_at
 from .decoding import canonicalize, decode, is_quasi_rational, position_table, quasi_partner
 from .errors import ExpansionError
 from .numbers import (
@@ -384,15 +384,14 @@ def _segments_ok(system, m, expected_count):
     representable interval, each row's map agrees with point_image (the
     decode-residual formula) at three interior points, and Cantor rows
     have slope q_m.  Every check runs on integers: the table's lo ends
-    share the denominator d_lo and its hi ends d_hi, so the points
-    (4-j)/4*lo + j/4*hi of every row lie over the one denominator
-    4*d_lo*d_hi.  The tiling is checked by its ends alone: the first row
-    starts at the interval's lo, the last ends at its hi, and each row
-    ends where the next starts.  Every row has lo <= hi, since every
-    residual interval of the position table is ordered, so the widths
-    then sum to the interval's and every point lies inside it.  The
-    slopes of all rows are checked first; then the points of every row
-    are decoded in one batch by the integer core of point_image."""
+    share the denominator d_lo and its hi ends d_hi.  The tiling is
+    checked by its ends alone: the first row starts at the interval's lo,
+    the last ends at its hi, and each row ends where the next starts.
+    Every row has lo <= hi, since every residual interval of the position
+    table is ordered, so the widths then sum to the interval's and every
+    point lies inside it.  After the slopes, `graph`'s `_row_samples`
+    points are decoded in one batch by the integer core of point_image,
+    and each row image is cross-multiplied with the decoded one."""
     rows, d_lo, d_hi = _segment_ints(system, m)
     if len(rows) != expected_count:
         return False
@@ -407,20 +406,14 @@ def _segments_ok(system, m, expected_count):
     ):
         return False
     # a column system's slope depends on the cylinder's digit at m
-    expected_slope = system.base_at(m) if isinstance(system, CantorSystem) else None
-    den = 4 * d_lo * d_hi
-    points = []
-    for a, c, sn, sd, _, _ in rows:
-        if expected_slope is not None and sn != expected_slope * sd:
+    if isinstance(system, CantorSystem):
+        q_m = system.base_at(m)
+        if any(sn != q_m * sd for _, _, sn, sd, _, _ in rows):
             return False
-        points += [(4 - j) * a * d_hi + j * c * d_lo for j in (1, 2, 3)]
-    images = _images_ints(positions, points, den, m, 1)
-    # y == slope*x + intercept, over the denominator sd*den*td
-    for k, (_, _, sn, sd, tn, td) in enumerate(rows):
-        for x, (y_num, y_den) in zip(points[3 * k:3 * k + 3], images[3 * k:3 * k + 3]):
-            if y_num * sd * den * td != (sn * x * td + tn * sd * den) * y_den:
-                return False
-    return True
+    points, den = _row_samples(rows, d_lo, d_hi, 3)
+    images = _images_ints(positions, [x for x, _, _ in points], den, m, 1)
+    return all(y_num * img_den == img_num * y_den
+               for (_, y_num, y_den), (img_num, img_den) in zip(points, images))
 
 
 def _suite_segments(cfg):

@@ -489,6 +489,23 @@ class TestGraphSamples:
         for (system, m), pairs in zip(cases, expected):
             assert graph_samples(system, m, 3) == pairs
 
+    @pytest.mark.parametrize("samples", [2, 3, 4])
+    def test_row_samples_against_fractions(self, samples):
+        # sample j of a row is ((S+1-j)*lo + j*hi)/(S+1), in row order, with
+        # its row's image; _graph_ints is the same points sorted stably by x
+        rng = random.Random(83)
+        for t in range(200):
+            system, m = rand_segment_system(rng, t % 4), rng.randrange(1, 4)
+            points, x_den = analysis._row_samples(*analysis._segment_ints(system, m), samples)
+            expected = []
+            for interval, affine in segment_table(system, m):
+                for j in range(1, samples + 1):
+                    x = ((samples + 1 - j) * interval.lo + j * interval.hi) / (samples + 1)
+                    expected.append((x, affine.apply(x)))
+            assert [(Fraction(x, x_den), Fraction(y, y_den)) for x, y, y_den in points] == expected
+            assert analysis._graph_ints(system, m, samples) == (
+                sorted(points, key=lambda point: point[0]), x_den)
+
     def test_agreement_with_digit_surgery(self):
         # the point function equals deletion surgery through decode
         from cantorshift import decode

@@ -663,11 +663,11 @@ class TestDigitsEqualStaysLazy:
         system = cantor((), (3,))
         a = mk(system, (), cycle_tail([0] + [rng.randrange(3) for _ in range(4092)]))
         b = mk(system, (), cycle_tail([1] + [rng.randrange(3) for _ in range(4090)]))
+        # a cycle tail is its own (prefix, cycle) pair: no digit slice is read
         assert not digits_equal(a, b)
-        assert counts == [4093, 4091]
-        counts.clear()
+        assert counts == []
         assert digits_equal(a, mk(system, (), cycle_tail(a.digits.tail.cycle * 2)))
-        assert counts == [4093, 2 * 4093]
+        assert counts == []
 
     def test_equal_coprime_written_cycles(self, counts):
         system = cantor((), (3,))

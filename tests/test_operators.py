@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cantorshift import (
+    CantorSystem,
     ExpansionError,
     RepresentedNumber,
     ShiftVariant,
@@ -130,6 +131,35 @@ class TestIterateShift:
 
 
 class TestGeneralizedShift:
+    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
+    def test_matches_digit_function_reference(self, make):
+        # digit n of the image is digit n of the number below m and digit
+        # n + 1 from m on; the system is remove_index's, or the alternating
+        # base with position m removed for POSITION
+        rng = random.Random(67)
+        for i in range(150):
+            if make is rand_cantor_system and i % 5 == 0:
+                system = cantor((), (rng.randrange(2, 7), rng.randrange(2, 7)), SignPattern.odd())
+            else:
+                system = make(rng, signs="any")
+            kind = ("zeros", "max", "cycle")[i % 3]
+            num = rand_number(rng, system, max_prefix=8, tail_kinds=(kind,))
+            start, period = numbers._tail_period(num)
+            variants = [DIGIT, POSITION] if operators._is_alternating(system) else [DIGIT]
+            for variant in variants:
+                for m in range(1, 25):
+                    image = generalized_shift(num, m, variant)
+                    if variant == POSITION:
+                        assert image.system == CantorSystem(system.base.removed(m),
+                                                            SignPattern.odd())
+                    else:
+                        assert image.system == remove_index(system, m)
+                    # past the horizon both digit functions have repeated
+                    image_start, image_period = numbers._tail_period(image)
+                    horizon = max(start + 2 * period + m, image_start + image_period)
+                    for n in range(1, horizon + 1):
+                        assert digit_at(image, n) == digit_at(num, n if n < m else n + 1)
+
     def test_constant_alphabet_keeps_system(self):
         image = generalized_shift(mk(DEC, (1, 2, 3)), 2)
         assert image == mk(DEC, (1, 3))

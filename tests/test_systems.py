@@ -288,6 +288,16 @@ class TestColumnCumulative:
         with pytest.raises(DigitRangeError):
             col.cumulative(2)
 
+    @pytest.mark.parametrize("digit", [True, 1.0, "1", -1, 2])
+    def test_alphabet_rule(self, digit):
+        # a bool is an int, but not a digit; a float or a string is neither
+        from cantorshift import DigitRangeError
+
+        col = QTildeColumn((Fraction(1, 4), Fraction(3, 4)))
+        with pytest.raises(DigitRangeError) as info:
+            col.cumulative(digit)
+        assert str(info.value) == f"digit {digit!r} outside column alphabet 0..1"
+
 
 class TestDigitAccessors:
     """Both kinds' per-position accessors refuse a digit outside the
