@@ -34,7 +34,7 @@ from .decoding import (
     dual_representation,
     position_table,
 )
-from .numbers import _check_digits, _digits, _prefix_ints, evaluate
+from .numbers import _check_digits, _digits, evaluate
 from .operators import (
     ShiftVariant,
     _cylinder_map,
@@ -125,15 +125,14 @@ def _images_ints(table, x_nums, x_den, m, sigma):
 
 def affine_on_cylinder(system, prefix_digits, variant=ShiftVariant.DIGIT):
     """Affine map agreeing with the deletion image on the rank-m cylinder
-    of the given m digits."""
+    of the given m digits: their `operators._cylinder_map`, once they are
+    checked against the system's alphabets."""
     digits = list(prefix_digits)
-    m = len(digits)
-    if m < 1:
+    if not digits:
         raise ValueError("prefix must contain at least one digit")
     _require_admissible(system, variant)
     _check_digits(system, 1, digits)
-    sn, sd, tn, td = _cylinder_map(system, m, digits[-1], _prefix_ints(system, digits[:-1]),
-                                   variant)
+    sn, sd, tn, td = _cylinder_map(system, digits, variant)
     return AffineMap(Fraction(sn, sd), Fraction(tn, td))
 
 

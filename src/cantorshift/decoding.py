@@ -20,6 +20,7 @@ numbers does not compile it: the CLI's `eval`, `shift`, `itershift` and
 `gshift` do not load it.
 """
 
+import _thread
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -139,11 +140,12 @@ class PositionTable:
     `tail(n)` rolls it forward along the two streams,
     x_n = (c_n*x_{n-1} - s_n*t_n)/w_n, up to n's slot, reduces each end and
     keeps what it rolled.  A column slot's decode pieces are built on first
-    use.
+    use.  Tables are shared, so a roll holds the table's lock; an entry
+    is appended only when complete, so reading one takes no lock.
     """
 
     __slots__ = ("prefix_len", "cycle_len", "max_digits", "signs", "bases", "columns",
-                 "lows", "highs", "_tails", "_pieces")
+                 "lows", "highs", "_tails", "_pieces", "_lock")
 
     @classmethod
     def build(cls, system):
@@ -170,6 +172,7 @@ class PositionTable:
             g = gcd(num, den)
             ends += (num // g, den // g)
         table.signs, table._tails, table._pieces = tuple(signs), [ends], {}
+        table._lock = _thread.allocate_lock()
         return table
 
     def slot(self, n):
@@ -190,16 +193,19 @@ class PositionTable:
         denominators."""
         k = self.slot(n) + 1 if n else 0
         tails = self._tails
-        while len(tails) <= k:
-            i = len(tails) - 1  # the slot rolled past
-            lo_num, lo_den, hi_num, hi_den = tails[i]
-            s = self.signs[i]
-            t_lo, w_lo, c = self.digit_ints(i, self.lows[i])
-            t_hi, w_hi, _ = self.digit_ints(i, self.highs[i])
-            lo_num, lo_den = c * lo_num - s * t_lo * lo_den, w_lo * lo_den
-            hi_num, hi_den = c * hi_num - s * t_hi * hi_den, w_hi * hi_den
-            g, h = gcd(lo_num, lo_den), gcd(hi_num, hi_den)
-            tails.append((lo_num // g, lo_den // g, hi_num // h, hi_den // h))
+        if k < len(tails):
+            return tails[k]
+        with self._lock:
+            while len(tails) <= k:
+                i = len(tails) - 1  # the slot rolled past
+                lo_num, lo_den, hi_num, hi_den = tails[i]
+                s = self.signs[i]
+                t_lo, w_lo, c = self.digit_ints(i, self.lows[i])
+                t_hi, w_hi, _ = self.digit_ints(i, self.highs[i])
+                lo_num, lo_den = c * lo_num - s * t_lo * lo_den, w_lo * lo_den
+                hi_num, hi_den = c * hi_num - s * t_hi * hi_den, w_hi * hi_den
+                g, h = gcd(lo_num, lo_den), gcd(hi_num, hi_den)
+                tails.append((lo_num // g, lo_den // g, hi_num // h, hi_den // h))
         return tails[k]
 
     def interval(self, n):

@@ -177,8 +177,7 @@ def doc_to_system(obj, path="$"):
     report = validate(system)
     if not report.ok:
         first = report.problems[0]
-        raise DocumentError(f"{first.message} at {path}.{first.path}" if first.path
-                            else f"{first.message} at {path}")
+        raise DocumentError(f"{first.message} at {path}.{first.path}")
     return system
 
 

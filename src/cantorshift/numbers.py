@@ -11,14 +11,16 @@ system repeat together, and `normalize_stream` the one normal form of a
 stream over its system.  Evaluation is exact rational arithmetic through
 `series`.  Digits are read as slices of positions (`_digits`), the way
 `EventuallyPeriodicSeq.items` reads a system; `digit_at` reads one
-position through it, and `_digit_pair` as the pair `series` re-indexes.
+position through it.  `_stream_pair` is the one place a max tail is
+written out: it gives a stream as the (prefix, cycle) pair that
+`series` re-indexes (`_digit_pair`) and `normalize_stream` normalizes.
 
 Decoding, cylinders and dual representations read digits off a value
 rather than a stream; they live in `decoding`.
 """
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm
 
 from .errors import AlignmentError
 from .systems import (
@@ -29,7 +31,7 @@ from .systems import (
     combined_prefix_len,
     periodic_from,
 )
-from .series import _affine, _compose, _normalize, _periodic_sum, _slice, _Value
+from .series import _affine, _normalize, _periodic_sum, _slice, _Value
 
 __all__ = [
     "Tail",
@@ -146,8 +148,9 @@ def _tail_period(num):
     (max(prefix length, P), L).  This is the stream as written, not the
     shortest joint period: a number built directly may carry a longer
     cycle or prefix than its digits need, while `normalize_stream` gives
-    the shortest that fits the system.  Sums, `_digit_pair`'s max tails,
-    dual partners and decode depths are read over it."""
+    the shortest that fits the system.  `evaluate` sums over it, and
+    `decoding` reads dual partners and decode depths over it;
+    `_stream_pair` writes a max tail out over the same positions."""
     system, stream = num.system, num.digits
     if stream.tail.kind == "cycle":
         return len(stream.prefix), len(stream.tail.cycle)
@@ -171,31 +174,6 @@ def _prefix_ints(system, digits):
     return _affine(*_position_arrays(system, digits), 0, len(digits))
 
 
-def _stream_prefix(num, m):
-    """Integer (v, w, den) of the digits of a valid number at positions
-    1..m: the maps of the digits before the position where digits and
-    system start to repeat, of k whole periods past it and of the
-    positions left, joined by `series._compose`.  The k periods are a
-    geometric block sum and a k-th power of the period's weight, so the
-    work is O(start + period + log k), not O(m).  The sum of all periods
-    is total = block / (1 - r) for the period's weight r, reduced before
-    the power, and k of them sum to total * (1 - r^k)."""
-    system = num.system
-    start, period = _tail_period(num)
-    k, r = divmod(max(m - start, 0), period)
-    if k == 0:
-        return _prefix_ints(system, _digits(num, 1, m))
-    digits = _digits(num, 1, start + period)
-    head = _prefix_ints(system, digits[:start])
-    block = _position_arrays(system, digits[start:], start + 1)
-    total_num, total_den = _periodic_sum(*block, 0)
-    r_num, r_den = prod(block[1]), prod(block[2])
-    g = gcd(r_num, r_den)
-    r_num, r_den = (r_num // g) ** k, (r_den // g) ** k
-    periods = (total_num * (r_den - r_num), total_den * r_num, total_den * r_den)
-    return _compose(_compose(head, periods), _affine(*block, 0, r))
-
-
 def _evaluate(num):
     return Fraction(*_periodic_sum(*_term_arrays(num)))
 
@@ -207,29 +185,32 @@ def evaluate(num):
     return _evaluate(num)
 
 
+def _stream_pair(system, prefix, tail):
+    """A stream's digits as an unnormalized (prefix, cycle) pair: a zeros or
+    cycle tail as written, and a max tail, the one place one is written
+    out, as max digits up to max(len(prefix), P), then L more, for the
+    system's combined prefix P and cycle L (the `_tail_period`)."""
+    if tail.kind != "max":
+        return prefix, tail.cycle or (0,)
+    start = max(len(prefix), combined_prefix_len(system))
+    return (list(prefix) + _max_digits(system, len(prefix) + 1, start - len(prefix)),
+            _max_digits(system, start + 1, combined_cycle_len(system)))
+
 
 def normalize_stream(system, prefix, tail):
     """Canonical form of a digit stream over the system: two streams have
     the same digits exactly when their forms are equal.  The digits are
-    read as one normalized sequence (primitive cycle, shortest prefix; a
-    max tail is first written out as the system's max digits).  A zeros
-    tail keeps that prefix.  Otherwise the cycle starts at the later of the
-    prefix's end and the system's prefix P, with length the lcm of the
-    primitive period and the system's cycle L, so the stream fits the
-    system; a cycle of max digits is named, and the prefix digits it
-    repeats are trimmed."""
-    system_pre, system_period = combined_prefix_len(system), combined_cycle_len(system)
-    if tail.kind == "max":
-        prefix = list(prefix)
-        split = max(len(prefix), system_pre)
-        prefix += _max_digits(system, len(prefix) + 1, split - len(prefix))
-        prefix, cycle = _normalize(prefix, _max_digits(system, split + 1, system_period))
-    else:
-        prefix, cycle = _normalize(prefix, tail.cycle or (0,))
+    read as one normalized sequence of their `_stream_pair` (primitive
+    cycle, shortest prefix).  A zeros tail keeps that prefix.  Otherwise
+    the cycle starts at the later of the prefix's end and the system's
+    prefix P, with length the lcm of the primitive period and the system's
+    cycle L, so the stream fits the system; a cycle of max digits is
+    named, and the prefix digits it repeats are trimmed."""
+    prefix, cycle = _normalize(*_stream_pair(system, prefix, tail))
     if cycle == (0,):
         return DigitStream(prefix, TAIL_ZEROS)
-    start = max(len(prefix), system_pre)
-    period = lcm(len(cycle), system_period)
+    start = max(len(prefix), combined_prefix_len(system))
+    period = lcm(len(cycle), combined_cycle_len(system))
     prefix, cyc = _slice(prefix, cycle, 1, start), _slice(prefix, cycle, start + 1, period)
     if cyc != _max_digits(system, start + 1, period):
         return DigitStream(tuple(prefix), cycle_tail(cyc))
@@ -247,17 +228,10 @@ def make_stream(system, fn, preperiod, period):
     return normalize_stream(system, prefix, cycle_tail(cyc))
 
 
-
 def _digit_pair(num):
-    """The digits as the unnormalized (prefix, cycle) pair that
-    `series._shifted`/`_removed` re-index: a zeros or cycle tail as
-    written, a max tail written out over `_tail_period`."""
-    stream = num.digits
-    if stream.tail.kind != "max":
-        return stream.prefix, stream.tail.cycle or (0,)
-    start, period = _tail_period(num)
-    digits = _digits(num, 1, start + period)
-    return digits[:start], digits[start:]
+    """The number's `_stream_pair`, which `series._shifted`/`_removed`
+    re-index."""
+    return _stream_pair(num.system, num.digits.prefix, num.digits.tail)
 
 
 def digits_equal(a, b):

@@ -30,7 +30,6 @@ from .numbers import (
     _digit_pair,
     _digits,
     _prefix_ints,
-    _stream_prefix,
     RepresentedNumber,
     cycle_tail,
     digit_at,
@@ -128,24 +127,26 @@ def _deletion_map(v, w, den, t, wd, c, s, variant):
     return sigma * c, wd, v * wd - sigma * (v * c + s * t * w), wd * den
 
 
-def _cylinder_map(system, m, d, prefix, variant):
-    """`_deletion_map` of position m on the cylinder of the digits below m,
-    given as their integer (v, w, den), followed by digit d at m; for
-    `closed_form_value` and `analysis.affine_on_cylinder`.  This never
-    touches the tail digits."""
-    return _deletion_map(*prefix, *system.digit_ints(m, d), sign_factor(system.signs, m),
-                         variant)
+def _cylinder_map(system, digits, variant):
+    """`_deletion_map` of position m on the rank-m cylinder of the given m
+    digits: `_prefix_ints` of the digits below m, then the last digit's
+    integers at m.  `closed_form_value` passes a number's first m digits
+    and `analysis.affine_on_cylinder` its checked prefix; the tail digits
+    are never read."""
+    m = len(digits)
+    return _deletion_map(*_prefix_ints(system, digits[:-1]), *system.digit_ints(m, digits[-1]),
+                         sign_factor(system.signs, m), variant)
 
 
 def closed_form_value(num, m, variant=ShiftVariant.DIGIT):
     """Value of the deletion image computed from x and the first m digits
-    alone, without digit surgery: slope*x + intercept as one Fraction."""
+    alone, without digit surgery: the `_cylinder_map` of those digits
+    applied to x, slope*x + intercept as one Fraction."""
     if m < 1:
         raise ValueError("positions are 1-based")
     _require_admissible(num.system, variant)
     x = evaluate(num)
-    sn, sd, tn, td = _cylinder_map(num.system, m, digit_at(num, m),
-                                   _stream_prefix(num, m - 1), variant)
+    sn, sd, tn, td = _cylinder_map(num.system, _digits(num, 1, m), variant)
     xn, xd = x.numerator, x.denominator
     return Fraction(sn * xn * td + tn * sd * xd, sd * xd * td)
 

@@ -234,15 +234,13 @@ def _compose(f, g):
 
 def _periodic_sum(t, w, c, s, split):
     """Unreduced (num, den) of the sum with positions [0, split) explicit
-    and [split, n) one full period that repeats forever, each repetition
-    scaled by the product of the period's weights.  Arrays as for
-    _affine.  The tail is the fixed point pa/(pd - pb) of the period's
-    map, which exists when its ratio pb/pd lies in [0, 1) or its sum pa is
-    0, and the explicit part's map applied to it is the sum."""
-    n = len(t)
-    if not 0 <= split <= n:
-        raise ValueError("split out of range")
-    pa, pb, pd = _affine(t, w, c, s, split, n)
+    and [split, n) one full period that repeats forever, for the arrays'
+    length n and 0 <= split <= n, each repetition scaled by the product of
+    the period's weights.  Arrays as for _affine.  The tail is the fixed
+    point pa/(pd - pb) of the period's map, which exists when its ratio
+    pb/pd lies in [0, 1) or its sum pa is 0, and the explicit part's map
+    applied to it is the sum."""
+    pa, pb, pd = _affine(t, w, c, s, split, len(t))
     if pa and not 0 <= pb < pd:
         raise DivergentSeriesError("tail ratio outside [0, 1)")
     num, _, den = _compose(_affine(t, w, c, s, 0, split), (pa, 0, pd - pb if pa else 1))

@@ -262,7 +262,7 @@ def _refuse_prefix_routes(monkeypatch):
         raise AssertionError("a digit prefix was decoded or summed again")
 
     for module, name in ((analysis, "_cylinder_map"), (operators, "_cylinder_map"),
-                         (analysis, "_prefix_ints"), (operators, "_prefix_ints"),
+                         (operators, "_prefix_ints"),
                          (numbers, "_prefix_ints"), (decoding, "_prefix_ints"),
                          (decoding, "partial_digits"), (analysis, "point_image")):
         monkeypatch.setattr(module, name, refuse)

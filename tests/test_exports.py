@@ -1,11 +1,17 @@
 """Every name a `cantorshift` module exports resolves, a class or function
 is exported only by the module that defines it, and every name the
 package re-exports is exported by one of its modules, so a deleted
-function cannot stay listed in an `__all__` or behind the package."""
+function cannot stay listed in an `__all__` or behind the package.  Read
+from the source with `ast`: every name a module imports is used there or
+exported, and every private module-level function or class is referenced
+outside its own definition, so deleting a route cannot leave its imports
+or helpers behind."""
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import pytest
 
@@ -54,3 +60,51 @@ def test_all_names_have_one_home(name):
     module = importlib.import_module(name)
     assert [attr for attr in getattr(module, "__all__", ())
             if getattr(getattr(module, attr), "__module__", name) != name] == []
+
+
+SOURCES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+           for path in sorted(Path(cantorshift.__file__).parent.glob("*.py"))}
+
+
+def _names_read(tree):
+    """Every name, attribute and imported name that appears in the tree."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _module_all(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("stem", sorted(set(SOURCES) - {"__init__"}))
+def test_imports_are_used(stem):
+    tree = SOURCES[stem]
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert sorted(imported - used - _module_all(tree)) == []
+
+
+def test_private_definitions_are_referenced():
+    # the names read by each top-level statement of each module; a
+    # definition's own statement does not count as a reference to it
+    reads = [(stem, node, _names_read(node)) for stem, tree in SOURCES.items()
+             for node in tree.body]
+    unused = [f"{stem}.{node.name}" for stem, node, _ in reads
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and not any(node.name in names for _, other, names in reads if other is not node)]
+    assert unused == []

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -37,7 +39,6 @@ from cantorshift.decoding import PositionTable, _digit_steps, position_table
 from cantorshift.numbers import (
     _digits,
     _prefix_ints,
-    _stream_prefix,
     _tail_period,
 )
 from cantorshift.sampling import (
@@ -440,7 +441,8 @@ class TestCylinder:
 
 class TestLazyTails:
     """A reader rolls the residual intervals only as deep as it reads them:
-    a table holds tail(0) and each interval rolled since."""
+    a table holds tail(0) and each interval rolled since.  Threads that
+    share a table leave it as one thread would."""
 
     MAKERS = [lambda rng: rand_cantor_system(rng, signs="any"),
               lambda rng: rand_qtilde_system(rng, signs="none"),
@@ -473,10 +475,66 @@ class TestLazyTails:
             base_interval(system)
             assert len(position_table(system)._tails) == 1
 
+    @staticmethod
+    def _in_threads(work, count=8):
+        """Run work() in `count` threads released together at a tiny switch
+        interval; the exceptions they raised."""
+        barrier, errors = threading.Barrier(count), []
+
+        def run():
+            barrier.wait(10)
+            try:
+                work()
+            except Exception as exc:  # returned to the caller
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run) for _ in range(count)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        return errors
+
+    @staticmethod
+    def _signed_cantor(rng, slots=400):
+        return cantor((), [rng.randrange(2, 6) for _ in range(slots)],
+                      SignPattern.explicit((), [rng.random() < 0.5 for _ in range(slots)]))
+
+    def test_concurrent_rolls_of_one_table(self):
+        # a roll appended twice by two threads would leave every later
+        # interval one position off
+        rng = random.Random(71)
+        for _ in range(30):
+            system = self._signed_cantor(rng)
+            alone = PositionTable.build(system)
+            expected = [alone.tail(n) for n in range(401)]
+            table = PositionTable.build(system)
+            assert self._in_threads(lambda: [table.tail(n) for n in range(0, 401, 8)]) == []
+            assert table._tails == expected
+
+    def test_concurrent_cylinders(self):
+        rng = random.Random(73)
+        for _ in range(10):
+            system = self._signed_cantor(rng)
+            depths = range(0, 400, 9)
+            position_table.cache_clear()
+            expected = [cylinder(system, (0,) * k) for k in depths]
+            position_table.cache_clear()
+            seen = []
+            errors = self._in_threads(
+                lambda: seen.append([cylinder(system, (0,) * k) for k in depths]))
+            assert errors == [] and seen == [expected] * 8
+            assert [cylinder(system, (0,) * k) for k in depths] == expected
+
 
 class TestPrefixValue:
-    """_prefix_ints and _stream_prefix against a plain-Fraction loop over
-    the digits."""
+    """_prefix_ints against a plain-Fraction loop over the digits."""
 
     @staticmethod
     def _reference(system, digits):
@@ -513,7 +571,7 @@ class TestPrefixValue:
             num = rand_number(rng, system, max_prefix=5, tail_kinds=(tail_kind,))
             start, period = _tail_period(num)
             for m in range(start + 6 * period):
-                v, w, den = _stream_prefix(num, m)
+                v, w, den = _prefix_ints(system, _digits(num, 1, m))
                 digits = [digit_at(num, n) for n in range(1, m + 1)]
                 assert (Fraction(v, den), Fraction(w, den)) == self._reference(system, digits)
 

@@ -243,14 +243,33 @@ class TestClosedForm:
     @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
     def test_positions_far_past_the_repeat_start(self, make, tail_kind):
         # m lies hundreds to thousands of whole periods past the position
-        # where digits and system repeat, so the closed form takes the
-        # periods as one power of the period's map
+        # where digits and system repeat
         rng = random.Random(37)
         for _ in range(8):
             system = make(rng, signs="explicit")
             num = rand_number(rng, system, max_prefix=4, tail_kinds=(tail_kind,))
             for m in (257, 1000, 4099):
                 assert closed_form_value(num, m) == evaluate(generalized_shift(num, m))
+
+    @pytest.mark.parametrize("tail_kind", ["zeros", "max", "cycle"])
+    @pytest.mark.parametrize("flavor", ["cantor", "column", "alternating"])
+    def test_every_position_past_the_tail(self, flavor, tail_kind):
+        # m runs through six whole periods past the position where digits
+        # and system repeat, then far past it; over alternating systems
+        # position-signed deletion too
+        rng = random.Random(41)
+        for _ in range(6):
+            if flavor == "alternating":
+                system, variants = rand_cantor_system(rng, signs="odd"), (DIGIT, POSITION)
+            else:
+                make = rand_cantor_system if flavor == "cantor" else rand_qtilde_system
+                system, variants = make(rng, signs="any"), (DIGIT,)
+            num = rand_number(rng, system, max_prefix=5, tail_kinds=(tail_kind,))
+            start, period = numbers._tail_period(num)
+            for m in (*range(1, start + 6 * period + 1), 257, 1000, 4099):
+                for variant in variants:
+                    assert (closed_form_value(num, m, variant)
+                            == evaluate(generalized_shift(num, m, variant)))
 
     def test_sign_case_coverage(self):
         rng = random.Random(99)
@@ -433,7 +452,7 @@ def _deep_number(rng, kind, tail):
 class TestBulkDigitReads:
     """Images, values and closed forms read a number's digits in slices:
     none of them calls `digit_at` once per position.  The closed form
-    reads the one digit at m."""
+    reads its m digits as one slice, so it calls `digit_at` not at all."""
 
     @pytest.mark.parametrize("kind", ["cantor", "column"])
     @pytest.mark.parametrize("tail", [{"type": "zeros"}, {"type": "max"},
@@ -457,4 +476,4 @@ class TestBulkDigitReads:
             call()
             counts[name] = len(calls)
         assert counts == {"generalized_shift": 0, "iterate_shift": 0, "evaluate": 0,
-                          "closed_form_value": 1}
+                          "closed_form_value": 0}
