@@ -3,11 +3,11 @@
 Subcommands: eval, decode, shift, itershift, gshift, cylinder, segments,
 graph, partner, verify.  Exit codes: 0 success, 1 validation or domain
 error (one machine-parsable "error: ..." line on stderr), 2 property
-suite failure (the minimized failing case as JSON on stdout).  Every JSON
-document is printed by `writers.dump_json`, as `json.dumps(doc,
-indent=2)` would print it.  `segments` and `graph` hand their integer
-rows to `writers.segments_tsv` and `writers.graph_tsv`, which print them
-line by line with no per-cell `Fraction` or tuple.
+suite failure (the first failure record as JSON on stdout: minimized by
+the four closed-form suites through `verify._closed_form_trial`, as drawn
+by the other nine).  Every JSON document is printed by
+`writers.dump_json`, and the `segments` and `graph` tables by
+`writers.segments_tsv` and `writers.graph_tsv` from their integer rows.
 
 Each command is a process, and the package may be compiled from source on
 every start, so a process loads a module only when its command uses it.

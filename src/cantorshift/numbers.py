@@ -12,8 +12,7 @@ stream over its system.  Evaluation is exact rational arithmetic through
 `series`.  Digits are read as slices of positions (`_digits`), the way
 `EventuallyPeriodicSeq.items` reads a system; `digit_at` reads one
 position through it.  `_stream_pair` is the one place a max tail is
-written out: it gives a stream as the (prefix, cycle) pair that
-`series` re-indexes (`_digit_pair`) and `normalize_stream` normalizes.
+written out.
 
 Decoding, cylinders and dual representations read digits off a value
 rather than a stream; they live in `decoding`.
@@ -180,7 +179,10 @@ def _evaluate(num):
 
 def evaluate(num):
     """Exact value of the represented number, summed on every call:
-    nothing is cached per number."""
+    nothing is cached per number.  A cache of evaluated numbers hit in
+    about a third of the verify suites' lookups and never in the
+    benchmark's command-line workloads, and it kept every cached number's
+    system alive."""
     # A name looked up at call time, which tests/test_verify.py patches.
     return _evaluate(num)
 
@@ -237,7 +239,8 @@ def _digit_pair(num):
 def digits_equal(a, b):
     """Semantic equality of two digit streams over their systems: same
     digit at every position.  The systems may differ.  Two normalized
-    `_digit_pair`s are equal exactly when their digits are."""
+    `_digit_pair`s are equal exactly when their digits are, so two long
+    coprime cycles cost their own lengths, not their joint period."""
     return _normalize(*_digit_pair(a)) == _normalize(*_digit_pair(b))
 
 

@@ -132,7 +132,7 @@ def _cylinder_map(system, digits, variant):
     digits: `_prefix_ints` of the digits below m, then the last digit's
     integers at m.  `closed_form_value` passes a number's first m digits
     and `analysis.affine_on_cylinder` its checked prefix; the tail digits
-    are never read."""
+    are never read, so the work is O(m), as the surgery's is."""
     m = len(digits)
     return _deletion_map(*_prefix_ints(system, digits[:-1]), *system.digit_ints(m, digits[-1]),
                          sign_factor(system.signs, m), variant)

@@ -3,18 +3,12 @@
 Every value the package handles is rational, and every infinite sum in
 scope reduces to a finite explicit part plus a geometrically contracting
 periodic tail, so exact closed forms exist.  The one summation primitive
-is the affine map x -> (a + b*x)/d of a run of positions (`_affine`):
-each position's term and weight are integers over its one denominator,
-a/d is the run's signed value, b/d its weight product and d the product
-of its denominators, and the caller makes the single reduction to a
-`Fraction`.  Runs of up to `_LEAF` positions are summed by a Horner loop,
-whose cost is quadratic in the run's length; longer runs are
-binary-split into halves joined by `_compose`, the one composition
-formula.  `_periodic_sum` applies the explicit part's map to the fixed
-point of the period's map; the position table sums only its interval at
-position 0 with it.  The public `geometric_block_sum` and
-`periodic_tail_sum` work on `Fraction`s and are the tests' independent
-reference.  `_Value` is the base of the immutable value types.
+is `_affine`, the integer affine map of a run of positions, joined by
+`_compose` alone; `_periodic_sum` adds a periodic tail.  Evaluation, the
+closed forms, cylinders and the position table all sum through them.
+The public `geometric_block_sum` and `periodic_tail_sum` work on
+`Fraction`s and are the tests' independent reference.  `_Value` is the
+base of the immutable value types.
 """
 
 from fractions import Fraction
@@ -76,7 +70,14 @@ class _Value:
     `object.__setattr__`; `__slots__` may hold more that equality ignores.
     Equality, hash and repr read the fields as a frozen dataclass's do: a
     value equals only an instance of its own class, hashes as the tuple of
-    its fields, and shows them by name."""
+    its fields, and shows them by name.
+
+    The value types are not frozen dataclasses because each command is a
+    process that creates them at start-up: without a bytecode cache the 9
+    types took 0.25 ms of `import cantorshift.cli` against 7.1 ms as
+    dataclasses (Python 3.11.7), and no module now imports `dataclasses`
+    or `inspect`.  Nor are they NamedTuples, which equal any tuple with the
+    same items."""
 
     __slots__ = ()
 
@@ -199,9 +200,13 @@ def periodic_tail_sum(term_fn, start, period):
     return geometric_block_sum(block, ratio)
 
 
-# Longest run that _affine sums by its Horner loop.  Leaves of 16 to 64
-# positions summed 1500 to 20000 Cantor positions equally fast; 128 was
-# slower.  At 64 every run of the verify suites takes the loop.
+# Longest run that _affine sums by its Horner loop; longer runs are
+# binary-split (Haible and Papanikolaou, 1998).  In-process, summing 1500,
+# 6000 and 20000 Cantor positions took 1.07, 13.1 and 120 ms by the loop
+# alone and 0.55, 2.48 and 9.76 ms split (medians of 5 processes, Python
+# 3.11.7 on a 2-vCPU Xeon virtual machine).  Leaves of 16 to 64 positions
+# were equally fast there; 128 was slower.  At 64 every run of the verify
+# suites takes the loop.
 _LEAF = 64
 
 

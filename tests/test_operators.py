@@ -239,31 +239,21 @@ class TestClosedForm:
                 surgery = evaluate(generalized_shift(num, m, variant))
                 assert surgery == closed_form_value(num, m, variant)
 
-    @pytest.mark.parametrize("tail_kind", ["cycle", "max"])
-    @pytest.mark.parametrize("make", [rand_cantor_system, rand_qtilde_system])
-    def test_positions_far_past_the_repeat_start(self, make, tail_kind):
-        # m lies hundreds to thousands of whole periods past the position
-        # where digits and system repeat
-        rng = random.Random(37)
-        for _ in range(8):
-            system = make(rng, signs="explicit")
-            num = rand_number(rng, system, max_prefix=4, tail_kinds=(tail_kind,))
-            for m in (257, 1000, 4099):
-                assert closed_form_value(num, m) == evaluate(generalized_shift(num, m))
-
     @pytest.mark.parametrize("tail_kind", ["zeros", "max", "cycle"])
     @pytest.mark.parametrize("flavor", ["cantor", "column", "alternating"])
     def test_every_position_past_the_tail(self, flavor, tail_kind):
         # m runs through six whole periods past the position where digits
         # and system repeat, then far past it; over alternating systems
-        # position-signed deletion too
+        # position-signed deletion too, and over Cantor and column systems
+        # explicit sign patterns too, drawn after the others
         rng = random.Random(41)
-        for _ in range(6):
-            if flavor == "alternating":
-                system, variants = rand_cantor_system(rng, signs="odd"), (DIGIT, POSITION)
-            else:
-                make = rand_cantor_system if flavor == "cantor" else rand_qtilde_system
-                system, variants = make(rng, signs="any"), (DIGIT,)
+        if flavor == "alternating":
+            draws = [(rand_cantor_system, "odd", (DIGIT, POSITION))] * 6
+        else:
+            make = rand_cantor_system if flavor == "cantor" else rand_qtilde_system
+            draws = [(make, "any", (DIGIT,))] * 6 + [(make, "explicit", (DIGIT,))] * 6
+        for make, signs, variants in draws:
+            system = make(rng, signs=signs)
             num = rand_number(rng, system, max_prefix=5, tail_kinds=(tail_kind,))
             start, period = numbers._tail_period(num)
             for m in (*range(1, start + 6 * period + 1), 257, 1000, 4099):

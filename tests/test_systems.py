@@ -8,6 +8,7 @@ import pytest
 from cantorshift import (
     CantorSystem,
     EventuallyPeriodicSeq,
+    InexactDecodeError,
     Interval,
     QTildeColumn,
     QTildeSystem,
@@ -512,6 +513,18 @@ class TestHull:
                         SignPattern.explicit((True,), (False,)))
         assert base_interval(system) == Interval(F(-1, 4), F(1, 2))
         assert evaluate(decode(system, F(1, 2), 32)) == F(1, 2)
+
+    def test_decode_dead_end_inside_the_hull(self):
+        # The limitation README states: the pieces of a sign-variable column
+        # position can overlap or leave gaps inside the hull, and decode takes
+        # the first piece holding a residual.  When decode learns to search the
+        # pieces, this fails, and README's known limitations change with it.
+        # 1/3 lies inside the hull [-1/4, 1/2] of test_signed_column_example.
+        system = qtilde([(F(1, 4), F(3, 4))], [(F(1, 9), F(2, 9), F(2, 3))],
+                        SignPattern.explicit((True,), (False,)))
+        with pytest.raises(InexactDecodeError) as info:
+            decode(system, F(1, 3), 32)
+        assert str(info.value) == "no exact tail found within depth 32 for value 1/3"
 
 
 class TestPositionTable:
