@@ -311,6 +311,8 @@ def _representable_table(system, y):
 
 def partial_digits(system, value, count):
     """First `count` digits of the canonical expansion of `value`."""
+    if count < 0:
+        raise ValueError("count must be >= 0")
     y = Fraction(value)
     table = _representable_table(system, y)
     y_nums, y_dens = [y.numerator], [y.denominator]

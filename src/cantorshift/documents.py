@@ -10,16 +10,11 @@ not compile it.
 import json
 
 from .errors import DocumentError, ExpansionError
-from .numbers import (
-    RepresentedNumber,
-    TAIL_MAX,
-    TAIL_ZEROS,
-    DigitStream,
-    cycle_tail,
-)
+from .numbers import _TAIL_KINDS, DigitStream, RepresentedNumber, Tail
 from .rationals import _parse_pair
 from .series import EventuallyPeriodicSeq
 from .systems import (
+    _NAMED_SIGNS,
     CantorSystem,
     QTildeColumn,
     QTildeSystem,
@@ -36,16 +31,13 @@ __all__ = [
 ]
 
 # Largest combined cycle length L (the lcm of the position and sign cycle
-# lengths).  Position tables cover P + L positions at a cost superlinear in
-# L: `segments -m 1` took 0.25 s at L = 2070, 1.2 s at 4032 and 9.9 s
-# (131 MB) at 10100 on a 2-vCPU Xeon virtual machine.
+# lengths).  Position tables cover P + L positions, and building one and
+# decoding over it cost more than in proportion to L: on one signed Cantor
+# cycle of bases 2-12, with a cold table, `decode(system, value, 64)` took
+# 0.03, 0.17 and 3.2 s at L = 4032, 10,100 and 40,000, and
+# `segment_table(system, 1)` 0.011, 0.045 and 0.73 s (Python 3.11.7, a
+# 2-vCPU Xeon virtual machine).
 MAX_CYCLE_LEN = 2**12
-
-_NAMED_SIGNS = {
-    "none": SignPattern.none,
-    "odd": SignPattern.odd,
-    "even": SignPattern.even,
-}
 
 
 def _expect_dict(obj, path):
@@ -67,31 +59,44 @@ def _get(obj, key, path):
     return obj[key]
 
 
-def _int_list(obj, path):
+def _ints(obj, path):
     items = _expect_list(obj, path)
     # One pass over a list of plain ints; the walk only names a bad index.
     if not all(type(v) is int for v in items):
         for i, v in enumerate(items):
             if not isinstance(v, int) or isinstance(v, bool):
                 raise DocumentError(f"expected an integer at {path}[{i}]")
-    return items
+    return tuple(items)
+
+
+def _bools(obj, path):
+    items = _expect_list(obj, path)
+    if not all(type(v) is bool for v in items):
+        i = next(i for i, v in enumerate(items) if type(v) is not bool)
+        raise DocumentError(f"expected a boolean at {path}[{i}]")
+    return tuple(items)
+
+
+def _seq(obj, path, name, read):
+    """The sequence of the {"prefix": [...], "cycle": [...]} object `obj`
+    at `path`, the one shape of every eventually periodic sequence in a
+    document.  Its prefix, then its cycle, are read by `read(array,
+    path)`, which returns a tuple, and then the cycle is checked to be
+    nonempty, a check named by `name`; a document with several faults is
+    refused for the first in that order."""
+    prefix = read(_get(obj, "prefix", path), f"{path}.prefix")
+    cycle = read(_get(obj, "cycle", path), f"{path}.cycle")
+    if not cycle:
+        raise DocumentError(f"{name} cycle must be nonempty at {path}.cycle")
+    return EventuallyPeriodicSeq(prefix, cycle)
 
 
 def _parse_signs(obj, path):
     if isinstance(obj, str):
         if obj in _NAMED_SIGNS:
-            return _NAMED_SIGNS[obj]()
+            return _NAMED_SIGNS[obj]
         raise DocumentError(f"unknown sign pattern {obj!r} at {path}")
-    _expect_dict(obj, path)
-    prefix = _expect_list(_get(obj, "prefix", path), f"{path}.prefix")
-    cycle = _expect_list(_get(obj, "cycle", path), f"{path}.cycle")
-    for where, items in ((f"{path}.prefix", prefix), (f"{path}.cycle", cycle)):
-        if not all(type(v) is bool for v in items):
-            i = next(i for i, v in enumerate(items) if not isinstance(v, bool))
-            raise DocumentError(f"expected a boolean at {where}[{i}]")
-    if not cycle:
-        raise DocumentError(f"sign cycle must be nonempty at {path}.cycle")
-    return SignPattern.explicit(prefix, cycle)
+    return SignPattern(_seq(obj, path, "sign", _bools))
 
 
 def _parse_column(obj, path, literals, columns):
@@ -123,10 +128,11 @@ def _parse_column(obj, path, literals, columns):
 
 
 def _parse_columns(objs, path, literals, columns):
-    """The tuple of columns of the JSON arrays `objs`, the entries at
+    """The tuple of columns of the JSON array `objs`, the entries at
     path[0], path[1], ...  A path is built only to name an error: on one,
     the columns are checked again, each with its path and each entry with
     its own, up to the first bad one."""
+    _expect_list(objs, path)
     try:
         return tuple([_parse_column(c, path, literals, columns) for c in objs])
     except DocumentError:
@@ -143,36 +149,20 @@ def _parse_columns(objs, path, literals, columns):
 def doc_to_system(obj, path="$"):
     kind = _get(obj, "kind", path)
     signs = _parse_signs(_get(obj, "signs", path), f"{path}.signs")
-    if kind == "cantor":
-        base = _get(obj, "base", path)
-        prefix = _int_list(_get(base, "prefix", f"{path}.base"), f"{path}.base.prefix")
-        cycle = _int_list(_get(base, "cycle", f"{path}.base"), f"{path}.base.cycle")
-        if not cycle:
-            raise DocumentError(f"base cycle must be nonempty at {path}.base.cycle")
-        system = CantorSystem(EventuallyPeriodicSeq(tuple(prefix), tuple(cycle)), signs)
-    elif kind == "qtilde":
-        cols = _get(obj, "columns", path)
-        prefix = _expect_list(_get(cols, "prefix", f"{path}.columns"), f"{path}.columns.prefix")
-        cycle = _expect_list(_get(cols, "cycle", f"{path}.columns"), f"{path}.columns.cycle")
-        if not cycle:
-            raise DocumentError(f"columns cycle must be nonempty at {path}.columns.cycle")
-        literals = {}
-        columns = {}
-        system = QTildeSystem(
-            EventuallyPeriodicSeq(
-                _parse_columns(prefix, f"{path}.columns.prefix", literals, columns),
-                _parse_columns(cycle, f"{path}.columns.cycle", literals, columns),
-            ),
-            signs,
-        )
+    if kind == CantorSystem.kind:
+        cls, read = CantorSystem, _ints
+    elif kind == QTildeSystem.kind:
+        literals, columns = {}, {}
+        cls, read = QTildeSystem, lambda objs, at: _parse_columns(objs, at, literals, columns)
     else:
         raise DocumentError(f"unknown system kind {kind!r} at {path}.kind")
+    field = cls._fields[0]  # "base" or "columns"
+    system = cls(_seq(_get(obj, field, path), f"{path}.{field}", field, read), signs)
     cycle_len = combined_cycle_len(system)
     if cycle_len > MAX_CYCLE_LEN:
-        where = "base" if kind == "cantor" else "columns"
         raise DocumentError(
-            f"combined cycle length {cycle_len} exceeds {MAX_CYCLE_LEN} ({where} cycle length "
-            f"{getattr(system, where).cycle_len}, signs cycle length "
+            f"combined cycle length {cycle_len} exceeds {MAX_CYCLE_LEN} ({field} cycle length "
+            f"{getattr(system, field).cycle_len}, signs cycle length "
             f"{signs.membership.cycle_len}) at {path}")
     report = validate(system)
     if not report.ok:
@@ -190,23 +180,19 @@ def doc_to_number(obj, path="$", load_file=None):
     else:
         system = doc_to_system(system_obj, f"{path}.system")
     digits = _get(obj, "digits", path)
-    prefix = _int_list(_get(digits, "prefix", f"{path}.digits"), f"{path}.digits.prefix")
+    prefix = _ints(_get(digits, "prefix", f"{path}.digits"), f"{path}.digits.prefix")
+    where = f"{path}.digits.tail"
     tail_obj = _get(digits, "tail", f"{path}.digits")
-    tail_type = _get(tail_obj, "type", f"{path}.digits.tail")
-    if tail_type == "zeros":
-        tail = TAIL_ZEROS
-    elif tail_type == "max":
-        tail = TAIL_MAX
-    elif tail_type == "cycle":
-        cyc = _int_list(_get(tail_obj, "cycle", f"{path}.digits.tail"),
-                        f"{path}.digits.tail.cycle")
-        if not cyc:
-            raise DocumentError(f"cycle must be nonempty at {path}.digits.tail.cycle")
-        tail = cycle_tail(cyc)
-    else:
-        raise DocumentError(f"unknown tail type {tail_type!r} at {path}.digits.tail.type")
+    kind = _get(tail_obj, "type", where)
+    if kind not in _TAIL_KINDS:
+        raise DocumentError(f"unknown tail type {kind!r} at {where}.type")
+    cycle = ()
+    if kind == "cycle":
+        cycle = _ints(_get(tail_obj, "cycle", where), f"{where}.cycle")
+        if not cycle:
+            raise DocumentError(f"cycle must be nonempty at {where}.cycle")
     try:
-        return RepresentedNumber(system, DigitStream(tuple(prefix), tail))
+        return RepresentedNumber(system, DigitStream(prefix, Tail(kind, cycle)))
     except ExpansionError as exc:
         raise DocumentError(f"{exc} at {path}.digits") from exc
 

@@ -49,11 +49,15 @@ __all__ = [
 ]
 
 
+# The tail kinds, which a number document names as its tail's "type".
+_TAIL_KINDS = ("zeros", "max", "cycle")
+
+
 class Tail(_Value):
     __slots__ = _fields = ("kind", "cycle")
 
     def __init__(self, kind, cycle=()):
-        if kind not in ("zeros", "max", "cycle"):
+        if kind not in _TAIL_KINDS:
             raise ValueError(f"unknown tail kind {kind!r}")
         cycle = tuple(cycle)
         if kind == "cycle" and not cycle:

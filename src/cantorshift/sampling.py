@@ -5,16 +5,10 @@ Every generator takes an explicit random.Random so that a (seed, trial)
 pair determines the case exactly.
 """
 
-from .numbers import (
-    RepresentedNumber,
-    TAIL_MAX,
-    TAIL_ZEROS,
-    DigitStream,
-    cycle_tail,
-    make_stream,
-)
+from .numbers import _TAIL_KINDS, DigitStream, RepresentedNumber, Tail, make_stream
 from .series import EventuallyPeriodicSeq
 from .systems import (
+    _NAMED_SIGNS,
     CantorSystem,
     QTildeColumn,
     QTildeSystem,
@@ -42,12 +36,8 @@ SIGN_CASES = ((False, False), (False, True), (True, False), (True, True))
 def rand_sign_pattern(rng, mode="any"):
     if mode == "any":
         mode = rng.choice(("none", "none", "odd", "even", "explicit"))
-    if mode == "none":
-        return SignPattern.none()
-    if mode == "odd":
-        return SignPattern.odd()
-    if mode == "even":
-        return SignPattern.even()
+    if mode in _NAMED_SIGNS:
+        return _NAMED_SIGNS[mode]
     prefix = [rng.random() < 0.5 for _ in range(rng.randrange(0, 3))]
     cycle = [rng.random() < 0.5 for _ in range(rng.randrange(1, 5))]
     return SignPattern.explicit(prefix, cycle)
@@ -86,9 +76,10 @@ def rand_qtilde_system(rng, max_den=16, signs="any", sign_pattern=None):
     return QTildeSystem(EventuallyPeriodicSeq(prefix, cycle), pattern)
 
 
-def rand_stream(rng, system, max_prefix=12, tail_kinds=("zeros", "max", "cycle")):
+def rand_stream(rng, system, max_prefix=12, tail_kinds=_TAIL_KINDS):
     kind = rng.choice(tail_kinds)
     dpl = rng.randrange(0, max_prefix + 1)
+    cyc = ()
     if kind == "cycle":
         # the cycle must start past the system prefix and repeat with the
         # system's combined period
@@ -97,16 +88,11 @@ def rand_stream(rng, system, max_prefix=12, tail_kinds=("zeros", "max", "cycle")
         cyc = tuple(
             rng.randrange(0, system.max_digit(dpl + 1 + j) + 1) for j in range(period)
         )
-        tail = cycle_tail(cyc)
-    elif kind == "max":
-        tail = TAIL_MAX
-    else:
-        tail = TAIL_ZEROS
     prefix = tuple(rng.randrange(0, system.max_digit(n) + 1) for n in range(1, dpl + 1))
-    return DigitStream(prefix, tail)
+    return DigitStream(prefix, Tail(kind, cyc))
 
 
-def rand_number(rng, system, max_prefix=12, tail_kinds=("zeros", "max", "cycle")):
+def rand_number(rng, system, max_prefix=12, tail_kinds=_TAIL_KINDS):
     return RepresentedNumber(system, rand_stream(rng, system, max_prefix, tail_kinds))
 
 

@@ -89,15 +89,15 @@ class SignPattern(_Value):
 
     @classmethod
     def none(cls):
-        return cls(EventuallyPeriodicSeq((), (False,)))
+        return _NAMED_SIGNS["none"]
 
     @classmethod
     def odd(cls):
-        return cls(EventuallyPeriodicSeq((), (True, False)))
+        return _NAMED_SIGNS["odd"]
 
     @classmethod
     def even(cls):
-        return cls(EventuallyPeriodicSeq((), (False, True)))
+        return _NAMED_SIGNS["even"]
 
     @classmethod
     def explicit(cls, prefix, cycle):
@@ -108,6 +108,11 @@ class SignPattern(_Value):
 
     def has_members(self):
         return any(self.membership.prefix) or any(self.membership.cycle)
+
+
+# The sign patterns that a document may name, keyed by their names.
+_NAMED_SIGNS = {name: SignPattern(EventuallyPeriodicSeq((), cycle)) for name, cycle in (
+    ("none", (False,)), ("odd", (True, False)), ("even", (False, True)))}
 
 
 def rho(signs, n):

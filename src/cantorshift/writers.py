@@ -12,21 +12,24 @@ import json
 from json.encoder import JSONEncoder, encode_basestring_ascii
 from math import gcd
 
-from .documents import _NAMED_SIGNS
 from .rationals import _pair_decimal, _pair_str
-from .systems import CantorSystem
+from .systems import _NAMED_SIGNS, CantorSystem
 
 __all__ = ["system_to_doc", "number_to_doc", "segments_tsv", "graph_tsv", "dump_json"]
 
 
+def _seq_to_doc(seq, write=list):
+    """The {"prefix": [...], "cycle": [...]} object of the sequence, each
+    part written by `write`, which returns a new list: the one writer of
+    the shape that `documents._seq` reads."""
+    return {"prefix": write(seq.prefix), "cycle": write(seq.cycle)}
+
+
 def _signs_to_doc(signs):
-    for name, ctor in _NAMED_SIGNS.items():
-        if signs == ctor():
+    for name, pattern in _NAMED_SIGNS.items():
+        if signs == pattern:
             return name
-    return {
-        "prefix": [bool(b) for b in signs.membership.prefix],
-        "cycle": [bool(b) for b in signs.membership.cycle],
-    }
+    return _seq_to_doc(signs.membership)
 
 
 def _column_to_doc(col, rendered):
@@ -51,28 +54,20 @@ def system_to_doc(system):
     written as "p/q" strings in lowest terms; each column object is
     rendered once per call, and every position gets its own list."""
     if isinstance(system, CantorSystem):
-        return {
-            "kind": "cantor",
-            "base": {"prefix": list(system.base.prefix), "cycle": list(system.base.cycle)},
-            "signs": _signs_to_doc(system.signs),
-        }
-    rendered = {}
-    return {
-        "kind": "qtilde",
-        "columns": {
-            "prefix": [_column_to_doc(col, rendered) for col in system.columns.prefix],
-            "cycle": [_column_to_doc(col, rendered) for col in system.columns.cycle],
-        },
-        "signs": _signs_to_doc(system.signs),
-    }
+        write = list
+    else:
+        rendered = {}
+        write = lambda cols: [_column_to_doc(col, rendered) for col in cols]
+    field = system._fields[0]  # "base" or "columns"
+    return {"kind": system.kind, field: _seq_to_doc(getattr(system, field), write),
+            "signs": _signs_to_doc(system.signs)}
 
 
 def number_to_doc(num):
     tail = num.digits.tail
-    if tail.kind == "cycle":
-        tail_doc = {"type": "cycle", "cycle": list(tail.cycle)}
-    else:
-        tail_doc = {"type": tail.kind}
+    tail_doc = {"type": tail.kind}
+    if tail.cycle:
+        tail_doc["cycle"] = list(tail.cycle)
     return {
         "system": system_to_doc(num.system),
         "digits": {"prefix": list(num.digits.prefix), "tail": tail_doc},

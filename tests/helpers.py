@@ -81,4 +81,30 @@ DOCUMENT_ERRORS = [
      {"system": {**_DEC_DOC, "kind": "dyadic"},
       "digits": {"prefix": [1], "tail": {"type": "zeros"}}},
      "unknown system kind 'dyadic' at $.system.kind"),
+    ("not-an-object", "system", [], "expected an object at $"),
+    ("no-kind", "system", {"base": _DEC_DOC["base"], "signs": "none"},
+     "missing key 'kind' at $"),
+    ("base-not-an-object", "system", {**_DEC_DOC, "base": [10]},
+     "expected an object at $.base"),
+    ("base-no-cycle", "system", {**_DEC_DOC, "base": {"prefix": []}},
+     "missing key 'cycle' at $.base"),
+    ("base-prefix-not-an-array", "system", {**_DEC_DOC, "base": {"prefix": 3, "cycle": [10]}},
+     "expected an array at $.base.prefix"),
+    ("base-cycle-boolean", "system", {**_DEC_DOC, "base": {"prefix": [], "cycle": [10, True]}},
+     "expected an integer at $.base.cycle[1]"),
+    ("empty-base-cycle", "system", {**_DEC_DOC, "base": {"prefix": [2], "cycle": []}},
+     "base cycle must be nonempty at $.base.cycle"),
+    ("columns-no-prefix", "system",
+     {"kind": "qtilde", "columns": {"cycle": [["1/2", "1/2"]]}, "signs": "none"},
+     "missing key 'prefix' at $.columns"),
+    ("sign-cycle-not-an-array", "system",
+     {**_DEC_DOC, "signs": {"prefix": [True], "cycle": False}},
+     "expected an array at $.signs.cycle"),
+    ("signs-not-an-object", "system", {**_DEC_DOC, "signs": 3},
+     "expected an object at $.signs"),
+    ("unknown-tail-type", "number",
+     {"system": _DEC_DOC, "digits": {"prefix": [1], "tail": {"type": "ones"}}},
+     "unknown tail type 'ones' at $.digits.tail.type"),
+    ("digits-no-tail", "number", {"system": _DEC_DOC, "digits": {"prefix": [1]}},
+     "missing key 'tail' at $.digits"),
 ]

@@ -81,6 +81,23 @@ class TestDocumentErrorMessages:
             parse(json.dumps(doc))
         assert str(info.value) == message
 
+    # Every {prefix, cycle} object is read in one order: its prefix list,
+    # then its cycle list, then the check that the cycle is nonempty.  A
+    # document with several faults is refused for the first of them.
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "cantor", "base": {"prefix": [], "cycle": [10]},
+          "signs": {"prefix": [1], "cycle": "x"}},
+         "expected a boolean at $.signs.prefix[0]"),
+        ({"kind": "qtilde", "columns": {"prefix": [["x"]], "cycle": []}, "signs": "none"},
+         "bad rational literal 'x' at $.columns.prefix[0][0]"),
+        ({"kind": "cantor", "base": {"prefix": [True], "cycle": []}, "signs": "none"},
+         "expected an integer at $.base.prefix[0]"),
+    ], ids=["signs", "columns", "base"])
+    def test_first_fault_in_document_order(self, doc, message):
+        with pytest.raises(DocumentError) as info:
+            parse_system(json.dumps(doc))
+        assert str(info.value) == message
+
     def test_system_file_reference_without_a_loader(self):
         text = json.dumps({"system": "sys.json",
                            "digits": {"prefix": [5], "tail": {"type": "zeros"}}})

@@ -30,6 +30,8 @@ REFUSALS = {
     "numeric_derivative-step0": (lambda: cs.numeric_derivative(DEC, 1, mk(DEC, (5,)), 0),
                                  ValueError, "step must be positive"),
     "decode-depth0": (lambda: cs.decode(DEC, HALF, 0), ValueError, "depth must be >= 1"),
+    "partial_digits-count-1": (lambda: cs.partial_digits(DEC, HALF, -1), ValueError,
+                               "count must be >= 0"),
     "run_suite-0-trials": (lambda: run_suite(VerifyConfig("eq4", trials=0)), ValueError,
                            "trials must be >= 1"),
     "tail-unknown-kind": (lambda: Tail("ones"), ValueError, "unknown tail kind 'ones'"),
